@@ -2,24 +2,28 @@
 
 A length-n vector is an int with bit j holding coordinate j; a code is
 the row span of a tuple of such ints.  Exhaustive scans walk messages
-in Gray-code order so each step is one row XOR and one popcount.
+in Gray-code order, one step per block of all low-row combinations.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, repeat
+from operator import xor
 
-from .errors import DimensionTooLarge, LengthMismatch
+from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
+LOW_ROWS = 10  # rows tabulated per Gray block: 2^10 entries of n bits each
 
 
-def gf2_rank(rows) -> int:
-    """Rank of the GF(2) row space."""
+def _independent_rows(rows) -> list[int]:
+    """The rows outside the span of the rows before them, in order."""
+    kept = []
     basis: dict[int, int] = {}
-    r = 0
     for row in rows:
         cur = row
         while cur:
@@ -28,9 +32,14 @@ def gf2_rank(rows) -> int:
                 cur ^= basis[pivot]
             else:
                 basis[pivot] = cur
-                r += 1
+                kept.append(row)
                 break
-    return r
+    return kept
+
+
+def gf2_rank(rows) -> int:
+    """Rank of the GF(2) row space."""
+    return len(_independent_rows(rows))
 
 
 class BinaryCode:
@@ -51,19 +60,7 @@ class BinaryCode:
     @classmethod
     def from_span(cls, rows, n: int) -> "BinaryCode":
         """Keep a maximal independent subset, in first-seen order."""
-        kept = []
-        basis: dict[int, int] = {}
-        for row in rows:
-            cur = row
-            while cur:
-                pivot = cur.bit_length() - 1
-                if pivot in basis:
-                    cur ^= basis[pivot]
-                else:
-                    basis[pivot] = cur
-                    kept.append(row)
-                    break
-        return cls(kept, n)
+        return cls(_independent_rows(rows), n)
 
     @property
     def k(self) -> int:
@@ -84,23 +81,34 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _segment_min_weight(rows: tuple[int, ...], lo: int, hi: int) -> int:
-    """Min codeword weight over messages gray(i) for i in [lo, hi),
-    skipping the zero message (only i == 0 maps to it)."""
+def _gray_blocks(rows: tuple[int, ...], lo: int = 0, hi: int | None = None):
+    """Codeword weights, one block per Gray index h in [lo, hi) of the
+    high rows (default: all of them).  Block h is the weights of a table
+    of all 2^b combinations of the low b = min(LOW_ROWS, k) rows, XORed
+    with the high rows that gray(h) selects; the first entry of block 0
+    is the zero message."""
+    b = min(LOW_ROWS, len(rows))
+    low, high = rows[:b], rows[b:]
+    table = [0]
+    for i in range(1, 1 << b):
+        table.append(table[-1] ^ low[(i & -i).bit_length() - 1])
     g = lo ^ (lo >> 1)
     cw = 0
-    j = 0
-    while g >> j:
+    for j, row in enumerate(high):
         if (g >> j) & 1:
-            cw ^= rows[j]
-        j += 1
-    best = cw.bit_count() if lo else 1 << 62
-    for i in range(lo + 1, hi):
-        cw ^= rows[(i & -i).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best:
-            best = w
-    return best
+            cw ^= row
+    for h in range(lo, 1 << len(high) if hi is None else hi):
+        if h > lo:
+            cw ^= high[(h & -h).bit_length() - 1]
+        yield map(int.bit_count, map(xor, table, repeat(cw)))
+
+
+def _min_weight(rows: tuple[int, ...], lo: int, hi: int) -> int:
+    """Least weight over blocks [lo, hi), skipping the zero message."""
+    weights = chain.from_iterable(_gray_blocks(rows, lo, hi))
+    if lo == 0:
+        next(weights)  # the zero message
+    return min(weights)
 
 
 def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
@@ -113,13 +121,13 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             f"2**{k} codewords exceed the enumeration budget 2**{ENUM_BUDGET_LOG2};"
             " use sampled_min_distance_upper"
         )
-    total = 1 << k
-    if workers <= 1 or total < (1 << 18):
-        return _segment_min_weight(code.rows, 0, total)
-    chunk = -(-total // workers)
-    spans = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
+    blocks = 1 << max(k - LOW_ROWS, 0)
+    if workers <= 1 or k < 18:
+        return _min_weight(code.rows, 0, blocks)
+    chunk = -(-blocks // workers)
+    spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_segment_min_weight, code.rows, lo, hi) for lo, hi in spans]
+        futs = [pool.submit(_min_weight, code.rows, lo, hi) for lo, hi in spans]
         return min(f.result() for f in futs)
 
 
@@ -127,6 +135,8 @@ def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
     """Upper bound on the minimum distance from random nonzero messages."""
     if code.k == 0:
         raise ValueError("the trivial code has no nonzero codeword")
+    if trials < 1:
+        raise BadParameters(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     top = 1 << code.k
     best = code.n + 1
@@ -144,13 +154,8 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f"2**{code.k} codewords exceed the histogram budget"
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
-    hist = [0] * (code.n + 1)
-    cw = 0
-    hist[0] = 1
-    for i in range(1, 1 << code.k):
-        cw ^= code.rows[(i & -i).bit_length() - 1]
-        hist[cw.bit_count()] += 1
-    return hist
+    counts = Counter(chain.from_iterable(_gray_blocks(code.rows)))
+    return [counts[w] for w in range(code.n + 1)]
 
 
 def random_linear_code(n: int, k: int, seed: int) -> BinaryCode:

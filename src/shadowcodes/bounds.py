@@ -19,8 +19,10 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .binary import exact_min_distance, random_linear_code, sampled_min_distance_upper
 from .errors import BadParameters, BadShape
@@ -62,44 +64,21 @@ def gv_min_distance(n: int, k: int) -> int:
     A binary linear (n, k) code with that minimum distance exists."""
     if not 0 < k <= n:
         raise BadParameters(f"need 0 < k <= n, got k={k}, n={n}")
-    target = 1 << (n - k)
-    d = 1
-    total = 0
-    while d < n:
-        nxt = total + math.comb(n - 1, d - 1)
-        if nxt < target:
-            total = nxt
-            d += 1
-        else:
-            break
-    return d
+    return 1 + bisect_left(_binomial_prefix_sums(n), 1 << (n - k))
 
 
-def gv_min_distance_log(n: int, k: int) -> int:
-    """Same walk in log space, for lengths where exact sums get costly.
+@lru_cache(maxsize=1)
+def _binomial_prefix_sums(n: int) -> list[int]:
+    """sum_{i <= j} C(n-1, i) for j = 0 .. n-2 (the single entry 1 at n = 1).
 
-    Ties very close to the threshold can land one off; use
-    gv_min_distance when n permits."""
-    if not 0 < k <= n:
-        raise BadParameters(f"need 0 < k <= n, got k={k}, n={n}")
-    target = (n - k) * math.log(2)
-    d = 1
-    total = None  # log of the running sum; None stands for log(0)
-    term = 0.0  # log C(n-1, d-1)
-    while d < n:
-        nxt = term if total is None else _log_add(total, term)
-        if nxt < target:
-            total = nxt
-            d += 1
-            term += math.log((n - d + 1) / (d - 1))
-        else:
-            break
-    return d
-
-
-def _log_add(a: float, b: float) -> float:
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+    One length is cached, so a figure column over every k at that
+    length builds the list once."""
+    sums = [1]
+    term = 1
+    for i in range(1, n - 1):
+        term = term * (n - i) // i
+        sums.append(sums[-1] + term)
+    return sums
 
 
 # -- shadow-family distance floors ----------------------------------------
@@ -251,7 +230,7 @@ class BoundPoint:
     k: float
     rate: float
     delta: float
-    kind: str  # lower_bound | exact | existence | upper_bound | approximate
+    kind: str  # lower_bound | exact | existence | upper_bound
 
 
 FIG_FIELDNAMES = ["scheme", "n", "k", "rate", "delta", "kind"]
@@ -324,15 +303,8 @@ def fig3_rows(
         if e >= 2:
             k2 = rm2_dim(e)
             rows.append(BoundPoint("rm2", n, k2, k2 / n, 0.25, "exact"))
-    if n <= 4096:
-        gv_fn, gv_kind, gv_ks = gv_min_distance, "existence", range(1, n + 1)
-    else:
-        # exact big-integer sums get costly; thin the grid and flag the
-        # log-domain values as approximate
-        gv_fn, gv_kind = gv_min_distance_log, "approximate"
-        gv_ks = range(1, n + 1, max(1, n // 512))
-    for k in gv_ks:
-        rows.append(BoundPoint("gv", n, k, k / n, gv_fn(n, k) / n, gv_kind))
+    for k in range(1, n + 1):
+        rows.append(BoundPoint("gv", n, k, k / n, gv_min_distance(n, k) / n, "existence"))
     for k in random_ks:
         code = random_linear_code(n, k, seed * 1000 + k)
         if k <= exact_cap:

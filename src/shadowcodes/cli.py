@@ -27,7 +27,7 @@ from .bounds import (
     shadow_lb_deg2,
 )
 from .concat import concat_generator, concat_params, concat_spec
-from .errors import ShadowcodesError
+from .errors import BadDescriptor, ShadowcodesError
 from .field import field_of_order
 from .shadow import (
     construct_deg1,
@@ -84,7 +84,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_dmin(args) -> int:
     with open(args.descriptor) as fh:
-        code = from_descriptor(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadDescriptor(f"{args.descriptor} is not a JSON descriptor: {exc}") from exc
+    code = from_descriptor(obj)
     gen = code.generator()
     report = {
         "config": _config(args, ("descriptor", "workers")),
@@ -283,10 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ShadowcodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ShadowcodesError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

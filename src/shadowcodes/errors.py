@@ -74,6 +74,11 @@ class BadParameters(ShadowcodesError, ValueError):
     """Parameters outside the admissible range of a formula."""
 
 
+class BadDescriptor(ShadowcodesError, ValueError):
+    """A stored code descriptor is not JSON, lacks a key, or disagrees
+    with the code its own field, E and B rebuild."""
+
+
 class BadShape(ShadowcodesError, ValueError):
     """A length with no representation in the required form."""
 

@@ -8,6 +8,7 @@ empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ConstantInput, DivisionByZero, ExhaustedSupply, FieldMismatch
@@ -228,26 +229,26 @@ def _monic_lex(field: "Field", d: int) -> Iterator[Poly]:
         yield Poly(field, cs)
 
 
-def enumerate_monic_irreducibles(field: "Field", d: int, count: int) -> list[Poly]:
-    """First count monic irreducibles of degree d, lexicographic order."""
+def _monic_irreducibles(field: "Field", d: int) -> Iterator[Poly]:
+    """Monic irreducibles of degree d, lexicographic order."""
     if d < 1:
         raise ConstantInput(f"degree must be >= 1, got {d}")
-    found: list[Poly] = []
-    for cand in _monic_lex(field, d):
-        if is_irreducible(cand):
-            found.append(cand)
-            if len(found) == count:
-                return found
-    raise ExhaustedSupply(
-        f"only {len(found)} monic irreducibles of degree {d} over GF({field.q}),"
-        f" {count} requested"
-    )
+    return filter(is_irreducible, _monic_lex(field, d))
+
+
+def enumerate_monic_irreducibles(field: "Field", d: int, count: int) -> list[Poly]:
+    """First count monic irreducibles of degree d, lexicographic order."""
+    found = list(islice(_monic_irreducibles(field, d), count))
+    if len(found) < count:
+        raise ExhaustedSupply(
+            f"only {len(found)} monic irreducibles of degree {d} over GF({field.q}),"
+            f" {count} requested"
+        )
+    return found
 
 
 def all_monic_irreducibles(field: "Field", d: int) -> list[Poly]:
-    if d < 1:
-        raise ConstantInput(f"degree must be >= 1, got {d}")
-    return [cand for cand in _monic_lex(field, d) if is_irreducible(cand)]
+    return list(_monic_irreducibles(field, d))
 
 
 def product_and_degree(polys: Sequence[Poly]) -> tuple[Poly, int]:

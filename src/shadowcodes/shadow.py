@@ -32,6 +32,8 @@ from fractions import Fraction
 
 from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
+    BadDescriptor,
+    BadParameters,
     EvaluationSetIsFullField,
     ExhaustedSupply,
     EvenCharacteristic,
@@ -157,11 +159,11 @@ def evaluation_set(field: Field, points) -> EvaluationSet:
         raise EvenCharacteristic("evaluation needs a field of odd order")
     pts = sorted(points)
     if len(set(pts)) != len(pts):
-        raise ValueError("duplicate evaluation points")
+        raise BadParameters("duplicate evaluation points")
     if pts and not (0 <= pts[0] and pts[-1] < field.q):
-        raise ValueError(f"points must be element indices in 0..{field.q - 1}")
+        raise BadParameters(f"points must be element indices in 0..{field.q - 1}")
     if not pts:
-        raise ValueError("empty evaluation set")
+        raise BadParameters("empty evaluation set")
     return EvaluationSet(field, tuple(pts))
 
 
@@ -171,7 +173,7 @@ def full_evaluation_set(field: Field) -> EvaluationSet:
 
 def first_evaluation_set(field: Field, size: int) -> EvaluationSet:
     if not 1 <= size <= field.q:
-        raise ValueError(f"size must be in 1..{field.q}")
+        raise BadParameters(f"size must be in 1..{field.q}")
     return evaluation_set(field, range(size))
 
 
@@ -188,7 +190,7 @@ class BasicSet:
 def basic_set(polys) -> BasicSet:
     polys = tuple(polys)
     if not polys:
-        raise ValueError("empty basic set")
+        raise BadParameters("empty basic set")
     field = polys[0].field
     constants = []
     for f in polys:
@@ -196,20 +198,20 @@ def basic_set(polys) -> BasicSet:
             raise FieldMismatch("mixed fields in one basic set")
         if f.degree < 1:
             if f.is_zero:
-                raise ValueError("zero polynomial in basic set")
+                raise BadParameters("zero polynomial in basic set")
             constants.append(f)
         else:
             if not f.is_monic:
-                raise ValueError(f"{f!r} is not monic")
+                raise BadParameters(f"{f!r} is not monic")
             if not is_irreducible(f):
-                raise ValueError(f"{f!r} is not irreducible")
+                raise BadParameters(f"{f!r} is not irreducible")
     if len(constants) > 1:
-        raise ValueError("at most one constant generator is allowed")
+        raise BadParameters("at most one constant generator is allowed")
     for c in constants:
         if field.multiplicative_order(c.coeffs[0]) != field.q - 1:
-            raise ValueError("the constant generator must be primitive")
+            raise BadParameters("the constant generator must be primitive")
     if not is_squarefree_product(polys):
-        raise ValueError("repeated irreducible factor in basic set")
+        raise BadParameters("repeated irreducible factor in basic set")
     total = sum(f.degree for f in polys if f.degree >= 1)
     return BasicSet(polys, total, bool(constants))
 
@@ -251,7 +253,7 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
     """k distinct monic irreducible quadratics: the lexicographically
     first k, or a seed-reproducible random choice."""
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise BadParameters(f"need k >= 1, got {k}")
     if seed is None:
         polys = enumerate_monic_irreducibles(field, 2, k)
     else:
@@ -385,11 +387,14 @@ def to_descriptor(code: ShadowCode) -> dict:
 
 def from_descriptor(obj: dict) -> ShadowCode:
     """Rebuild and re-derive a code, verifying the stored matrix."""
-    field = field_from_json(obj["field"])
-    ev = evaluation_set(field, obj["E"])
-    basic = basic_set([poly_from_text(field, s) for s in obj["B"]])
+    try:
+        field = field_from_json(obj["field"])
+        ev = evaluation_set(field, obj["E"])
+        basic = basic_set([poly_from_text(field, s) for s in obj["B"]])
+        stored = tuple(row_from_hex(s) for s in obj["G"])
+    except (KeyError, TypeError) as exc:
+        raise BadDescriptor(f"malformed descriptor: {type(exc).__name__}: {exc}") from exc
     code = construct(ev, basic, kind=obj.get("kind", "custom"))
-    stored = tuple(row_from_hex(s) for s in obj["G"])
     if stored != code.rows:
-        raise ValueError("stored generator matrix does not match its field/E/B")
+        raise BadDescriptor("stored generator matrix does not match its field/E/B")
     return code

@@ -8,6 +8,8 @@ root scans instead of Frobenius-based irreducibility.
 
 from __future__ import annotations
 
+import math
+
 
 def naive_min_distance(rows, n: int) -> int:
     """Minimum nonzero-codeword weight by encoding every message."""
@@ -34,6 +36,20 @@ def naive_weight_hist(rows, n: int) -> list[int]:
                 cw ^= rows[j]
         hist[bin(cw).count("1")] += 1
     return hist
+
+
+def gv_definition(n: int, k: int) -> int:
+    """Gilbert-Varshamov distance straight from its definition: the
+    largest d <= n with sum_{i <= d-2} C(n-1, i) < 2^(n-k), each term
+    from math.comb."""
+    d = 1
+    total = 0
+    while d < n:
+        total += math.comb(n - 1, d - 1)
+        if total >= 1 << (n - k):
+            break
+        d += 1
+    return d
 
 
 def ref_ext_mul(p: int, m: int, modulus, a: int, b: int) -> int:

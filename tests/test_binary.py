@@ -1,10 +1,15 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
 from shadowcodes.binary import (
+    LOW_ROWS,
     BinaryCode,
+    _gray_blocks,
     exact_min_distance,
     gf2_rank,
     random_linear_code,
@@ -14,7 +19,7 @@ from shadowcodes.binary import (
     weight_distribution,
     weight_histogram_csv,
 )
-from shadowcodes.errors import DimensionTooLarge
+from shadowcodes.errors import BadParameters, DimensionTooLarge
 
 
 def test_rank_hand_cases():
@@ -51,6 +56,45 @@ def test_from_span_keeps_exactly_the_span():
                 cw ^= rows[j]
         naive.add(cw)
     assert spanned == naive
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=9))
+def test_elimination_matches_span_enumeration(rows):
+    # a row is kept exactly when it lies outside the span of the rows
+    # before it; the span is grown by enumeration
+    span, kept = {0}, []
+    for row in rows:
+        if row not in span:
+            kept.append(row)
+            span |= {s ^ row for s in span}
+    assert gf2_rank(rows) == len(kept)
+    code = BinaryCode.from_span(rows, 8)
+    assert list(code.rows) == kept
+    assert {code.encode(msg) for msg in range(1 << code.k)} == span
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, LOW_ROWS + 3), extra=st.integers(0, 30), seed=st.integers(0, 2**32))
+def test_gray_kernel_matches_naive_oracles(k, extra, seed):
+    # k runs below, at and above the width of the low-row table
+    code = random_linear_code(k + extra, k, seed)
+    hist = naive_weight_hist(code.rows, code.n)
+    assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
+    assert weight_distribution(code) == hist
+    # two workers' spans, cut at any high Gray index, cover each message once
+    blocks = 1 << max(k - LOW_ROWS, 0)
+    for cut in range(1, blocks):
+        spans = chain(_gray_blocks(code.rows, 0, cut), _gray_blocks(code.rows, cut, blocks))
+        counts = Counter(chain.from_iterable(spans))
+        assert [counts[w] for w in range(code.n + 1)] == hist
+
+
+@settings(max_examples=2, deadline=None)
+@given(n=st.integers(18, 40), seed=st.integers(0, 2**32))
+def test_parallel_walk_matches_naive_oracle(n, seed):
+    code = random_linear_code(n, 18, seed)
+    assert exact_min_distance(code, workers=2) == naive_min_distance(code.rows, n)
 
 
 def test_encode_is_xor_of_selected_rows():
@@ -102,6 +146,13 @@ def test_sampled_is_deterministic_in_seed():
     c = sampled_min_distance_upper(code, trials=50, seed=8)
     assert a == b
     assert c >= exact_min_distance(code)
+
+
+def test_sampled_needs_a_trial():
+    code = random_linear_code(20, 3, 99)
+    for trials in (0, -5):
+        with pytest.raises(BadParameters):
+            sampled_min_distance_upper(code, trials=trials, seed=1)
 
 
 def test_random_code_deterministic_and_full_rank():

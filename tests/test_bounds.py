@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import gv_definition
 from shadowcodes.bounds import (
     DEFAULT_SEED,
     FIG_FIELDNAMES,
@@ -21,7 +22,6 @@ from shadowcodes.bounds import (
     fig4_rows,
     fourth_power_exponent,
     gv_min_distance,
-    gv_min_distance_log,
     k0,
     rm2_dim,
     rows_to_csv,
@@ -90,14 +90,11 @@ def test_gv_edges_and_monotonicity():
         gv_min_distance(10, 11)
 
 
-def test_gv_log_variant_tracks_exact_away_from_saturation():
-    # at k = 1 the defining sum sits within float resolution of the
-    # threshold for many consecutive d, so the log walk stops early;
-    # everywhere else it lands within one step of the exact value
-    for n in (64, 256):
-        for k in range(2, n + 1):
-            assert abs(gv_min_distance_log(n, k) - gv_min_distance(n, k)) <= 1
-        assert gv_min_distance_log(n, 1) <= gv_min_distance(n, 1)
+def test_gv_column_matches_per_k_definition():
+    for n in (16, 113, 1024):
+        assert [gv_min_distance(n, k) for k in range(1, n + 1)] == [
+            gv_definition(n, k) for k in range(1, n + 1)
+        ]
 
 
 # --------------------------------------------------- shadow floor curves
@@ -274,11 +271,16 @@ def test_fig3_rows_off_grid_length():
     assert len(gv) == 500 and all(r.kind == "existence" for r in gv)
 
 
-def test_fig3_large_length_thins_and_flags_gv():
-    rows = fig3_rows(8192, with_exact=False, random_ks=())
+def test_fig3_large_length_keeps_the_exact_gv_column():
+    n = 8192
+    rows = fig3_rows(n, with_exact=False, random_ks=())
     gv = [r for r in rows if r.scheme == "gv"]
-    assert 0 < len(gv) <= 513
-    assert all(r.kind == "approximate" for r in gv)
+    assert [r.k for r in gv] == list(range(1, n + 1))
+    assert all(r.kind == "existence" for r in gv)
+    # k = 1 saturates (d = n) and is covered by the full columns above;
+    # these k keep the per-term oracle under a second
+    for k in (1500, 4096, 6000, 8191, 8192):
+        assert gv[k - 1].delta == gv_definition(n, k) / n
     assert "random" not in {r.scheme for r in rows}
 
 

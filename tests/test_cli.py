@@ -51,6 +51,32 @@ def test_dmin_missing_file(capsys):
     assert "error:" in err
 
 
+def test_dmin_descriptor_faults_exit_two(tmp_path, capsys):
+    good = tmp_path / "code.json"
+    run_cli(capsys, "construct", "deg1", "--q", "25", "--e-size", "21", "--out", str(good))
+    desc = json.loads(good.read_text())
+    tampered = dict(desc, G=[format(int(desc["G"][0], 16) ^ 1, "06x")] + desc["G"][1:])
+    missing = {k: v for k, v in desc.items() if k != "E"}
+    faults = {"tampered.json": json.dumps(tampered), "missing.json": json.dumps(missing),
+              "text.json": "not json {"}
+    for name, text in faults.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dmin", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error:"), name
+
+
+def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "construct", "deg1", "--q", "121", "--e-size", "200")
+    assert code == 2 and "size must be in 1..121" in err
+    desc = tmp_path / "code.json"
+    run_cli(capsys, "construct", "deg1", "--q", "25", "--e-size", "21", "--out", str(desc))
+    code, out, err = run_cli(capsys, "dmin", str(desc), "--sample", "-5")
+    assert (code, out) == (2, "")
+    assert "trial" in err
+
+
 def test_construct_nk_round_numbers(capsys):
     code, out, _ = run_cli(capsys, "construct", "deg1", "--n", "100", "--k", "10")
     assert code == 0

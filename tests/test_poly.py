@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import necklace_count, oracle_irreducible
 from shadowcodes.errors import (
@@ -163,6 +164,15 @@ def test_enumeration_is_lexicographic_and_prefix_stable():
         keys = [f.coeffs[:-1] for f in sup]
         assert keys == sorted(keys)
         assert enumerate_monic_irreducibles(field, d, 3) == sup[:3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 9]), d=st.integers(1, 3), data=st.data())
+def test_enumeration_is_a_prefix_of_the_full_list(q, d, data):
+    field = field_of_order(q)
+    supply = all_monic_irreducibles(field, d)
+    count = data.draw(st.integers(0, len(supply)), label="count")
+    assert enumerate_monic_irreducibles(field, d, count) == supply[:count]
 
 
 def test_enumeration_counts_match_necklace_formula():

@@ -6,6 +6,8 @@ import pytest
 from helpers import naive_min_distance, naive_weight_hist
 from shadowcodes.binary import exact_min_distance, weight_distribution
 from shadowcodes.errors import (
+    BadDescriptor,
+    BadParameters,
     EvaluationSetIsFullField,
     EvenCharacteristic,
     ExhaustedSupply,
@@ -97,6 +99,17 @@ def test_evaluation_set_validation():
         evaluation_set(field_create(2, 3), [0, 1])
     assert full_evaluation_set(F7).points == tuple(range(7))
     assert first_evaluation_set(F7, 3).points == (0, 1, 2)
+
+
+def test_shadow_parameter_faults_are_package_errors():
+    with pytest.raises(BadParameters):
+        evaluation_set(F7, [0, 0, 1])
+    with pytest.raises(BadParameters):
+        first_evaluation_set(F7, 8)
+    with pytest.raises(BadParameters):
+        basic_set([Poly(F7, (6, 0, 1))])
+    with pytest.raises(BadParameters):
+        build_B2(F7, 0)
 
 
 # ------------------------------------------------------------ basic sets
@@ -326,3 +339,19 @@ def test_descriptor_tamper_detection():
     bad["G"] = rows
     with pytest.raises(ValueError):
         from_descriptor(bad)
+
+
+def test_descriptor_faults_raise_bad_descriptor():
+    from shadowcodes.binary import row_from_hex, row_to_hex
+
+    code = construct_deg2(field_of_order(25), 2)
+    obj = to_descriptor(code)
+    tampered = dict(obj, G=[row_to_hex(row_from_hex(obj["G"][0]) ^ 1, code.n)] + obj["G"][1:])
+    with pytest.raises(BadDescriptor):
+        from_descriptor(tampered)
+    for key in ("field", "E", "B", "G"):
+        missing = {k: v for k, v in obj.items() if k != key}
+        with pytest.raises(BadDescriptor):
+            from_descriptor(missing)
+    with pytest.raises(BadDescriptor):
+        from_descriptor([obj])
