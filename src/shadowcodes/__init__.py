@@ -39,7 +39,6 @@ from .poly import (
     Poly,
     enumerate_monic_irreducibles,
     is_irreducible,
-    is_squarefree_product,
     poly_from_text,
     poly_to_text,
     product_and_degree,

@@ -53,7 +53,7 @@ class BinaryCode:
             if not 0 <= row < (1 << n):
                 raise LengthMismatch(f"row {row:#x} does not fit in {n} columns")
         if gf2_rank(rows) != len(rows):
-            raise ValueError("generator rows are dependent; use from_span")
+            raise BadParameters("generator rows are dependent; use from_span")
         self.rows = rows
         self.n = n
 
@@ -115,7 +115,7 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     """Minimum nonzero codeword weight by full enumeration."""
     k = code.k
     if k == 0:
-        raise ValueError("the trivial code has no nonzero codeword")
+        raise BadParameters("the trivial code has no nonzero codeword")
     if k > ENUM_BUDGET_LOG2:
         raise DimensionTooLarge(
             f"2**{k} codewords exceed the enumeration budget 2**{ENUM_BUDGET_LOG2};"
@@ -134,7 +134,7 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
 def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
     """Upper bound on the minimum distance from random nonzero messages."""
     if code.k == 0:
-        raise ValueError("the trivial code has no nonzero codeword")
+        raise BadParameters("the trivial code has no nonzero codeword")
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
     rng = random.Random(seed)

@@ -99,8 +99,8 @@ def shadow_lb_deg2(n: int, k: int) -> float:
 
 
 def deg2_max_k(n: int) -> int:
-    """Largest k with a positive degree 2 floor: k <= ceil((sqrt(n)-1)/2)."""
-    return math.ceil((math.sqrt(n) - 1) / 2)
+    """Largest k with a positive degree 2 floor: (2k - 1)^2 < n."""
+    return (math.isqrt(n - 1) + 1) // 2
 
 
 # -- the dimension-threshold cubic ------------------------------------------
@@ -270,7 +270,11 @@ def fig3_rows(
 ):
     """Rate/relative-distance table comparing every scheme at length n."""
     rows: list[BoundPoint] = []
-    kmax1 = math.floor(k0(n).k0)
+    # S(n, 2) = -(n - 1)^2 and S rises in k from k = 2 on, so the
+    # feasible dimensions are 2 .. kmax1
+    kmax1 = 1
+    while s_cubic(n, kmax1 + 1) < 0:
+        kmax1 += 1
     for k in range(2, kmax1 + 1):
         rows.append(
             BoundPoint(

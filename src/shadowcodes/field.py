@@ -183,6 +183,8 @@ class Field:
         return self.index(self._mul_digits(list(self.digits(a)), list(self.digits(b))))
 
     def _pow_raw(self, a: int, e: int) -> int:
+        if self.m == 1:
+            return pow(a, e, self.p)
         r = 1
         while e:
             if e & 1:

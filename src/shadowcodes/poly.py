@@ -11,7 +11,13 @@ from __future__ import annotations
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import ConstantInput, DivisionByZero, ExhaustedSupply, FieldMismatch
+from .errors import (
+    BadParameters,
+    ConstantInput,
+    DivisionByZero,
+    ExhaustedSupply,
+    FieldMismatch,
+)
 from .field import prime_factors
 
 if TYPE_CHECKING:
@@ -25,7 +31,7 @@ class Poly:
         cs = list(coeffs)
         for c in cs:
             if not 0 <= c < field.q:
-                raise ValueError(f"coefficient {c} out of range for GF({field.q})")
+                raise BadParameters(f"coefficient {c} out of range for GF({field.q})")
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -182,7 +188,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
 def powmod(f: Poly, e: int, modulus: Poly) -> Poly:
     """f**e reduced by modulus, by square and multiply."""
     if e < 0:
-        raise ValueError("negative exponent")
+        raise BadParameters("negative exponent")
     base = f % modulus
     out = Poly.one(f.field) % modulus
     while e:
@@ -254,7 +260,7 @@ def all_monic_irreducibles(field: "Field", d: int) -> list[Poly]:
 def product_and_degree(polys: Sequence[Poly]) -> tuple[Poly, int]:
     """Product of the list and its degree; constants contribute 0."""
     if not polys:
-        raise ValueError("empty product")
+        raise BadParameters("empty product")
     first = polys[0]
     out = first
     for f in polys[1:]:
@@ -263,10 +269,21 @@ def product_and_degree(polys: Sequence[Poly]) -> tuple[Poly, int]:
     return out, out.degree
 
 
-def is_squarefree_product(polys: Sequence[Poly]) -> bool:
-    """For monic irreducibles and unit constants: no repeated factor."""
+def basic_polys(polys: Iterable[Poly]) -> tuple[Poly, ...]:
+    """polys as a tuple, checked to be a nonempty list over one field
+    whose non-constants are pairwise distinct monic irreducibles."""
+    polys = tuple(polys)
+    if not polys:
+        raise BadParameters("need at least one polynomial")
     non_const = [f for f in polys if f.degree >= 1]
-    return len(set(non_const)) == len(non_const)
+    if len(set(non_const)) != len(non_const):
+        raise BadParameters("repeated irreducible factor")
+    for f in polys:
+        if f.field != polys[0].field:
+            raise FieldMismatch("polynomials over different fields in one list")
+        if f.degree >= 1 and not (f.is_monic and is_irreducible(f)):
+            raise BadParameters(f"{f!r} is not a monic irreducible")
+    return polys
 
 
 def poly_to_text(f: Poly) -> str:

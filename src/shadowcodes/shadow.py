@@ -52,9 +52,8 @@ from .field import (
 from .poly import (
     Poly,
     all_monic_irreducibles,
+    basic_polys,
     enumerate_monic_irreducibles,
-    is_irreducible,
-    is_squarefree_product,
     poly_from_text,
     poly_to_text,
     x_minus,
@@ -79,7 +78,7 @@ class Surd:
 
     def exact_value(self) -> Fraction:
         if not self.is_exact:
-            raise ValueError(f"sqrt({self.q}) is irrational")
+            raise BadParameters(f"sqrt({self.q}) is irrational")
         return self.a + self.b * (self.root if self.root is not None else 0)
 
     def __float__(self) -> float:
@@ -188,30 +187,13 @@ class BasicSet:
 
 
 def basic_set(polys) -> BasicSet:
-    polys = tuple(polys)
-    if not polys:
-        raise BadParameters("empty basic set")
-    field = polys[0].field
-    constants = []
-    for f in polys:
-        if f.field != field:
-            raise FieldMismatch("mixed fields in one basic set")
-        if f.degree < 1:
-            if f.is_zero:
-                raise BadParameters("zero polynomial in basic set")
-            constants.append(f)
-        else:
-            if not f.is_monic:
-                raise BadParameters(f"{f!r} is not monic")
-            if not is_irreducible(f):
-                raise BadParameters(f"{f!r} is not irreducible")
+    polys = basic_polys(polys)
+    constants = [f for f in polys if f.degree < 1]
     if len(constants) > 1:
         raise BadParameters("at most one constant generator is allowed")
     for c in constants:
-        if field.multiplicative_order(c.coeffs[0]) != field.q - 1:
+        if c.is_zero or c.field.multiplicative_order(c.coeffs[0]) != c.field.q - 1:
             raise BadParameters("the constant generator must be primitive")
-    if not is_squarefree_product(polys):
-        raise BadParameters("repeated irreducible factor in basic set")
     total = sum(f.degree for f in polys if f.degree >= 1)
     return BasicSet(polys, total, bool(constants))
 
@@ -246,7 +228,8 @@ def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
         )
     polys = [x_minus(field, lam) for lam in outside]
     polys.append(Poly.constant(field, field.primitive_element()))
-    return basic_set(polys)
+    # distinct linears and a primitive constant: a basic set by construction
+    return BasicSet(tuple(polys), len(outside), True)
 
 
 def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
@@ -263,7 +246,8 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
                 f"only {len(supply)} monic irreducible quadratics over GF({field.q})"
             )
         polys = sorted(random.Random(seed).sample(supply, k), key=lambda f: f.coeffs[::-1])
-    return basic_set(polys)
+    # distinct monic irreducibles, each already through Rabin's test
+    return BasicSet(tuple(polys), 2 * k, False)
 
 
 def delta(ev: EvaluationSet, basic: BasicSet) -> Surd:
@@ -343,8 +327,7 @@ def construct_deg1_nk(n: int, k: int) -> ShadowCode:
 def construct_deg2(field: Field, k: int, seed: int | None = None) -> ShadowCode:
     """(q, k) code from k monic irreducible quadratics over the whole field."""
     ev = full_evaluation_set(field)
-    code = construct(ev, build_B2(field, k, seed), kind="deg2")
-    return code
+    return construct(ev, build_B2(field, k, seed), kind="deg2")
 
 
 def distance_lower_bound(code: ShadowCode) -> Surd:
@@ -390,11 +373,11 @@ def from_descriptor(obj: dict) -> ShadowCode:
     try:
         field = field_from_json(obj["field"])
         ev = evaluation_set(field, obj["E"])
-        basic = basic_set([poly_from_text(field, s) for s in obj["B"]])
+        polys = [poly_from_text(field, s) for s in obj["B"]]
         stored = tuple(row_from_hex(s) for s in obj["G"])
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadDescriptor(f"malformed descriptor: {type(exc).__name__}: {exc}") from exc
-    code = construct(ev, basic, kind=obj.get("kind", "custom"))
+    code = construct(ev, basic_set(polys), kind=obj.get("kind", "custom"))
     if stored != code.rows:
         raise BadDescriptor("stored generator matrix does not match its field/E/B")
     return code

@@ -20,6 +20,7 @@ from .errors import NonpositiveDelta
 from .field import field_create, field_of_order
 from .poly import Poly, poly_to_text
 from .shadow import (
+    Surd,
     construct_deg1,
     construct_deg2,
     distance_lower_bound,
@@ -164,15 +165,21 @@ def verify_theorem4(seed: int = DEFAULT_SEED, enum_cap: int = 16) -> dict:
 
 
 def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
-    """S(n, sqrt(n) + 1/2) < 0 for every n up to n_max, so dimension
-    sqrt(n) + 1/2 always has a positive floor; plus the bisected root
-    against the closed cubic formula on a log grid."""
+    """S(n, sqrt(n) + 1/2) < 0 for every n >= 2, decided exactly, so
+    dimension sqrt(n) + 1/2 always has a positive floor; plus the
+    bisected root against the closed cubic formula on a log grid."""
     failures = []
-    checks = 0
-    for n in range(3, n_max + 1):
-        checks += 1
-        if not s_cubic(n, math.sqrt(n) + 0.5) < 0:
-            failures.append({"n": n, "S": s_cubic(n, math.sqrt(n) + 0.5)})
+    # with m = sqrt(n), S(m^2, m + 1/2) has degree <= 4 in m: agreeing at
+    # five points proves it equals (38m - 26m^2 - 11)/8
+    for m in range(5):
+        got = s_cubic(Fraction(m * m), m + Fraction(1, 2))
+        if got != Fraction(38 * m - 26 * m * m - 11, 8):
+            failures.append({"m": m, "S": str(got)})
+    # that quadratic peaks at m = 19/26 < sqrt(2), so it falls from its
+    # value (38 sqrt(2) - 63)/8 at n = 2 for every larger n
+    if not (Fraction(19, 26) ** 2 < 2 and Surd(-63, 38, 2).sign() < 0):
+        failures.append({"check": "negative from n = 2 on"})
+    checks = 6
     max_gap = 0.0
     for t in range(grid_points):
         n = max(3, round(math.exp(math.log(3) + t * (math.log(n_max) - math.log(3)) / (grid_points - 1))))
@@ -187,6 +194,7 @@ def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
     return {
         "suite": "theorem6",
         "params": {"n_max": n_max, "grid_points": grid_points},
+        "claim": "S(n, sqrt(n) + 1/2) < 0 for every n >= 2",
         "checks": checks,
         "max_root_gap": max_gap,
         "failures": failures,

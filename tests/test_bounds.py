@@ -124,6 +124,21 @@ def test_s_cubic_frozen_values():
     assert s_cubic(3, 3) == 4
 
 
+def test_theorem6_fails_when_s_cubic_is_perturbed(monkeypatch):
+    from shadowcodes import verify
+
+    assert verify.verify_theorem6(n_max=1000)["ok"]
+    # the perturbation flips the sign only beyond n ~ 1.6e8, out of reach
+    # of any loop over n, but it breaks the closed form at every m
+    def perturbed(n, k):
+        return s_cubic(n, k) + Fraction(n) ** 3 / 10**15
+
+    monkeypatch.setattr(verify, "s_cubic", perturbed)
+    report = verify.verify_theorem6(n_max=1000)
+    assert not report["ok"]
+    assert [f["m"] for f in report["failures"]] == [1, 2, 3, 4]
+
+
 def test_s_cubic_factored_identity():
     rng = random.Random(3)
     for _ in range(200):

@@ -67,6 +67,23 @@ def test_dmin_descriptor_faults_exit_two(tmp_path, capsys):
         assert err.startswith("error:"), name
 
 
+@pytest.mark.parametrize(
+    "key, index, text",
+    [("B", 0, "x,1"), ("G", 0, "zz"), ("B", 0, "999,1"), ("B", 0, 5)],
+    ids=["B_not_an_integer", "G_not_hex", "B_coefficient_out_of_range", "B_not_a_string"],
+)
+def test_dmin_malformed_descriptor_text_exits_two(tmp_path, capsys, key, index, text):
+    path = tmp_path / "code.json"
+    run_cli(capsys, "construct", "deg1", "--n", "28", "--k", "4", "--out", str(path))
+    desc = json.loads(path.read_text())
+    assert desc["field"]["p"] == 31
+    desc[key][index] = text
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(capsys, "dmin", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "construct", "deg1", "--q", "121", "--e-size", "200")
     assert code == 2 and "size must be in 1..121" in err

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import necklace_count, oracle_irreducible
 from shadowcodes.errors import (
+    BadParameters,
     ConstantInput,
     DivisionByZero,
     ExhaustedSupply,
@@ -14,10 +15,10 @@ from shadowcodes.field import field_create, field_of_order
 from shadowcodes.poly import (
     Poly,
     all_monic_irreducibles,
+    basic_polys,
     enumerate_monic_irreducibles,
     gcd,
     is_irreducible,
-    is_squarefree_product,
     poly_from_text,
     poly_to_text,
     powmod,
@@ -39,9 +40,9 @@ def test_normalization_and_degree():
     assert Poly.x(F3).degree == 1
     assert Poly(F3, (1, 0, 1)).is_monic
     assert not Poly(F3, (1, 0, 2)).is_monic
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         Poly(F3, (3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         Poly(F3, (-1,))
 
 
@@ -188,6 +189,32 @@ def test_linears_enumerate_in_root_order():
     assert [f.coeffs for f in got] == [(0, 1), (1, 1), (2, 1)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([7, 9]), data=st.data())
+def test_basic_polys_matches_the_oracle(q, data):
+    field = field_of_order(q)
+    coeff = st.integers(0, q - 1)
+    lead = st.one_of(st.just(1), st.integers(1, q - 1))  # non-monic now and then
+    entry = st.one_of(
+        st.tuples(coeff),  # a constant, zero included
+        st.integers(1, 3).flatmap(lambda d: st.tuples(*[coeff] * d, lead)),
+    )
+    pool = data.draw(st.lists(entry, min_size=1, max_size=4), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6), label="picks")
+    polys = [Poly(field, pool[i]) for i in picks]  # repeats come from repeated picks
+    non_const = [f for f in polys if f.degree >= 1]
+    want = (
+        bool(polys)
+        and all(f.is_monic and oracle_irreducible(f) for f in non_const)
+        and len(set(non_const)) == len(non_const)
+    )
+    if want:
+        assert basic_polys(polys) == tuple(polys)
+    else:
+        with pytest.raises(BadParameters):
+            basic_polys(polys)
+
+
 def test_product_and_degree_hand_case():
     alpha = Poly.constant(F7, 3)
     prod, d = product_and_degree([x_minus(F7, 3), x_minus(F7, 4), alpha])
@@ -202,11 +229,13 @@ def test_product_and_degree_hand_case():
 
 
 def test_squarefree_product():
-    assert is_squarefree_product([x_minus(F7, 3), x_minus(F7, 4), Poly.constant(F7, 3)])
-    assert not is_squarefree_product([x_minus(F7, 3), x_minus(F7, 3)])
+    assert basic_polys([x_minus(F7, 3), x_minus(F7, 4), Poly.constant(F7, 3)])
+    with pytest.raises(BadParameters):
+        basic_polys([x_minus(F7, 3), x_minus(F7, 3)])
     q1 = Poly(F7, (1, 0, 1))
-    assert not is_squarefree_product([q1, q1])
-    assert is_squarefree_product([q1, x_minus(F7, 1)])
+    with pytest.raises(BadParameters):
+        basic_polys([q1, q1])
+    assert basic_polys([q1, x_minus(F7, 1)])
 
 
 def test_text_round_trip():

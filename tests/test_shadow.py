@@ -176,6 +176,7 @@ def test_build_B1_shape():
     assert b.total_degree == 2
     assert b.has_constant
     assert [f.coeffs for f in b.polys] == [(2, 1), (1, 1), (3,)]  # x-5, x-6, alpha=3
+    assert basic_set(b.polys) == b
     with pytest.raises(EvaluationSetIsFullField):
         build_B1(F7, full_evaluation_set(F7))
     with pytest.raises(FieldMismatch):
@@ -191,6 +192,7 @@ def test_build_B2_lex_and_seeded():
     s = build_B2(F7, 3, seed=11)
     assert build_B2(F7, 3, seed=11).polys == s.polys
     assert len({f.coeffs for f in s.polys}) == 3
+    assert basic_set(b.polys) == b and basic_set(s.polys) == s
     # only 3 monic irreducible quadratics exist over GF(3)
     with pytest.raises(ExhaustedSupply):
         build_B2(field_create(3), 4)

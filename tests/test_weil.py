@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from shadowcodes.errors import BudgetExceeded, FieldMismatch, ZeroArgument
+from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import field_create, field_of_order
 from shadowcodes.poly import Poly, x_minus
 from shadowcodes.shadow import construct_deg1, construct_deg2
@@ -65,6 +65,33 @@ def test_random_curve_spec_is_seeded_and_valid():
     assert 1 <= len(a.factors) <= 5
     assert len(set(a.factors)) == len(a.factors)
     assert 1 <= a.gamma < 7
+    assert curve_spec(F7, a.gamma, a.factors) == a
+
+
+def test_rabin_runs_once_per_polynomial(monkeypatch):
+    """No builder hands a polynomial that already passed Rabin's test to
+    Rabin's test again.  Counted per polynomial object: a random curve
+    that draws a value another curve drew has made a new draw, and that
+    draw is tested once."""
+    from shadowcodes import poly, shadow, verify, weil
+
+    tested = {}
+    repeats = []
+    real = poly.is_irreducible
+
+    def counting(f):
+        if id(f) in tested:
+            repeats.append(f)
+        tested[id(f)] = f  # holding f keeps its id from being reused
+        return real(f)
+
+    for module in (poly, shadow, weil):
+        if hasattr(module, "is_irreducible"):
+            monkeypatch.setattr(module, "is_irreducible", counting)
+    assert verify.verify_weil(27, 30)["ok"]
+    code = construct_deg2(field_of_order(49), 4, seed=1729)
+    assert len(tested) > 49 * 49 and repeats == []
+    assert shadow.basic_set(code.basic.polys) == code.basic
 
 
 def test_weight_argument_flagship_all_messages():
@@ -111,15 +138,15 @@ def test_curve_spec_validation():
         curve_spec(field_create(2, 3), 1, [Poly.x(field_create(2, 3))])
     with pytest.raises(ZeroArgument):
         curve_spec(F7, 0, [Poly.x(F7)])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         curve_spec(F7, 1, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         curve_spec(F7, 1, [Poly(F7, (6, 0, 1))])  # (x-1)(x+1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         curve_spec(F7, 1, [x_minus(F7, 2), x_minus(F7, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         curve_spec(F7, 1, [Poly(F7, (1, 2))])  # not monic
     with pytest.raises(FieldMismatch):
         curve_spec(F7, 1, [Poly.x(F3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         curve_spec(F7, 1, [Poly.constant(F7, 3)])
