@@ -30,6 +30,10 @@ from .field import find_odd_prime_power
 from .shadow import construct_deg1_nk
 
 DEFAULT_SEED = 1729
+FIG3_SAMPLE_TRIALS = 20000  # sampled messages per random code above exact_cap
+# the section 6 grid: inner degrees m and outer-rate steps per m
+SECTION6_MS = range(2, 11)
+SECTION6_STEPS = 100
 
 
 # -- competitor parameter formulas ---------------------------------------
@@ -206,14 +210,14 @@ def deltash_family(n: int, a: float) -> float:
     return shadow_lb_deg1(n, max(k, 1)) / n
 
 
-def section6_margins(ms=range(2, 11), steps: int = 100):
+def section6_margins():
     """Concat floor (1 - R)/2 against the single-letter floor
     (1 - R(m+1))/2 on an outer-rate grid; the first dominates strictly
     away from R = 0."""
     out = []
-    for m in ms:
-        for j in range(1, steps + 1):
-            r = Fraction(j, steps * (m + 1))  # outer rate in (0, 1/(m+1)]
+    for m in SECTION6_MS:
+        for j in range(1, SECTION6_STEPS + 1):
+            r = Fraction(j, SECTION6_STEPS * (m + 1))  # outer rate in (0, 1/(m+1)]
             lhs = (1 - r) / 2
             rhs = (1 - r * (m + 1)) / 2
             out.append((m, r, lhs, rhs))
@@ -266,9 +270,10 @@ def fig3_rows(
     exact_cap: int = 16,
     random_ks=(8, 12, 16),
     with_exact: bool = True,
-    sample_trials: int = 20000,
 ):
     """Rate/relative-distance table comparing every scheme at length n."""
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got {n}")
     rows: list[BoundPoint] = []
     # S(n, 2) = -(n - 1)^2 and S rises in k from k = 2 on, so the
     # feasible dimensions are 2 .. kmax1
@@ -294,12 +299,9 @@ def fig3_rows(
             k = big_k * (m4 + 1)
             d_lb = (big_n - big_k + 1) << (m4 - 1)
             rows.append(BoundPoint("rsrm", n, k, k / n, d_lb / n, "lower_bound"))
-    if n >= 16 and n & (n - 1) == 0:
-        e = n.bit_length() - 1
-        if e % 2 == 0:
-            t = (e - 2) // 2
-            for d in range(1, t + 2):
-                _, log2m, dmin = dg_params(e, d)
+        if m4 >= 2:  # Delsarte-Goethals DG(2 m4, d) needs n >= 16
+            for d in range(1, m4 + 1):
+                _, log2m, dmin = dg_params(2 * m4, d)
                 rows.append(BoundPoint("dg", n, log2m, log2m / n, dmin / n, "exact"))
     if n >= 2 and n & (n - 1) == 0:
         e = n.bit_length() - 1
@@ -315,7 +317,7 @@ def fig3_rows(
             d = exact_min_distance(code)
             kind = "exact"
         else:
-            d = sampled_min_distance_upper(code, sample_trials, seed * 1000 + k)
+            d = sampled_min_distance_upper(code, FIG3_SAMPLE_TRIALS, seed * 1000 + k)
             kind = "upper_bound"
         rows.append(BoundPoint("random", n, k, k / n, d / n, kind))
     if with_exact:
@@ -334,6 +336,8 @@ def fig4_rows(a: float = 0.49, m_min: int = 2, m_max: int = 10):
         raise BadShape(f"the sublinear exponent must sit in (0, 1/2], got {a}")
     if m_min < 2:
         raise BadParameters("the comparison starts at n = 16 (m >= 2)")
+    if m_max < m_min:
+        raise BadParameters(f"need m_max >= m_min, got {m_max} < {m_min}")
     rows: list[BoundPoint] = []
     for m in range(m_min, m_max + 1):
         n = 1 << (2 * m)

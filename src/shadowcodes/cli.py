@@ -47,7 +47,10 @@ from . import binary
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, default=str) + "\n"
+    _write(json.dumps(obj, indent=2, default=str) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -124,11 +127,7 @@ def _cmd_figure(args) -> int:
         rows = fig4_rows(args.a, args.m_min, args.m_max)
         cfg = _config(args, ("figure", "a", "m_min", "m_max"))
     text = rows_to_json(rows, cfg) if args.format == "json" else rows_to_csv(rows, cfg)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ShadowcodesError, FileNotFoundError) as exc:
+    except (ShadowcodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

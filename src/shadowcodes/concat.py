@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binary import BinaryCode
-from .errors import BadParameters, LengthMismatch
-from .field import Field, field_create
+from .binary import BinaryCode, row_from_bits
+from .errors import BadParameters, BudgetExceeded, LengthMismatch
+from .field import TABLE_LIMIT, Field, field_create
+from .poly import Poly
 
 
 class ThetaMap:
@@ -83,6 +84,9 @@ def concat_spec(m: int, N: int, K: int) -> ConcatSpec:
     if m < 1:
         raise BadParameters(f"need m >= 1, got {m}")
     q = 1 << (m + 1)
+    if q > TABLE_LIMIT:
+        # ThetaMap tabulates all q symbols, and GF(q) has no log tables
+        raise BudgetExceeded(f"GF(2^{m + 1}) exceeds the field table limit {TABLE_LIMIT}")
     if not 1 <= K <= N:
         raise BadParameters(f"need 1 <= K <= N, got K={K}, N={N}")
     if N > q - 1:
@@ -98,14 +102,8 @@ def rs_encode(spec: ConcatSpec, message) -> list[int]:
     message = list(message)
     if len(message) != spec.K:
         raise LengthMismatch(f"outer message needs {spec.K} symbols")
-    field = spec.field
-    out = []
-    for beta in range(1, spec.N + 1):
-        acc = 0
-        for c in reversed(message):
-            acc = field.add(field.mul(acc, beta), c)
-        out.append(acc)
-    return out
+    poly = Poly(spec.field, message)
+    return [poly(beta) for beta in range(1, spec.N + 1)]
 
 
 def rm1_encode(m: int, bits) -> list[int]:
@@ -139,8 +137,7 @@ def concat_generator(spec: ConcatSpec) -> BinaryCode:
     for j in range(spec.k):
         bits = [0] * spec.k
         bits[j] = 1
-        cw = concat_encode(spec, bits)
-        rows.append(sum(b << i for i, b in enumerate(cw)))
+        rows.append(row_from_bits(concat_encode(spec, bits)))
     return BinaryCode(rows, spec.n)
 
 

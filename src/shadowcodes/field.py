@@ -19,7 +19,6 @@ size.
 from __future__ import annotations
 
 import functools
-import math
 
 from .errors import (
     DegreeMismatch,
@@ -30,7 +29,7 @@ from .errors import (
     ZeroArgument,
 )
 
-_TABLE_LIMIT = 1 << 16
+TABLE_LIMIT = 1 << 16
 
 
 def is_prime(x: int) -> bool:
@@ -63,20 +62,22 @@ def prime_factors(x: int) -> list[int]:
     return out
 
 
-def find_odd_prime_power(target: int) -> tuple[int, int] | None:
-    """Return (p, m) with p an odd prime and p**m == target, else None."""
-    if target < 3 or target % 2 == 0:
-        return None
-    ps = prime_factors(target)
+def prime_power(q: int) -> tuple[int, int] | None:
+    """Return (p, m) with p prime and p**m == q, else None."""
+    ps = prime_factors(q) if q >= 2 else []
     if len(ps) != 1:
         return None
-    p = ps[0]
     m = 0
-    t = target
-    while t > 1:
-        t //= p
+    while q > 1:
+        q //= ps[0]
         m += 1
-    return (p, m) if p**m == target else None
+    return ps[0], m
+
+
+def find_odd_prime_power(target: int) -> tuple[int, int] | None:
+    """Return (p, m) with p an odd prime and p**m == target, else None."""
+    pm = prime_power(target)
+    return pm if pm and pm[0] != 2 else None
 
 
 def nearest_odd_prime_power(target: int) -> int:
@@ -108,7 +109,7 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._primitive: int | None = None
-        if self.q <= _TABLE_LIMIT:
+        if self.q <= TABLE_LIMIT:
             self._build_tables()
 
     # -- canonical representation ------------------------------------
@@ -322,6 +323,7 @@ def _validate_modulus(p: int, m: int, modulus: tuple[int, ...]) -> None:
         raise ReducibleModulus(f"{list(modulus)} factors over GF({p})")
 
 
+@functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     from . import poly as _poly
 
@@ -355,14 +357,10 @@ def field_create(p: int, m: int = 1, modulus=None) -> Field:
 
 def field_of_order(q: int) -> Field:
     """GF(q) with the canonical modulus, for any prime power q >= 2."""
-    ps = prime_factors(q) if q >= 2 else []
-    if len(ps) != 1:
+    pm = prime_power(q)
+    if pm is None:
         raise NotPrime(f"{q} is not a prime power")
-    p = ps[0]
-    m = round(math.log(q, p))
-    if p**m != q:
-        raise NotPrime(f"{q} is not a prime power")
-    return field_create(p, m)
+    return field_create(*pm)
 
 
 def field_from_json(obj: dict) -> Field:

@@ -8,7 +8,7 @@ empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -18,7 +18,6 @@ from .errors import (
     ExhaustedSupply,
     FieldMismatch,
 )
-from .field import prime_factors
 
 if TYPE_CHECKING:
     from .field import Field
@@ -141,11 +140,12 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, point: int) -> int:
-        # Horner, high coefficient first
+        # Horner from the leading coefficient, so a linear costs one
+        # multiply and one add
         f = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, point), c)
+            acc = f.add(f.mul(acc, point), c) if acc else c
         return acc
 
     def monic(self) -> "Poly":
@@ -200,39 +200,30 @@ def powmod(f: Poly, e: int, modulus: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: x^(q^d) == x mod f, and x^(q^(d/l)) - x coprime to f
-    for every prime l dividing d."""
+    """Ben-Or's test: f of degree d is irreducible iff x^(q^i) - x is
+    coprime to f for every i = 1 .. d // 2, since a reducible f has an
+    irreducible factor of some degree i <= d // 2, and that factor
+    divides x^(q^i) - x."""
     d = f.degree
     if d < 1:
         raise ConstantInput("irreducibility is a question about degree >= 1")
-    field = f.field
     if d >= 2 and (f.coeffs[0] == 0 or f(1) == 0):
         return False  # x or x - 1 divides; skip the Frobenius work
-    q = field.q
-    x = Poly.x(field)
-    xr = x % f
-    need = {d // l for l in prime_factors(d)} if d > 1 else set()
+    q = f.field.q
+    xr = Poly.x(f.field) % f
     g = xr
-    for j in range(1, d + 1):
+    for _ in range(d // 2):
         g = powmod(g, q, f)
-        if j in need and gcd(g - xr, f).degree != 0:
+        if gcd(g - xr, f).degree != 0:
             return False
-    return g == xr
+    return True
 
 
 def _monic_lex(field: "Field", d: int) -> Iterator[Poly]:
-    # counter digits map to (c0, .., c_{d-1}) with c0 most significant,
-    # which walks monic polynomials in lexicographic coefficient order
-    q = field.q
-    for j in range(q**d):
-        cs = []
-        t = j
-        for _ in range(d):
-            t, r = divmod(t, q)
-            cs.append(r)
-        cs.reverse()
-        cs.append(1)
-        yield Poly(field, cs)
+    # product varies the last of (c0, .., c_{d-1}) fastest, which walks
+    # monic polynomials in lexicographic coefficient order
+    for cs in product(range(field.q), repeat=d):
+        yield Poly(field, cs + (1,))
 
 
 def _monic_irreducibles(field: "Field", d: int) -> Iterator[Poly]:

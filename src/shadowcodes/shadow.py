@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
+from .binary import BinaryCode, gf2_rank, row_from_bits, row_from_hex, row_to_hex
 from .errors import (
     BadDescriptor,
     BadParameters,
@@ -205,15 +205,15 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
     if f.field != ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
     field = ev.field
-    row = 0
-    for j, beta in enumerate(ev.points):
+    bits = []
+    for beta in ev.points:
         v = f(beta)
         if v == 0:
             raise VanishesOnE(
                 f"{f!r} vanishes at element {beta} of the evaluation set", beta
             )
-        row |= field.lg_parity(v) << j
-    return row
+        bits.append(field.lg_parity(v))
+    return row_from_bits(bits)
 
 
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
@@ -246,7 +246,7 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
                 f"only {len(supply)} monic irreducible quadratics over GF({field.q})"
             )
         polys = sorted(random.Random(seed).sample(supply, k), key=lambda f: f.coeffs[::-1])
-    # distinct monic irreducibles, each already through Rabin's test
+    # distinct monic irreducibles, each already through is_irreducible
     return BasicSet(tuple(polys), 2 * k, False)
 
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .binary import exact_min_distance, gf2_rank, weight_distribution
-from .bounds import DEFAULT_SEED, k0, s_cubic, section6_margins
+from .bounds import DEFAULT_SEED, SECTION6_MS, SECTION6_STEPS, k0, s_cubic, section6_margins
 from .concat import concat_generator, concat_params, concat_spec
 from .errors import NonpositiveDelta
 from .field import field_create, field_of_order
@@ -29,6 +29,9 @@ from .shadow import (
 from .weil import check_corollary, curve_spec, random_curve_spec
 
 WEIL_FIELD_ORDERS = (9, 25, 27, 49, 121)
+# largest dimensions whose codes the theorem 4 and 7 suites enumerate
+THEOREM4_ENUM_CAP = 16
+THEOREM7_ENUM_CAP = 20
 
 
 def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
@@ -89,7 +92,7 @@ _THEOREM4_ROSTER = (
 )
 
 
-def verify_theorem4(seed: int = DEFAULT_SEED, enum_cap: int = 16) -> dict:
+def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
     """Structural guarantees of the construction on a fixed roster:
     the parity map turns products into row sums, a positive floor
     forces full rank, enumerated minimum distances clear the floor,
@@ -137,7 +140,7 @@ def verify_theorem4(seed: int = DEFAULT_SEED, enum_cap: int = 16) -> dict:
                 fail(code, "full_rank")
         elif code.rank > len(polys):
             fail(code, "rank_bound")
-        if code.delta_positive and code.claimed_dim <= enum_cap:
+        if code.delta_positive and code.claimed_dim <= THEOREM4_ENUM_CAP:
             need = distance_lower_bound(code).ceil()
             dmin = exact_min_distance(code.generator())
             checks += 1
@@ -150,7 +153,7 @@ def verify_theorem4(seed: int = DEFAULT_SEED, enum_cap: int = 16) -> dict:
                 fail(code, "vacuous_floor_not_flagged")
             except NonpositiveDelta:
                 pass
-        if code.kind == "deg1" and code.claimed_dim <= enum_cap:
+        if code.kind == "deg1" and code.claimed_dim <= THEOREM4_ENUM_CAP:
             hist = weight_distribution(code.generator())
             checks += 1
             if any(hist[w] != hist[code.n - w] for w in range(code.n + 1)):
@@ -202,7 +205,7 @@ def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
     }
 
 
-def verify_theorem7(m: int = 2, enum_cap: int = 20, workers: int = 1) -> dict:
+def verify_theorem7(m: int = 2, workers: int = 1) -> dict:
     """Enumerated minimum distances of the concatenated codes against
     (N - K + 1) 2^(m-1), and the exact rate identity, for every K whose
     dimension fits the enumeration cap."""
@@ -216,7 +219,7 @@ def verify_theorem7(m: int = 2, enum_cap: int = 20, workers: int = 1) -> dict:
         checks += 1
         if params.rate != Fraction(big_k, big_n) * Fraction(m + 1, 1 << m):
             failures.append({"m": m, "K": big_k, "check": "rate"})
-        if params.k > enum_cap:
+        if params.k > THEOREM7_ENUM_CAP:
             skipped.append(big_k)
             continue
         code = concat_generator(spec)
@@ -228,7 +231,7 @@ def verify_theorem7(m: int = 2, enum_cap: int = 20, workers: int = 1) -> dict:
             )
     return {
         "suite": "theorem7",
-        "params": {"m": m, "enum_cap": enum_cap},
+        "params": {"m": m, "enum_cap": THEOREM7_ENUM_CAP},
         "checks": checks,
         "skipped_K": skipped,
         "failures": failures,
@@ -236,18 +239,18 @@ def verify_theorem7(m: int = 2, enum_cap: int = 20, workers: int = 1) -> dict:
     }
 
 
-def verify_section6(ms=range(2, 11), steps: int = 100) -> dict:
+def verify_section6() -> dict:
     """The concatenated floor dominates the single-letter floor at
     every outer rate on the grid, strictly away from zero rate."""
     failures = []
     checks = 0
-    for m, r, lhs, rhs in section6_margins(ms, steps):
+    for m, r, lhs, rhs in section6_margins():
         checks += 1
         if not (lhs > rhs or (r == 0 and lhs == rhs)):
             failures.append({"m": m, "r": str(r), "lhs": str(lhs), "rhs": str(rhs)})
     return {
         "suite": "section6",
-        "params": {"ms": list(ms), "steps": steps},
+        "params": {"ms": list(SECTION6_MS), "steps": SECTION6_STEPS},
         "checks": checks,
         "failures": failures,
         "ok": not failures,

@@ -20,6 +20,7 @@ from .poly import Poly, basic_polys, is_irreducible
 from .shadow import ShadowCode
 
 COUNT_BUDGET = 1 << 14
+CURVE_MAX_DEGREE = 3  # largest factor degree random_curve_spec draws
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def check_weight_argument(code: ShadowCode, message: int) -> WeightReport:
         else:
             gamma = field.mul(gamma, f.coeffs[0])
     if factors:
-        # a subset of the code's basic set, so already checked
+        # a subset of the code's basic set, so already through is_irreducible
         count = count_zeros(CurveSpec(field, gamma, tuple(factors)))
         count_ok = count >= 2 * zero_entries
     else:
@@ -146,14 +147,14 @@ def check_weight_argument(code: ShadowCode, message: int) -> WeightReport:
 
 
 def random_curve_spec(
-    field: Field, rng: random.Random, max_factors: int = 5, max_degree: int = 3
+    field: Field, rng: random.Random, max_factors: int = 5
 ) -> CurveSpec:
     """Seeded random squarefree curve: rejection-sample random monic
     polynomials until enough distinct irreducibles turn up."""
     r = rng.randint(1, max_factors)
     chosen: list[Poly] = []
     while len(chosen) < r:
-        d = rng.randint(1, max_degree)
+        d = rng.randint(1, CURVE_MAX_DEGREE)
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
         if f not in chosen and is_irreducible(f):
             chosen.append(f)

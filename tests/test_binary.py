@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
 from shadowcodes.binary import (
@@ -13,6 +13,7 @@ from shadowcodes.binary import (
     exact_min_distance,
     gf2_rank,
     random_linear_code,
+    row_from_bits,
     row_from_hex,
     row_to_hex,
     sampled_min_distance_upper,
@@ -194,6 +195,17 @@ def test_hex_round_trip():
             assert row_from_hex(text) == row
     assert row_to_hex(0, 8) == "00"
     assert row_from_hex("ff") == 255
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=300))
+@example([])
+@example([0] * 70)
+def test_row_from_bits_matches_shift_or(bits):
+    row = 0
+    for j, b in enumerate(bits):
+        row |= b << j
+    assert row_from_bits(bits) == row
 
 
 def test_weight_histogram_csv_shape():

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowcodes import __version__
 from shadowcodes.cli import main
@@ -92,6 +93,56 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "dmin", str(desc), "--sample", "-5")
     assert (code, out) == (2, "")
     assert "trial" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "fig3", "--n", "0"),
+        ("figure", "fig4", "--m-max", "1"),
+        ("dmin", "{tmp}"),
+        ("construct", "deg1", "--n", "28", "--k", "4", "--out", "{tmp}"),
+        ("concat", "--m", "30", "--N", "3", "--K", "1"),
+        ("verify", "theorem7", "--m", "30"),
+    ],
+    ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
+         "concat_field_too_large", "theorem7_field_too_large"],
+)
+def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _descriptor_file(directory, *argv):
+    path = directory / "code.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def stored_codes(tmp_path_factory):
+    d = tmp_path_factory.mktemp("codes")
+    return d, [
+        _descriptor_file(d, "construct", "deg1", "--n", "28", "--k", "4"),
+        _descriptor_file(d, "construct", "deg2", "--q", "25", "--k", "2"),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_flipped_generator_bit_exits_two(stored_codes, data):
+    directory, codes = stored_codes
+    desc = dict(data.draw(st.sampled_from(codes), label="code"))
+    row = data.draw(st.integers(0, len(desc["G"]) - 1), label="row")
+    bit = data.draw(st.integers(0, desc["n"] - 1), label="bit")
+    width = len(desc["G"][row])
+    desc["G"] = list(desc["G"])
+    desc["G"][row] = format(int(desc["G"][row], 16) ^ (1 << bit), f"0{width}x")
+    path, out = directory / "flipped.json", directory / "report.json"
+    path.write_text(json.dumps(desc))
+    assert main(["dmin", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_construct_nk_round_numbers(capsys):

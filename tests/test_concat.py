@@ -14,7 +14,7 @@ from shadowcodes.concat import (
     rm1_encode,
     rs_encode,
 )
-from shadowcodes.errors import BadParameters, LengthMismatch
+from shadowcodes.errors import BadParameters, BudgetExceeded, LengthMismatch
 from shadowcodes.field import field_create
 
 
@@ -144,6 +144,12 @@ def test_spec_validation():
     with pytest.raises(BadParameters):
         concat_spec(2, 8, 2)  # only 7 nonzero points in GF(8)
     concat_spec(2, 7, 2)  # the boundary itself is fine
+
+
+def test_spec_stays_within_the_field_table_limit():
+    # GF(2^17) would need a 2^17-entry theta table built without log tables
+    with pytest.raises(BudgetExceeded):
+        concat_spec(16, 3, 1)
 
 
 def test_length_mismatches():

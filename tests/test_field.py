@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ref_ext_mul
 from shadowcodes.errors import (
@@ -18,6 +19,7 @@ from shadowcodes.field import (
     field_of_order,
     find_odd_prime_power,
     nearest_odd_prime_power,
+    prime_power,
 )
 
 
@@ -250,6 +252,28 @@ def test_find_odd_prime_power():
     assert find_odd_prime_power(1) is None
 
 
+def test_prime_power():
+    for p in (2, 3, 5, 7, 11, 65537):
+        for m in range(1, 12):
+            assert prime_power(p**m) == (p, m)
+            assert prime_power(p**m * 13) is None
+    for q in (-4, 0, 1, 6, 12, 1000):
+        assert prime_power(q) is None
+
+
+def test_default_modulus_is_searched_once(monkeypatch):
+    """A repeated field_of_order of an extension field runs no
+    irreducibility test: the canonical modulus is found once per (p, m)."""
+    from shadowcodes import poly
+
+    first = field_of_order(2187)
+    calls = []
+    real = poly.is_irreducible
+    monkeypatch.setattr(poly, "is_irreducible", lambda f: calls.append(f) or real(f))
+    assert field_of_order(2187) is first
+    assert calls == []
+
+
 def test_nearest_odd_prime_power():
     assert nearest_odd_prime_power(108) == 107
     assert nearest_odd_prime_power(121) == 121
@@ -289,3 +313,42 @@ def test_large_extension_field_direct_arithmetic():
 def test_field_cache_identity():
     assert field_create(3, 2) is field_create(3, 2)
     assert field_create(3, 2, [2, 2, 1]) is not field_create(3, 2)
+
+
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 6) if p**m <= 49]
+
+
+def _ref_add(p, m, a, b):
+    out, mult = 0, 1
+    for _ in range(m):
+        out += (a % p + b % p) % p * mult
+        a, b, mult = a // p, b // p, mult * p
+    return out
+
+
+def _check_axioms(f, a, b, c):
+    p, m = f.p, f.m
+    assert f.mul(a, b) == ref_ext_mul(p, m, f.modulus, a, b)
+    assert f.add(a, b) == _ref_add(p, m, a, b) == f.add(b, a)
+    assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
+    assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
+    if a:
+        assert f.mul(a, f.inv(a)) == 1 and f.div(f.mul(a, b), a) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(pm=st.sampled_from(SMALL_FIELDS), data=st.data())
+def test_field_axioms_against_reference(pm, data):
+    f = field_create(*pm)
+    a, b, c = data.draw(st.tuples(*[st.integers(0, f.q - 1)] * 3), label="a, b, c")
+    _check_axioms(f, a, b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 5**7 - 1)] * 3))
+def test_untabled_field_axioms_against_reference(abc):
+    f = field_create(5, 7)  # q = 78125, above the table limit
+    assert f._exp is None
+    _check_axioms(f, *abc)

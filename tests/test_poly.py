@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,38 @@ def test_irreducibility_matches_root_scan_oracle():
                 assert is_irreducible(f) == oracle_irreducible(f), f
                 seen += 1
             assert seen == 120
+
+
+@pytest.mark.parametrize("q, dmax", [(3, 4), (5, 3), (9, 3)])
+def test_irreducibility_matches_the_oracle_on_every_polynomial(q, dmax):
+    """Every polynomial of degree 1 .. dmax, monic or not, so squares of
+    irreducibles and (over GF(3)) products of two irreducible quadratics
+    are all among the cases."""
+    field = field_of_order(q)
+    for d in range(1, dmax + 1):
+        for low in product(range(q), repeat=d):
+            for lead in range(1, q):
+                f = Poly(field, low + (lead,))
+                assert is_irreducible(f) == oracle_irreducible(f), f
+
+
+def test_frobenius_steps_stop_at_half_the_degree(monkeypatch):
+    """A linear needs no x^q power at all; degree d needs at most d // 2."""
+    from shadowcodes import poly
+
+    fields = (F3, F9, field_of_order(25))
+    calls = []
+    real = poly.powmod
+    monkeypatch.setattr(poly, "powmod", lambda *a: calls.append(a) or real(*a))
+    for field in fields:
+        for c0, c1 in product(range(field.q), range(1, field.q)):
+            assert is_irreducible(Poly(field, (c0, c1)))
+    assert calls == []
+    for d in range(2, 7):
+        for f in enumerate_monic_irreducibles(F3, d, 2):
+            calls.clear()
+            assert is_irreducible(f)
+            assert len(calls) == d // 2
 
 
 def test_irreducibility_hand_cases():

@@ -69,8 +69,8 @@ def test_random_curve_spec_is_seeded_and_valid():
 
 
 def test_rabin_runs_once_per_polynomial(monkeypatch):
-    """No builder hands a polynomial that already passed Rabin's test to
-    Rabin's test again.  Counted per polynomial object: a random curve
+    """No builder hands a polynomial that already passed the
+    irreducibility test to that test again.  Counted per polynomial object: a random curve
     that draws a value another curve drew has made a new draw, and that
     draw is tested once."""
     from shadowcodes import poly, shadow, verify, weil
