@@ -7,6 +7,7 @@ in Gray-code order, one step per block of all low-row combinations.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -122,11 +123,13 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             " use sampled_min_distance_upper"
         )
     blocks = 1 << max(k - LOW_ROWS, 0)
+    # one span per CPU at most: the pool may fork all workers at once
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or k < 18:
         return _min_weight(code.rows, 0, blocks)
     chunk = -(-blocks // workers)
     spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futs = [pool.submit(_min_weight, code.rows, lo, hi) for lo, hi in spans]
         return min(f.result() for f in futs)
 

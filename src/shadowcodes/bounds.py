@@ -31,6 +31,7 @@ from .shadow import construct_deg1_nk
 
 DEFAULT_SEED = 1729
 FIG3_SAMPLE_TRIALS = 20000  # sampled messages per random code above exact_cap
+FIG3_RANDOM_KS = (8, 12, 16)  # dimensions of fig3's random codes, where k <= n
 # the section 6 grid: inner degrees m and outer-rate steps per m
 SECTION6_MS = range(2, 11)
 SECTION6_STEPS = 100
@@ -268,8 +269,6 @@ def fig3_rows(
     n: int = 1024,
     seed: int = DEFAULT_SEED,
     exact_cap: int = 16,
-    random_ks=(8, 12, 16),
-    with_exact: bool = True,
 ):
     """Rate/relative-distance table comparing every scheme at length n."""
     if n < 1:
@@ -311,7 +310,9 @@ def fig3_rows(
             rows.append(BoundPoint("rm2", n, k2, k2 / n, 0.25, "exact"))
     for k in range(1, n + 1):
         rows.append(BoundPoint("gv", n, k, k / n, gv_min_distance(n, k) / n, "existence"))
-    for k in random_ks:
+    for k in FIG3_RANDOM_KS:
+        if k > n:
+            continue
         code = random_linear_code(n, k, seed * 1000 + k)
         if k <= exact_cap:
             d = exact_min_distance(code)
@@ -320,13 +321,12 @@ def fig3_rows(
             d = sampled_min_distance_upper(code, FIG3_SAMPLE_TRIALS, seed * 1000 + k)
             kind = "upper_bound"
         rows.append(BoundPoint("random", n, k, k / n, d / n, kind))
-    if with_exact:
-        for k in range(2, exact_cap + 1):
-            if find_odd_prime_power(n + k - 1) is None:
-                continue
-            code = construct_deg1_nk(n, k)
-            d = exact_min_distance(code.generator())
-            rows.append(BoundPoint("shadow_exact", n, k, k / n, d / n, "exact"))
+    for k in range(2, exact_cap + 1):
+        if find_odd_prime_power(n + k - 1) is None:
+            continue
+        code = construct_deg1_nk(n, k)
+        d = exact_min_distance(code.generator())
+        rows.append(BoundPoint("shadow_exact", n, k, k / n, d / n, "exact"))
     return rows
 
 

@@ -111,10 +111,7 @@ def rm1_encode(m: int, bits) -> list[int]:
     bits = list(bits)
     if len(bits) != m + 1:
         raise LengthMismatch(f"inner message needs {m + 1} bits")
-    mask = 0
-    for i in range(1, m + 1):
-        if bits[i]:
-            mask |= 1 << (i - 1)
+    mask = row_from_bits(bits[1:])
     return [bits[0] ^ ((t & mask).bit_count() & 1) for t in range(1 << m)]
 
 

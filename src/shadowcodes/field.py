@@ -10,15 +10,23 @@ tuples (c0, .., c_{m-1}) compared left to right), so a given (p, m)
 always produces the same field, the same element order, and therefore
 byte-identical downstream artifacts.
 
-Fields with q <= 2**16 precompute exp/log tables over the least
-primitive element; larger fields fall back to direct polynomial
-arithmetic, which is slower but keeps every operation correct at any
-size.
+Extension fields (m > 1) with q <= 2**16 precompute exp/log tables
+over the least primitive element.  Prime fields need none, since they
+compute mod p directly; larger extension fields fall back to direct
+polynomial arithmetic, which is slower but keeps every operation
+correct at any size.
+
+Every odd field has one quadratic character chi, which the shadow rows
+are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
+and '2' at a = 0.  Up to q = 2**16 it is a string built once from the
+squares a*a; above, Euler's criterion runs per element asked for.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
+from math import isqrt
 
 from .errors import (
     DegreeMismatch,
@@ -32,46 +40,31 @@ from .errors import (
 TABLE_LIMIT = 1 << 16
 
 
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+def least_prime_factor(x: int) -> int:
+    """Least prime factor of x >= 2, by trial division."""
+    return next((f for f in chain((2,), range(3, isqrt(x) + 1, 2)) if x % f == 0), x)
 
 
-def prime_factors(x: int) -> list[int]:
-    """Distinct prime factors of x >= 1, ascending."""
+@functools.lru_cache(maxsize=None)
+def prime_factors(x: int) -> tuple[int, ...]:
+    """Distinct prime factors of x >= 1, ascending; cached per x."""
     out = []
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1 if f == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
+    while x > 1:
+        out.append(f := least_prime_factor(x))
+        while x % f == 0:
+            x //= f
+    return tuple(out)
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, m) with p prime and p**m == q, else None."""
-    ps = prime_factors(q) if q >= 2 else []
-    if len(ps) != 1:
+    """Return (p, m) with p prime and p**m == q, else None; a composite
+    is refused as soon as its least prime factor is divided out."""
+    if q < 2:
         return None
-    m = 0
-    while q > 1:
-        q //= ps[0]
-        m += 1
-    return ps[0], m
+    p, m = least_prime_factor(q), 0
+    while q % p == 0:
+        q, m = q // p, m + 1
+    return (p, m) if q == 1 else None
 
 
 def find_odd_prime_power(target: int) -> tuple[int, int] | None:
@@ -99,7 +92,7 @@ class Field:
     immutable, so identical parameters share one object and its tables.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_primitive")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_primitive", "_chi")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -109,7 +102,8 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._primitive: int | None = None
-        if self.q <= TABLE_LIMIT:
+        self._chi: str | _EulerCharacter | None = None
+        if self.m > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
 
     # -- canonical representation ------------------------------------
@@ -194,35 +188,18 @@ class Field:
             e >>= 1
         return r
 
-    def _find_primitive(self) -> int:
-        order = self.q - 1
-        fs = prime_factors(order) if order > 1 else []
-        for c in range(1, self.q):
-            if all(self._pow_raw(c, order // f) != 1 for f in fs):
-                return c
-        raise AssertionError("no primitive element found")
-
     def _build_tables(self) -> None:
         q = self.q
-        alpha = self._find_primitive()
-        self._primitive = alpha
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        if self.m == 1:
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                v = (v * alpha) % self.p
-        else:
-            da = list(self.digits(alpha))
-            dv = [0] * self.m
-            dv[0] = 1
-            for i in range(q - 1):
-                v = self.index(dv)
-                exp[i] = v
-                log[v] = i
-                dv = self._mul_digits(dv, da)
+        da = list(self.digits(self.primitive_element()))
+        dv = [0] * self.m
+        dv[0] = 1
+        for i in range(q - 1):
+            v = self.index(dv)
+            exp[i] = v
+            log[v] = i
+            dv = self._mul_digits(dv, da)
         exp[q - 1 :] = exp[: q - 1]
         self._exp = exp
         self._log = log
@@ -258,33 +235,51 @@ class Field:
     def primitive_element(self) -> int:
         """Least index whose multiplicative order is q - 1."""
         if self._primitive is None:
-            self._primitive = self._find_primitive()
+            order = self.q - 1
+            self._primitive = next(
+                c for c in range(1, self.q) if self.multiplicative_order(c) == order
+            )
         return self._primitive
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
             raise ZeroArgument(f"0 has no multiplicative order in GF({self.q})")
         t = self.q - 1
-        for f in prime_factors(t) if t > 1 else []:
+        for f in prime_factors(t):
             while t % f == 0 and self.pow(a, t // f) == 1:
                 t //= f
         return t
 
     # -- quadratic character --------------------------------------------
 
+    @property
+    def chi(self) -> str | _EulerCharacter:
+        """chi[a] is '0' for a nonzero square, '1' for a non-square and
+        '2' at a = 0; odd q only.  A string of length q up to TABLE_LIMIT,
+        else Euler's criterion at each index read."""
+        if self._chi is None:
+            if self.q % 2 == 0:
+                raise EvenCharacteristic(f"GF({self.q}): every element is a square")
+            if self.q > TABLE_LIMIT:
+                self._chi = _EulerCharacter(self)
+            else:
+                marks = bytearray(b"1" * self.q)
+                marks[0] = ord("2")
+                for a in range(1, self.q):
+                    marks[self.mul(a, a)] = ord("0")
+                self._chi = marks.decode()
+        return self._chi
+
     def is_square(self, a: int) -> bool:
         """True iff a is a nonzero square; odd q only."""
-        if self.q % 2 == 0:
-            raise EvenCharacteristic(f"GF({self.q}): every element is a square")
-        if a == 0:
-            raise ZeroArgument("square test is for nonzero elements")
-        if self._log is not None:
-            return self._log[a] % 2 == 0
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return self.lg_parity(a) == 0
 
     def lg_parity(self, a: int) -> int:
         """0 for nonzero squares, 1 for non-squares; odd q only."""
-        return 0 if self.is_square(a) else 1
+        c = self.chi[a]
+        if c == "2":
+            raise ZeroArgument("square test is for nonzero elements")
+        return int(c)
 
     # -- identity and I/O ------------------------------------------------
 
@@ -307,6 +302,16 @@ class Field:
         if self.m > 1:
             obj["modulus"] = list(self.modulus)
         return obj
+
+
+class _EulerCharacter:
+    """chi of a field too large for a string: a ** ((q - 1) / 2) per read."""
+
+    def __init__(self, field: Field):
+        self.pow, self.half = field.pow, (field.q - 1) // 2
+
+    def __getitem__(self, a: int) -> str:
+        return "2" if a == 0 else "01"[self.pow(a, self.half) != 1]
 
 
 def _validate_modulus(p: int, m: int, modulus: tuple[int, ...]) -> None:
@@ -339,7 +344,7 @@ def _field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
 
 def field_create(p: int, m: int = 1, modulus=None) -> Field:
     """Build GF(p^m), selecting the canonical modulus when none is given."""
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {m}")

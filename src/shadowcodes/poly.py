@@ -66,10 +66,6 @@ class Poly:
         return not self.coeffs
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

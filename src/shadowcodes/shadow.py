@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binary import BinaryCode, gf2_rank, row_from_bits, row_from_hex, row_to_hex
+from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
     BadDescriptor,
     BadParameters,
@@ -85,12 +85,10 @@ class Surd:
         return float(self.a) + float(self.b) * math.sqrt(self.q)
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if self.root is not None:
-            v = self.a + self.b * self.root
+        if self.is_exact:
+            v = self.exact_value()
             return (v > 0) - (v < 0)
+        a, b = self.a, self.b
         if a == 0:
             return 1 if b > 0 else -1
         if a > 0 and b > 0:
@@ -201,19 +199,16 @@ def basic_set(polys) -> BasicSet:
 def lambda_map(f: Poly, ev: EvaluationSet) -> int:
     """Pack the square/non-square parities of f over ev into an int row.
 
-    Bit j is the parity at the j-th evaluation point."""
+    Bit j is the parity at the j-th evaluation point, read from the
+    field's quadratic-character string."""
     if f.field != ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
-    field = ev.field
-    bits = []
-    for beta in ev.points:
-        v = f(beta)
-        if v == 0:
-            raise VanishesOnE(
-                f"{f!r} vanishes at element {beta} of the evaluation set", beta
-            )
-        bits.append(field.lg_parity(v))
-    return row_from_bits(bits)
+    chi = ev.field.chi
+    row = "".join([chi[f(beta)] for beta in ev.points])
+    if "2" in row:
+        beta = ev.points[row.index("2")]
+        raise VanishesOnE(f"{f!r} vanishes at element {beta} of the evaluation set", beta)
+    return int(row[::-1], 2)
 
 
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .binary import exact_min_distance, gf2_rank, weight_distribution
 from .bounds import DEFAULT_SEED, SECTION6_MS, SECTION6_STEPS, k0, s_cubic, section6_margins
 from .concat import concat_generator, concat_params, concat_spec
-from .errors import NonpositiveDelta
+from .errors import BadParameters, NonpositiveDelta
 from .field import field_create, field_of_order
 from .poly import Poly, poly_to_text
 from .shadow import (
@@ -32,11 +32,14 @@ WEIL_FIELD_ORDERS = (9, 25, 27, 49, 121)
 # largest dimensions whose codes the theorem 4 and 7 suites enumerate
 THEOREM4_ENUM_CAP = 16
 THEOREM7_ENUM_CAP = 20
+THEOREM6_GRID_POINTS = 50  # log-spaced lengths 3 .. n_max for the root check
 
 
 def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
     """Point counts of random squarefree curves against the
     (deg - 1) sqrt(q) window, decided in exact integers."""
+    if count < 0:
+        raise BadParameters(f"need count >= 0, got {count}")
     orders = [q for q in WEIL_FIELD_ORDERS if q <= q_max]
     if not orders:
         orders = [WEIL_FIELD_ORDERS[0]]
@@ -167,10 +170,12 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
+def verify_theorem6(n_max: int = 100000) -> dict:
     """S(n, sqrt(n) + 1/2) < 0 for every n >= 2, decided exactly, so
     dimension sqrt(n) + 1/2 always has a positive floor; plus the
     bisected root against the closed cubic formula on a log grid."""
+    if n_max < 3:
+        raise BadParameters(f"the root grid starts at n = 3, got n_max = {n_max}")
     failures = []
     # with m = sqrt(n), S(m^2, m + 1/2) has degree <= 4 in m: agreeing at
     # five points proves it equals (38m - 26m^2 - 11)/8
@@ -184,8 +189,9 @@ def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
         failures.append({"check": "negative from n = 2 on"})
     checks = 6
     max_gap = 0.0
-    for t in range(grid_points):
-        n = max(3, round(math.exp(math.log(3) + t * (math.log(n_max) - math.log(3)) / (grid_points - 1))))
+    steps = THEOREM6_GRID_POINTS - 1
+    for t in range(THEOREM6_GRID_POINTS):
+        n = max(3, round(math.exp(math.log(3) + t * (math.log(n_max) - math.log(3)) / steps)))
         rec = k0(n)
         gap = abs(rec.k0 - rec.k0_cardano)
         max_gap = max(max_gap, gap)
@@ -196,7 +202,7 @@ def verify_theorem6(n_max: int = 100000, grid_points: int = 50) -> dict:
             failures.append({"n": n, "k0": rec.k0, "approx": math.sqrt(n) + 0.5})
     return {
         "suite": "theorem6",
-        "params": {"n_max": n_max, "grid_points": grid_points},
+        "params": {"n_max": n_max, "grid_points": THEOREM6_GRID_POINTS},
         "claim": "S(n, sqrt(n) + 1/2) < 0 for every n >= 2",
         "checks": checks,
         "max_root_gap": max_gap,
@@ -209,6 +215,8 @@ def verify_theorem7(m: int = 2, workers: int = 1) -> dict:
     """Enumerated minimum distances of the concatenated codes against
     (N - K + 1) 2^(m-1), and the exact rate identity, for every K whose
     dimension fits the enumeration cap."""
+    if m < 1:
+        raise BadParameters(f"need m >= 1, got {m}")
     failures = []
     checks = 0
     skipped = []

@@ -21,6 +21,7 @@ from .shadow import ShadowCode
 
 COUNT_BUDGET = 1 << 14
 CURVE_MAX_DEGREE = 3  # largest factor degree random_curve_spec draws
+CURVE_MAX_FACTORS = 5  # most distinct factors random_curve_spec draws
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ def count_zeros(spec: CurveSpec) -> int:
     field = spec.field
     if field.q > COUNT_BUDGET:
         raise BudgetExceeded(f"q = {field.q} exceeds the scan budget {COUNT_BUDGET}")
+    half = (field.q - 1) // 2
     total = 0
     for x in range(field.q):
         v = spec.gamma
@@ -63,7 +65,7 @@ def count_zeros(spec: CurveSpec) -> int:
                 break
         if v == 0:
             total += 1
-        elif field.is_square(v):
+        elif field.pow(v, half) == 1:  # Euler's criterion
             total += 2
     return total
 
@@ -146,12 +148,10 @@ def check_weight_argument(code: ShadowCode, message: int) -> WeightReport:
     )
 
 
-def random_curve_spec(
-    field: Field, rng: random.Random, max_factors: int = 5
-) -> CurveSpec:
+def random_curve_spec(field: Field, rng: random.Random) -> CurveSpec:
     """Seeded random squarefree curve: rejection-sample random monic
     polynomials until enough distinct irreducibles turn up."""
-    r = rng.randint(1, max_factors)
+    r = rng.randint(1, CURVE_MAX_FACTORS)
     chosen: list[Poly] = []
     while len(chosen) < r:
         d = rng.randint(1, CURVE_MAX_DEGREE)

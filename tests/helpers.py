@@ -9,6 +9,7 @@ root scans instead of Frobenius-based irreducibility.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 def naive_min_distance(rows, n: int) -> int:
@@ -78,6 +79,20 @@ def ref_ext_mul(p: int, m: int, modulus, a: int, b: int) -> int:
     for c in reversed(prod[:m]):
         out = out * p + c
     return out
+
+
+def naive_curve_points(spec) -> int:
+    """Affine points of y^2 = gamma prod(P_i(x)): each x is matched
+    against the multiset {y*y : y in the field}, with no square test."""
+    field = spec.field
+    squares = Counter(field.mul(y, y) for y in range(field.q))
+    total = 0
+    for x in range(field.q):
+        v = spec.gamma
+        for f in spec.factors:
+            v = field.mul(v, f(x))
+        total += squares[v]
+    return total
 
 
 def oracle_irreducible(f) -> bool:

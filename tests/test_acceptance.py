@@ -54,7 +54,7 @@ def test_2_deg2_instance():
 
 def test_3_dimension_threshold():
     start = time.perf_counter()
-    report = verify_theorem6(n_max=100000, grid_points=50)
+    report = verify_theorem6(n_max=100000)
     assert report["ok"], report["failures"][:3]
     _report(
         "dimension threshold",

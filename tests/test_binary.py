@@ -1,11 +1,14 @@
+import os
 import random
 from collections import Counter
+from concurrent.futures import Future
 from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
+from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
@@ -183,6 +186,46 @@ def test_dimension_budget_enforced():
 def test_parallel_walk_agrees_with_serial():
     code = random_linear_code(24, 18, 2)
     assert exact_min_distance(code, workers=2) == exact_min_distance(code)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task at submit."""
+
+    sizes: list[int] = []
+    submits: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submits.append(1)
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
+def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, cpus):
+    """workers=10**6 gets one span per CPU and one process per span;
+    a host with one CPU (or an unknown count) takes the serial scan."""
+    monkeypatch.setattr(binary, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(_InlineExecutor, "submits", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code = random_linear_code(40, 18, 5)
+    blocks = 1 << (18 - LOW_ROWS)
+    assert exact_min_distance(code, workers=10**6) == exact_min_distance(code)
+    if (cpus or 1) == 1:
+        assert _InlineExecutor.sizes == [] and _InlineExecutor.submits == []
+    else:
+        assert _InlineExecutor.sizes == [min(blocks, cpus)]
+        assert len(_InlineExecutor.submits) == min(blocks, cpus)
 
 
 def test_hex_round_trip():

@@ -288,7 +288,7 @@ def test_fig3_rows_off_grid_length():
 
 def test_fig3_large_length_keeps_the_exact_gv_column():
     n = 8192
-    rows = fig3_rows(n, with_exact=False, random_ks=())
+    rows = fig3_rows(n)
     gv = [r for r in rows if r.scheme == "gv"]
     assert [r.k for r in gv] == list(range(1, n + 1))
     assert all(r.kind == "existence" for r in gv)
@@ -296,7 +296,6 @@ def test_fig3_large_length_keeps_the_exact_gv_column():
     # these k keep the per-term oracle under a second
     for k in (1500, 4096, 6000, 8191, 8192):
         assert gv[k - 1].delta == gv_definition(n, k) / n
-    assert "random" not in {r.scheme for r in rows}
 
 
 def test_fig4_rows_concat_dominates():

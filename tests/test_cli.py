@@ -85,6 +85,23 @@ def test_dmin_malformed_descriptor_text_exits_two(tmp_path, capsys, key, index, 
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_dmin_three_points_over_a_huge_prime_field(tmp_path, capsys):
+    """A 3-point E over GF(2**31 - 1) costs three Euler powers, not a
+    character table of the whole field."""
+    p = 2**31 - 1
+    points = [0, 1, 2]
+    row = sum((pow(b + 5, (p - 1) // 2, p) != 1) << j for j, b in enumerate(points))
+    desc = tmp_path / "big.json"
+    desc.write_text(json.dumps(
+        {"field": {"p": p, "m": 1}, "E": points, "B": ["5,1"], "G": [format(row, "x")]}
+    ))
+    code, out, err = run_cli(capsys, "dmin", str(desc))
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["n"], report["k"]) == (3, 1)
+    assert report["dmin"] == row.bit_count()
+
+
 def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "construct", "deg1", "--q", "121", "--e-size", "200")
     assert code == 2 and "size must be in 1..121" in err
@@ -104,9 +121,13 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("construct", "deg1", "--n", "28", "--k", "4", "--out", "{tmp}"),
         ("concat", "--m", "30", "--N", "3", "--K", "1"),
         ("verify", "theorem7", "--m", "30"),
+        ("verify", "theorem6", "--n-max", "-1"),
+        ("verify", "theorem7", "--m", "-1"),
+        ("verify", "weil", "--count", "-1"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
-         "concat_field_too_large", "theorem7_field_too_large"],
+         "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
+         "theorem7_m_negative", "weil_count_negative"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -198,6 +219,14 @@ def test_figure_fig1_and_fig3(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert {r["scheme"] for r in rows} >= {"shadow_deg1", "gv", "dg", "rm1", "rm2", "random"}
+
+
+def test_fig3_shorter_than_a_random_dimension(capsys):
+    code, out, err = run_cli(capsys, "figure", "fig3", "--n", "8", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [r["k"] for r in rows if r["scheme"] == "random"] == [8]
+    assert [r["k"] for r in rows if r["scheme"] == "gv"] == list(range(1, 9))
 
 
 def test_verify_suites_pass(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +208,41 @@ def test_lg_parity_homomorphism_sampled_larger():
             assert f.lg_parity(f.mul(a, b)) == f.lg_parity(a) ^ f.lg_parity(b)
 
 
+def _euler_chi(f, a) -> str:
+    if a == 0:
+        return "2"
+    return "0" if f.pow(a, (f.q - 1) // 2) == 1 else "1"
+
+
+def test_chi_matches_euler_on_every_element():
+    orders = [q for q in range(3, 730, 2) if find_odd_prime_power(q)] + [65521]
+    for q in orders:
+        f = field_of_order(q)
+        assert len(f.chi) == q
+        assert f.chi == "".join(_euler_chi(f, a) for a in range(q)), q
+
+
+def test_chi_on_untabled_fields_reads_squares_and_their_multiples():
+    """Above TABLE_LIMIT chi is no string of length q; on a sample it
+    still gives '0' at every b*b and '1' at g*b*b for a primitive g."""
+    rng = random.Random(17)
+    for f in (field_create(5, 7), field_create(131071), field_create(2**31 - 1)):
+        assert f._exp is None and not isinstance(f.chi, str)
+        g = f.primitive_element()
+        assert f.chi[0] == "2" and f.chi[1] == "0" and f.chi[g] == "1"
+        for _ in range(100):
+            b = rng.randrange(1, f.q)
+            b2 = f.mul(b, b)
+            assert f.chi[b2] == "0" and f.chi[f.mul(g, b2)] == "1", (f.q, b)
+
+
+def test_only_extension_fields_keep_log_tables():
+    for q in (3, 7, 251, 65521):
+        assert field_create(q)._exp is None
+    for p, m in ((2, 4), (3, 2), (5, 3), (3, 6)):
+        assert field_create(p, m)._exp is not None
+
+
 def test_character_errors():
     f7 = field_create(7)
     with pytest.raises(ZeroArgument):
@@ -259,6 +295,18 @@ def test_prime_power():
             assert prime_power(p**m * 13) is None
     for q in (-4, 0, 1, 6, 12, 1000):
         assert prime_power(q) is None
+
+
+def test_composite_characteristic_is_rejected_at_its_least_factor():
+    """3 * (2**61 - 1) is refused once the factor 3 is divided out,
+    with no trial division up to the square root of the large factor."""
+    start = time.perf_counter()
+    with pytest.raises(NotPrime):
+        field_create(3 * (2**61 - 1))
+    with pytest.raises(NotPrime):
+        field_of_order(3 * (2**61 - 1))
+    assert prime_power(3**5 * (2**61 - 1)) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_default_modulus_is_searched_once(monkeypatch):

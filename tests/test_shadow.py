@@ -156,6 +156,10 @@ def test_lambda_map_vanishing_reports_point():
     with pytest.raises(VanishesOnE) as exc:
         lambda_map(x_minus(F7, 4), ev)
     assert exc.value.point == 4
+    # of two roots in E, the first evaluation point is reported
+    with pytest.raises(VanishesOnE) as exc:
+        lambda_map(x_minus(F7, 4) * x_minus(F7, 1), ev)
+    assert exc.value.point == 1
 
 
 def test_lambda_map_is_multiplicative():

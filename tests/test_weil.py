@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import naive_curve_points
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import field_create, field_of_order
 from shadowcodes.poly import Poly, x_minus
@@ -28,11 +29,20 @@ def test_count_hand_cases():
     assert count_zeros(curve_spec(F9, 1, [Poly.x(F9)])) == 9
 
 
+def test_count_matches_pairing_every_x_with_every_y():
+    rng = random.Random(6)
+    for q in (3, 7, 9, 13, 25, 27):
+        field = field_of_order(q)
+        for _ in range(8):
+            spec = random_curve_spec(field, rng)
+            assert count_zeros(spec) == naive_curve_points(spec), (q, spec)
+
+
 def test_count_invariant_under_square_scaling():
     rng = random.Random(1)
     for field in (F7, F9, field_of_order(25)):
         for _ in range(10):
-            spec = random_curve_spec(field, rng, max_factors=3)
+            spec = random_curve_spec(field, rng)
             base = count_zeros(spec)
             for s in range(1, field.q):
                 s2 = field.mul(s, s)
