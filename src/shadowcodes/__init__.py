@@ -41,7 +41,6 @@ from .poly import (
     is_irreducible,
     poly_from_text,
     poly_to_text,
-    product_and_degree,
 )
 from .shadow import (
     BasicSet,

@@ -24,14 +24,18 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .binary import exact_min_distance, random_linear_code, sampled_min_distance_upper
+from .binary import exact_min_distance, random_linear_code
 from .errors import BadParameters, BadShape
 from .field import find_odd_prime_power
 from .shadow import construct_deg1_nk
 
 DEFAULT_SEED = 1729
-FIG3_SAMPLE_TRIALS = 20000  # sampled messages per random code above exact_cap
-FIG3_RANDOM_KS = (8, 12, 16)  # dimensions of fig3's random codes, where k <= n
+FIG3_EXACT_CAP = 16  # fig3's exact shadow code rows span k = 2 .. cap
+FIG3_RANDOM_KS = (8, 12, 16)  # fig3's random codes, where k <= n; scanned exactly
+# the float closed form of k0 stays within 1e-6 of the bisection up to
+# here; it drifts past that from about n = 2.5e9
+K0_N_MAX = 10**9
+FIG4_M_MAX = 511  # n = 4^m must fit a float
 # the section 6 grid: inner degrees m and outer-rate steps per m
 SECTION6_MS = range(2, 11)
 SECTION6_STEPS = 100
@@ -152,8 +156,8 @@ def _real_cbrt(v: float) -> float:
 def k0(n: int) -> CubicRecord:
     """Largest real k with S(n, k) = 0, bisected to 1e-10 and
     cross-checked against the closed formula to 1e-6."""
-    if n < 3:
-        raise BadParameters(f"the threshold needs n >= 3, got {n}")
+    if not 3 <= n <= K0_N_MAX:
+        raise BadParameters(f"the threshold is checked for 3 <= n <= {K0_N_MAX}, got {n}")
     lo, hi = 0.0, float(n)  # S(n,0) < 0 and S(n,n) > 0 for n >= 3
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -188,19 +192,13 @@ def deltacon(n: int, k: int) -> float:
     1/2 - (k - log2(sqrt(n)) - 1)/(sqrt(n)(log2(n) + 2)).
 
     Exact for k a multiple of m + 1 (whole outer symbols); evaluated
-    as written otherwise (see deltacon_k_aligned)."""
+    as written otherwise."""
     m = fourth_power_exponent(n)
     if m is None:
         raise BadShape(f"length {n} is not a power of 4")
+    if not 0 < k <= n:
+        raise BadParameters(f"need 0 < k <= n, got k={k}, n={n}")
     return 0.5 - (k - m - 1) / ((1 << m) * (2 * m + 2))
-
-
-def deltacon_k_aligned(n: int, k: int) -> bool:
-    """True when k corresponds to a whole number of outer symbols."""
-    m = fourth_power_exponent(n)
-    if m is None:
-        raise BadShape(f"length {n} is not a power of 4")
-    return k % (m + 1) == 0
 
 
 def deltash_family(n: int, a: float) -> float:
@@ -235,7 +233,7 @@ class BoundPoint:
     k: float
     rate: float
     delta: float
-    kind: str  # lower_bound | exact | existence | upper_bound
+    kind: str  # lower_bound | exact | existence
 
 
 FIG_FIELDNAMES = ["scheme", "n", "k", "rate", "delta", "kind"]
@@ -245,6 +243,8 @@ def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
     """Threshold root k0 against sqrt(n) + 1/2 on a log grid."""
     if not 3 <= n_min < n_max:
         raise BadParameters("need 3 <= n_min < n_max")
+    if points < 1:
+        raise BadParameters(f"need at least one point, got {points}")
     grid = sorted(
         {
             max(3, round(math.exp(t)))
@@ -265,11 +265,7 @@ def _linspace(a: float, b: float, count: int):
     return [a + i * step for i in range(count)]
 
 
-def fig3_rows(
-    n: int = 1024,
-    seed: int = DEFAULT_SEED,
-    exact_cap: int = 16,
-):
+def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
     """Rate/relative-distance table comparing every scheme at length n."""
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
@@ -313,15 +309,9 @@ def fig3_rows(
     for k in FIG3_RANDOM_KS:
         if k > n:
             continue
-        code = random_linear_code(n, k, seed * 1000 + k)
-        if k <= exact_cap:
-            d = exact_min_distance(code)
-            kind = "exact"
-        else:
-            d = sampled_min_distance_upper(code, FIG3_SAMPLE_TRIALS, seed * 1000 + k)
-            kind = "upper_bound"
-        rows.append(BoundPoint("random", n, k, k / n, d / n, kind))
-    for k in range(2, exact_cap + 1):
+        d = exact_min_distance(random_linear_code(n, k, seed * 1000 + k))
+        rows.append(BoundPoint("random", n, k, k / n, d / n, "exact"))
+    for k in range(2, FIG3_EXACT_CAP + 1):
         if find_odd_prime_power(n + k - 1) is None:
             continue
         code = construct_deg1_nk(n, k)
@@ -336,8 +326,8 @@ def fig4_rows(a: float = 0.49, m_min: int = 2, m_max: int = 10):
         raise BadShape(f"the sublinear exponent must sit in (0, 1/2], got {a}")
     if m_min < 2:
         raise BadParameters("the comparison starts at n = 16 (m >= 2)")
-    if m_max < m_min:
-        raise BadParameters(f"need m_max >= m_min, got {m_max} < {m_min}")
+    if not m_min <= m_max <= FIG4_M_MAX:
+        raise BadParameters(f"need m_min <= m_max <= {FIG4_M_MAX}, got {m_min}, {m_max}")
     rows: list[BoundPoint] = []
     for m in range(m_min, m_max + 1):
         n = 1 << (2 * m)

@@ -14,6 +14,7 @@ from . import __version__
 from .binary import exact_min_distance, sampled_min_distance_upper
 from .bounds import (
     DEFAULT_SEED,
+    FIG3_EXACT_CAP,
     deltacon,
     dg_params,
     fig1_rows,
@@ -121,8 +122,8 @@ def _cmd_figure(args) -> int:
         rows = fig1_rows(args.n_min, args.n_max, args.points)
         cfg = _config(args, ("figure", "n_min", "n_max", "points"))
     elif args.figure == "fig3":
-        rows = fig3_rows(args.n, seed=args.seed, exact_cap=args.exact_cap)
-        cfg = _config(args, ("figure", "n", "seed", "exact_cap"))
+        rows = fig3_rows(args.n, seed=args.seed)
+        cfg = {**_config(args, ("figure", "n", "seed")), "exact_cap": FIG3_EXACT_CAP}
     else:
         rows = fig4_rows(args.a, args.m_min, args.m_max)
         cfg = _config(args, ("figure", "a", "m_min", "m_max"))
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--m-min", type=int, default=2, dest="m_min")
     f.add_argument("--m-max", type=int, default=10, dest="m_max")
     f.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    f.add_argument("--exact-cap", type=int, default=16, dest="exact_cap")
     f.add_argument("--format", choices=["csv", "json"], default="csv")
     f.add_argument("--out")
     f.set_defaults(fn=_cmd_figure)

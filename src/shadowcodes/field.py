@@ -14,7 +14,10 @@ Extension fields (m > 1) with q <= 2**16 precompute exp/log tables
 over the least primitive element.  Prime fields need none, since they
 compute mod p directly; larger extension fields fall back to direct
 polynomial arithmetic, which is slower but keeps every operation
-correct at any size.
+correct at any size.  Each operation is one method holding all three
+cases: mul, pow (any integer exponent, reduced mod q - 1), inv as
+pow(a, -1), add and sub as one digit pass, neg as sub(0, a).
+Primitivity is one power per prime factor of q - 1.
 
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
@@ -89,7 +92,8 @@ class Field:
     """GF(p^m) on canonical integer indices 0 .. q-1.
 
     Construct through field_create(); instances are cached and
-    immutable, so identical parameters share one object and its tables.
+    immutable, so identical parameters share one object and its tables,
+    and two fields are equal exactly when they are the same object.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_primitive", "_chi")
@@ -137,25 +141,27 @@ class Field:
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
+    def sub(self, a: int, b: int) -> int:
         if self.m == 1:
-            return (-a) % self.p
+            return (a - b) % self.p
         p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            out += ((-a) % p) * mult
+            out += ((a - b) % p) * mult
             a //= p
+            b //= p
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
 
     # -- multiplicative structure ---------------------------------------
 
-    def _mul_digits(self, da: list[int], db: list[int]) -> list[int]:
-        # schoolbook product followed by reduction by the monic modulus
+    def _mul_digits(self, da, db) -> list[int]:
+        # schoolbook product of two digit sequences, then reduction by
+        # the monic modulus
         p, m = self.p, self.m
         prod = [0] * (2 * m - 1)
         for i, ai in enumerate(da):
@@ -172,29 +178,12 @@ class Field:
                     prod[base + j] = (prod[base + j] - c * mod[j]) % p
         return prod[:m]
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        return self.index(self._mul_digits(list(self.digits(a)), list(self.digits(b))))
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        if self.m == 1:
-            return pow(a, e, self.p)
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self) -> None:
         q = self.q
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        da = list(self.digits(self.primitive_element()))
-        dv = [0] * self.m
-        dv[0] = 1
+        da = self.digits(self.primitive_element())
+        dv = self.digits(1)
         for i in range(q - 1):
             v = self.index(dv)
             exp[i] = v
@@ -205,50 +194,51 @@ class Field:
         self._log = log
 
     def mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self.index(self._mul_digits(self.digits(a), self.digits(b)))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.q})")
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self._pow_raw(a, self.q - 2)
+        return self.pow(a, -1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        """a**e for any integer e; nonzero a has a**(q - 1) = 1, so e is
+        first reduced mod q - 1, negative exponents included."""
         if a == 0:
             if e < 0:
                 raise DivisionByZero(f"0**{e} undefined in GF({self.q})")
             return 1 if e == 0 else 0
+        e %= self.q - 1
+        if self.m == 1:
+            return pow(a, e, self.p)
         if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e % (self.q - 1) if e else 0)
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+    def is_primitive(self, c: int) -> bool:
+        """True iff c generates the multiplicative group: c**((q - 1)/f)
+        differs from 1 for every prime f dividing q - 1."""
+        t = self.q - 1
+        return c != 0 and all(self.pow(c, t // f) != 1 for f in prime_factors(t))
 
     def primitive_element(self) -> int:
-        """Least index whose multiplicative order is q - 1."""
+        """Least primitive index."""
         if self._primitive is None:
-            order = self.q - 1
-            self._primitive = next(
-                c for c in range(1, self.q) if self.multiplicative_order(c) == order
-            )
+            self._primitive = next(filter(self.is_primitive, range(1, self.q)))
         return self._primitive
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroArgument(f"0 has no multiplicative order in GF({self.q})")
-        t = self.q - 1
-        for f in prime_factors(t):
-            while t % f == 0 and self.pow(a, t // f) == 1:
-                t //= f
-        return t
 
     # -- quadratic character --------------------------------------------
 
@@ -281,18 +271,7 @@ class Field:
             raise ZeroArgument("square test is for nonzero elements")
         return int(c)
 
-    # -- identity and I/O ------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+    # -- I/O -------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -9,7 +9,7 @@ empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 from itertools import islice, product
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     BadParameters,
@@ -70,7 +70,7 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def _check_field(self, other: "Poly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     # -- arithmetic ----------------------------------------------------------
@@ -86,12 +86,14 @@ class Poly:
             out[i] = f.add(out[i], c)
         return Poly(f, out)
 
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
-
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_field(other)
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = f.sub(out[i], c)
+        return Poly(f, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)
@@ -129,9 +131,6 @@ class Poly:
                     rem[i + j] = f.sub(rem[i + j], f.mul(c, oc))
         return Poly(f, quo), Poly(f, rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
@@ -154,7 +153,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -244,18 +243,6 @@ def all_monic_irreducibles(field: "Field", d: int) -> list[Poly]:
     return list(_monic_irreducibles(field, d))
 
 
-def product_and_degree(polys: Sequence[Poly]) -> tuple[Poly, int]:
-    """Product of the list and its degree; constants contribute 0."""
-    if not polys:
-        raise BadParameters("empty product")
-    first = polys[0]
-    out = first
-    for f in polys[1:]:
-        first._check_field(f)
-        out = out * f
-    return out, out.degree
-
-
 def basic_polys(polys: Iterable[Poly]) -> tuple[Poly, ...]:
     """polys as a tuple, checked to be a nonempty list over one field
     whose non-constants are pairwise distinct monic irreducibles."""
@@ -266,7 +253,7 @@ def basic_polys(polys: Iterable[Poly]) -> tuple[Poly, ...]:
     if len(set(non_const)) != len(non_const):
         raise BadParameters("repeated irreducible factor")
     for f in polys:
-        if f.field != polys[0].field:
+        if f.field is not polys[0].field:
             raise FieldMismatch("polynomials over different fields in one list")
         if f.degree >= 1 and not (f.is_monic and is_irreducible(f)):
             raise BadParameters(f"{f!r} is not a monic irreducible")

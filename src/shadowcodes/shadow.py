@@ -190,7 +190,7 @@ def basic_set(polys) -> BasicSet:
     if len(constants) > 1:
         raise BadParameters("at most one constant generator is allowed")
     for c in constants:
-        if c.is_zero or c.field.multiplicative_order(c.coeffs[0]) != c.field.q - 1:
+        if not c.field.is_primitive(c(0)):
             raise BadParameters("the constant generator must be primitive")
     total = sum(f.degree for f in polys if f.degree >= 1)
     return BasicSet(polys, total, bool(constants))
@@ -201,7 +201,7 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
 
     Bit j is the parity at the j-th evaluation point, read from the
     field's quadratic-character string."""
-    if f.field != ev.field:
+    if f.field is not ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
     chi = ev.field.chi
     row = "".join([chi[f(beta)] for beta in ev.points])
@@ -214,7 +214,7 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
     """Linear factors through every point outside ev, plus a primitive
     constant.  |B| = q - |E| + 1 and the total degree is q - |E|."""
-    if field != ev.field:
+    if field is not ev.field:
         raise FieldMismatch("evaluation set was built over a different field")
     outside = sorted(set(range(field.q)) - set(ev.points))
     if not outside:

@@ -43,7 +43,7 @@ def curve_spec(field: Field, gamma: int, factors) -> CurveSpec:
     if gamma == 0:
         raise ZeroArgument("gamma must be a nonzero scalar")
     factors = basic_polys(factors)
-    if factors[0].field != field:
+    if factors[0].field is not field:
         raise FieldMismatch("factors over a different field")
     if any(f.degree < 1 for f in factors):
         raise BadParameters("a constant factor belongs in gamma")

@@ -81,6 +81,27 @@ def ref_ext_mul(p: int, m: int, modulus, a: int, b: int) -> int:
     return out
 
 
+def ref_ext_pow(p: int, m: int, modulus, a: int, e: int) -> int:
+    """a**e for e >= 0 by square and multiply over ref_ext_mul, with no
+    reduction of the exponent."""
+    out = 1
+    while e:
+        if e & 1:
+            out = ref_ext_mul(p, m, modulus, out, a)
+        a = ref_ext_mul(p, m, modulus, a, a)
+        e >>= 1
+    return out
+
+
+def brute_order(field, a: int) -> int:
+    """Multiplicative order of nonzero a, by stepping through its powers
+    with ref_ext_mul until 1 comes back."""
+    v, t = a, 1
+    while v != 1:
+        v, t = ref_ext_mul(field.p, field.m, field.modulus, v, a), t + 1
+    return t
+
+
 def naive_curve_points(spec) -> int:
     """Affine points of y^2 = gamma prod(P_i(x)): each x is matched
     against the multiset {y*y : y in the field}, with no square test."""

@@ -10,11 +10,12 @@ import pytest
 from helpers import gv_definition
 from shadowcodes.bounds import (
     DEFAULT_SEED,
+    FIG4_M_MAX,
     FIG_FIELDNAMES,
+    K0_N_MAX,
     BoundPoint,
     deg2_max_k,
     deltacon,
-    deltacon_k_aligned,
     deltash_family,
     dg_params,
     fig1_rows,
@@ -175,6 +176,20 @@ def test_k0_radicand_sign_boundary():
         k0(2)
 
 
+def test_k0_closed_form_holds_up_to_its_bound():
+    """The float closed form stays within 1e-6 of the bisection on a
+    log-uniform sample of n <= K0_N_MAX and on the top of that range;
+    one past the bound is refused."""
+    rng = random.Random(29)
+    top = range(K0_N_MAX - 200, K0_N_MAX + 1)
+    sample = [round(math.exp(rng.uniform(math.log(3), math.log(K0_N_MAX)))) for _ in range(500)]
+    for n in [*sample, *top]:
+        rec = k0(n)  # raises AssertionError past the 1e-6 margin
+        assert abs(rec.k0 - rec.k0_cardano) <= 1e-6, n
+    with pytest.raises(BadParameters):
+        k0(K0_N_MAX + 1)
+
+
 # ------------------------------------------------- concatenated formulas
 
 def test_fourth_power_exponent():
@@ -194,14 +209,13 @@ def test_deltacon_values_and_alignment():
                 continue
             k = K * (m + 1)
             assert deltacon(n, k) == pytest.approx(0.5 - (K - 1) / (1 << (m + 1)), abs=1e-15)
-            assert deltacon_k_aligned(n, k)
-            assert not deltacon_k_aligned(n, k + 1)
     with pytest.raises(BadShape):
         deltacon(15, 2)
     with pytest.raises(BadShape):
         deltacon(32, 2)
-    with pytest.raises(BadShape):
-        deltacon_k_aligned(32, 2)
+    for k in (-5, 0, 17):
+        with pytest.raises(BadParameters):
+            deltacon(16, k)
 
 
 def test_deltash_family():
@@ -234,6 +248,12 @@ def test_fig1_rows():
         assert 0 < r["k0"] - r["approx"] < 0.5
     with pytest.raises(BadParameters):
         fig1_rows(2, 1)
+    assert len(fig1_rows(10, 1000, 1)) == 1
+    for points in (0, -3):
+        with pytest.raises(BadParameters):
+            fig1_rows(10, 1000, points)
+    with pytest.raises(BadParameters):
+        fig1_rows(10, K0_N_MAX + 1, 3)
 
 
 def test_fig3_rows_at_1024():
@@ -313,6 +333,9 @@ def test_fig4_rows_concat_dominates():
         fig4_rows(a=0.6)
     with pytest.raises(BadParameters):
         fig4_rows(m_min=1)
+    assert len(fig4_rows(m_min=FIG4_M_MAX, m_max=FIG4_M_MAX)) == 2  # 4^511 fits a float
+    with pytest.raises(BadParameters):
+        fig4_rows(m_max=FIG4_M_MAX + 1)
 
 
 # --------------------------------------------------------- serialization

@@ -124,10 +124,19 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("verify", "theorem6", "--n-max", "-1"),
         ("verify", "theorem7", "--m", "-1"),
         ("verify", "weil", "--count", "-1"),
+        ("bounds", "k0", "--n", "1000000000000"),
+        ("figure", "fig1", "--n-max", str(10**21)),
+        ("verify", "theorem6", "--n-max", str(10**10)),
+        ("figure", "fig4", "--m-max", "512"),
+        ("figure", "fig1", "--points", "0"),
+        ("figure", "fig1", "--points", "-3"),
+        ("bounds", "deltacon", "--n", "16", "--k", "-5"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
-         "theorem7_m_negative", "weil_count_negative"],
+         "theorem7_m_negative", "weil_count_negative", "k0_n_too_large",
+         "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
+         "fig1_no_points", "fig1_negative_points", "deltacon_k_negative"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))

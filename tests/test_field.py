@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ref_ext_mul
+from helpers import brute_order, ref_ext_mul, ref_ext_pow
 from shadowcodes.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -155,9 +155,9 @@ def test_primitive_element_generates():
             seen.add(v)
             v = f.mul(v, alpha)
         assert len(seen) == q - 1
-        # least: nothing smaller has full order
+        # least: nothing smaller is primitive
         for c in range(1, alpha):
-            assert f.multiplicative_order(c) < q - 1
+            assert not f.is_primitive(c)
 
 
 def test_powers_of_nine_example():
@@ -267,14 +267,12 @@ def test_negative_exponents():
         assert f9.pow(a, -3) == f9.inv(f9.pow(a, 3))
 
 
-def test_multiplicative_order():
-    f7 = field_create(7)
-    assert f7.multiplicative_order(1) == 1
-    assert f7.multiplicative_order(2) == 3
-    assert f7.multiplicative_order(3) == 6
-    assert f7.multiplicative_order(6) == 2
-    with pytest.raises(ZeroArgument):
-        f7.multiplicative_order(0)
+def test_is_primitive_against_brute_order():
+    for q in (7, 9, 25, 27, 49):
+        f = field_of_order(q)
+        assert not f.is_primitive(0)
+        for c in range(1, q):
+            assert f.is_primitive(c) == (brute_order(f, c) == q - 1), (q, c)
 
 
 def test_find_odd_prime_power():
@@ -329,10 +327,11 @@ def test_nearest_odd_prime_power():
 
 
 def test_json_round_trip():
-    for q in (7, 9, 128):
+    # prime, tabled and untabled fields all come back as the cached instance
+    for q in (7, 9, 128, 5**7):
         f = field_of_order(q)
-        again = field_from_json(json.loads(json.dumps(f.to_json())))
-        assert again == f and again is f  # cached instance
+        assert field_from_json(f.to_json()) is f
+        assert field_from_json(json.loads(json.dumps(f.to_json()))) is f
     assert "modulus" not in field_create(7).to_json()
     assert field_create(3, 2).to_json()["modulus"] == [1, 0, 1]
 
@@ -366,24 +365,33 @@ def test_field_cache_identity():
 SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 6) if p**m <= 49]
 
 
-def _ref_add(p, m, a, b):
+def _ref_add(p, m, a, b, sign=1):
     out, mult = 0, 1
     for _ in range(m):
-        out += (a % p + b % p) % p * mult
+        out += (a % p + sign * (b % p)) % p * mult
         a, b, mult = a // p, b // p, mult * p
     return out
 
 
-def _check_axioms(f, a, b, c):
+def _check_axioms(f, a, b, c, e):
+    """Field laws on a, b, c, and every operation against the digit
+    reference; e is an exponent in 0 .. 3q, so both e and -e run, many
+    of them at or past q - 1."""
     p, m = f.p, f.m
     assert f.mul(a, b) == ref_ext_mul(p, m, f.modulus, a, b)
     assert f.add(a, b) == _ref_add(p, m, a, b) == f.add(b, a)
+    assert f.sub(a, b) == _ref_add(p, m, a, b, -1)
+    assert f.neg(b) == _ref_add(p, m, 0, b, -1)
     assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
     if a:
         assert f.mul(a, f.inv(a)) == 1 and f.div(f.mul(a, b), a) == b
+        assert ref_ext_mul(p, m, f.modulus, a, f.inv(a)) == 1
+        power = ref_ext_pow(p, m, f.modulus, a, e)
+        assert f.pow(a, e) == power
+        assert ref_ext_mul(p, m, f.modulus, f.pow(a, -e), power) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,12 +399,12 @@ def _check_axioms(f, a, b, c):
 def test_field_axioms_against_reference(pm, data):
     f = field_create(*pm)
     a, b, c = data.draw(st.tuples(*[st.integers(0, f.q - 1)] * 3), label="a, b, c")
-    _check_axioms(f, a, b, c)
+    _check_axioms(f, a, b, c, data.draw(st.integers(0, 3 * f.q), label="e"))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.tuples(*[st.integers(0, 5**7 - 1)] * 3))
-def test_untabled_field_axioms_against_reference(abc):
+@given(st.tuples(*[st.integers(0, 5**7 - 1)] * 3), st.integers(0, 3 * 5**7))
+def test_untabled_field_axioms_against_reference(abc, e):
     f = field_create(5, 7)  # q = 78125, above the table limit
     assert f._exp is None
-    _check_axioms(f, *abc)
+    _check_axioms(f, *abc, e)

@@ -23,7 +23,6 @@ from shadowcodes.poly import (
     poly_from_text,
     poly_to_text,
     powmod,
-    product_and_degree,
     x_minus,
 )
 
@@ -81,6 +80,8 @@ def test_arithmetic_identities_random():
             x = rng.randrange(field.q)
             assert (f * g)(x) == field.mul(f(x), g(x))
             assert (f + g)(x) == field.add(f(x), g(x))
+            assert (f - g)(x) == field.sub(f(x), g(x))
+            assert (f - g) + g == f
 
 
 def test_divmod_invariant():
@@ -246,19 +247,6 @@ def test_basic_polys_matches_the_oracle(q, data):
     else:
         with pytest.raises(BadParameters):
             basic_polys(polys)
-
-
-def test_product_and_degree_hand_case():
-    alpha = Poly.constant(F7, 3)
-    prod, d = product_and_degree([x_minus(F7, 3), x_minus(F7, 4), alpha])
-    assert d == 2
-    assert prod.coeffs == (1, 0, 3)  # 3(x-3)(x-4) = 3x^2 + 1 mod 7
-    only_const, d0 = product_and_degree([alpha])
-    assert d0 == 0 and only_const.coeffs == (3,)
-    with pytest.raises(FieldMismatch):
-        product_and_degree([Poly.x(F7), Poly.x(F3)])
-    with pytest.raises(ValueError):
-        product_and_degree([])
 
 
 def test_squarefree_product():
