@@ -27,7 +27,7 @@ from functools import lru_cache
 from .binary import exact_min_distance, random_linear_code
 from .errors import BadParameters, BadShape
 from .field import find_odd_prime_power
-from .shadow import construct_deg1_nk
+from .shadow import construct_deg1_nk, deg1_floor, deg2_floor
 
 DEFAULT_SEED = 1729
 FIG3_EXACT_CAP = 16  # fig3's exact shadow code rows span k = 2 .. cap
@@ -94,17 +94,25 @@ def _binomial_prefix_sums(n: int) -> list[int]:
 
 
 def shadow_lb_deg1(n: int, k: int) -> float:
-    """(n - k + 1)/2 - (sqrt(n + k - 1)/2)(k - 2), the degree <= 1 floor."""
-    if n < 1 or k < 1:
-        raise BadParameters(f"need n, k >= 1, got n={n}, k={k}")
-    return (n - k + 1) / 2 - (math.sqrt(n + k - 1) / 2) * (k - 2)
+    """The degree <= 1 floor `deg1_floor` as a float."""
+    return _floor_float(deg1_floor, n, k)
 
 
 def shadow_lb_deg2(n: int, k: int) -> float:
-    """n/2 - (sqrt(n)/2)(2k - 1), the degree 2 floor (length = field order)."""
+    """The degree 2 floor `deg2_floor` as a float."""
+    return _floor_float(deg2_floor, n, k)
+
+
+def _floor_float(floor, n: int, k: int) -> float:
     if n < 1 or k < 1:
         raise BadParameters(f"need n, k >= 1, got n={n}, k={k}")
-    return n / 2 - (math.sqrt(n) / 2) * (2 * k - 1)
+    try:
+        value = float(floor(n, k))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise BadParameters("n and k put the floor past float range")
+    return value
 
 
 def deg2_max_k(n: int) -> int:

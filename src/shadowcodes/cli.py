@@ -1,5 +1,13 @@
 """Command line front end.
 
+Each artifact is one argparse leaf: `construct`, `figure`, `verify` and
+`bounds` take a leaf name (a code family, figure, suite or bound), and
+`dmin` and `concat` are leaves themselves. A leaf declares only the
+flags its handler reads, so flags go after the leaf name and a flag of
+another leaf is an argparse error. Leaves take no flag prefixes, or
+`--n` would pass for `--n-max`. One table per command drives both its
+parser leaves and its handler.
+
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure, 2 for unusable parameters (argparse errors included).
 """
@@ -7,6 +15,7 @@ failure, 2 for unusable parameters (argparse errors included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +37,7 @@ from .bounds import (
     shadow_lb_deg2,
 )
 from .concat import concat_generator, concat_params, concat_spec
-from .errors import BadDescriptor, ShadowcodesError
+from .errors import BadDescriptor, BadParameters, ShadowcodesError
 from .field import field_of_order
 from .shadow import (
     construct_deg1,
@@ -45,6 +54,74 @@ from .verify import (
     verify_weil,
 )
 from . import binary
+
+
+def _k0_report(n: int) -> dict:
+    rec = k0(n)
+    return {key: getattr(rec, key) for key in ("k0", "k0_cardano", "xi", "omega_sq")}
+
+
+def _construct_deg1(args):
+    """deg1 takes one of two flag pairs, which argparse cannot state."""
+    nk, qe = (args.n, args.k), (args.q, args.e_size)
+    if None not in nk and qe == (None, None):
+        return construct_deg1_nk(args.n, args.k)
+    if None not in qe and nk == (None, None):
+        return construct_deg1(field_of_order(args.q), args.e_size)
+    raise BadParameters("give either --n/--k or --q/--e-size")
+
+
+# Each table maps a leaf name to (flags, call, help). The flags map each
+# dest to its default: a value, whose type is the flag's type; None for
+# an optional int; or a type for a required flag. The calls look package
+# functions up when they run, so a rebound name is seen.
+FAMILIES = {
+    "deg1": ({"q": None, "e_size": None, "n": None, "k": None}, _construct_deg1,
+             "(n, k) code over q = n + k - 1, by --n/--k or by --q/--e-size"),
+    "deg2": ({"q": int, "k": int, "seed": None},
+             lambda a: construct_deg2(field_of_order(a.q), a.k, a.seed),
+             "(q, k) code from k irreducible quadratics; --seed picks them at random"),
+}
+FIGURES = {
+    "fig1": ({"n_min": 10, "n_max": 100000, "points": 50},
+             lambda a: fig1_rows(a.n_min, a.n_max, a.points),
+             "threshold root k0 against sqrt(n) + 1/2"),
+    "fig3": ({"n": 1024, "seed": DEFAULT_SEED}, lambda a: fig3_rows(a.n, seed=a.seed),
+             "every scheme's rate and relative distance at length n"),
+    "fig4": ({"a": 0.49, "m_min": 2, "m_max": 10},
+             lambda a: fig4_rows(a.a, a.m_min, a.m_max),
+             "both families at dimension n^a across n = 4^m"),
+}
+SUITES = {
+    "weil": ({"q_max": 121, "count": 200, "seed": DEFAULT_SEED},
+             lambda a: verify_weil(a.q_max, a.count, a.seed), "point-count windows"),
+    "theorem4": ({"seed": DEFAULT_SEED}, lambda a: verify_theorem4(a.seed), "code structure"),
+    "theorem6": ({"n_max": 100000}, lambda a: verify_theorem6(a.n_max),
+                 "dimension threshold"),
+    "theorem7": ({"m": 2, "workers": 1}, lambda a: verify_theorem7(a.m, workers=a.workers),
+                 "concatenated distance"),
+    "section6": ({}, lambda a: verify_section6(), "floor ordering"),
+}
+QUANTITIES = {
+    "gv": ({"n": int, "k": int}, lambda a: {"d": gv_min_distance(a.n, a.k)},
+           "Gilbert-Varshamov distance"),
+    "dg": ({"m": int, "d": int},
+           lambda a: dict(zip(("n", "log2_size", "dmin"), dg_params(a.m, a.d))),
+           "Delsarte-Goethals parameters"),
+    "shadow1": ({"n": int, "k": int}, lambda a: {"floor": shadow_lb_deg1(a.n, a.k)},
+                "degree <= 1 distance floor"),
+    "shadow2": ({"n": int, "k": int}, lambda a: {"floor": shadow_lb_deg2(a.n, a.k)},
+                "degree 2 distance floor"),
+    "deltacon": ({"n": int, "k": int}, lambda a: {"floor": deltacon(a.n, a.k)},
+                 "concatenated relative-distance floor"),
+    "k0": ({"n": int}, lambda a: _k0_report(a.n), "dimension threshold root"),
+}
+DMIN_FLAGS = {"sample": 0, "seed": DEFAULT_SEED, "workers": 1}
+CONCAT_FLAGS = {"m": int, "N": int, "K": int}
+
+_HELP = {"q": "field order", "e_size": "evaluation set size", "n": "code length",
+         "k": "dimension", "a": "dimension exponent", "workers": "processes for the exact scan",
+         "sample": "trials for a sampled upper bound"}
 
 
 def _emit(obj, out: str | None) -> None:
@@ -67,20 +144,7 @@ def _config(args: argparse.Namespace, keys) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "deg1":
-        if args.n is not None or args.k is not None:
-            if args.n is None or args.k is None:
-                raise ShadowcodesError("give both --n and --k, or --q and --e-size")
-            code = construct_deg1_nk(args.n, args.k)
-        elif args.q is not None and args.e_size is not None:
-            code = construct_deg1(field_of_order(args.q), args.e_size)
-        else:
-            raise ShadowcodesError("give either --n/--k or --q/--e-size")
-    else:
-        if args.q is None or args.k is None:
-            raise ShadowcodesError("deg2 needs --q and --k")
-        code = construct_deg2(field_of_order(args.q), args.k, args.seed)
-    desc = to_descriptor(code)
+    desc = to_descriptor(FAMILIES[args.family][1](args))
     desc["config"] = _config(args, ())
     _emit(desc, args.out)
     return 0
@@ -118,31 +182,18 @@ def _cmd_dmin(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.figure == "fig1":
-        rows = fig1_rows(args.n_min, args.n_max, args.points)
-        cfg = _config(args, ("figure", "n_min", "n_max", "points"))
-    elif args.figure == "fig3":
-        rows = fig3_rows(args.n, seed=args.seed)
-        cfg = {**_config(args, ("figure", "n", "seed")), "exact_cap": FIG3_EXACT_CAP}
-    else:
-        rows = fig4_rows(args.a, args.m_min, args.m_max)
-        cfg = _config(args, ("figure", "a", "m_min", "m_max"))
+    flags, rows_of, _ = FIGURES[args.figure]
+    cfg = _config(args, ("figure", *flags))
+    if args.figure == "fig3":  # its exact-scan cap is a constant, echoed too
+        cfg["exact_cap"] = FIG3_EXACT_CAP
+    rows = rows_of(args)
     text = rows_to_json(rows, cfg) if args.format == "json" else rows_to_csv(rows, cfg)
     _write(text, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "weil":
-        report = verify_weil(args.q_max, args.count, args.seed)
-    elif args.suite == "theorem4":
-        report = verify_theorem4(args.seed)
-    elif args.suite == "theorem6":
-        report = verify_theorem6(args.n_max)
-    elif args.suite == "theorem7":
-        report = verify_theorem7(args.m, workers=args.workers)
-    else:
-        report = verify_section6()
+    report = SUITES[args.suite][1](args)
     report["config"] = _config(args, ("suite",))
     _emit(report, args.out)
     return 0 if report["ok"] else 1
@@ -168,116 +219,63 @@ def _cmd_concat(args) -> int:
     return 0
 
 
-_BOUNDS_NEEDS = {
-    "gv": ("n", "k"),
-    "dg": ("m", "d"),
-    "shadow1": ("n", "k"),
-    "shadow2": ("n", "k"),
-    "deltacon": ("n", "k"),
-    "k0": ("n",),
-}
-
-
 def _cmd_bounds(args) -> int:
-    missing = [f"--{a}" for a in _BOUNDS_NEEDS[args.quantity] if getattr(args, a) is None]
-    if missing:
-        raise ShadowcodesError(f"{args.quantity} needs {' and '.join(missing)}")
+    flags, call, _ = QUANTITIES[args.quantity]
     report = {"config": _config(args, ("quantity",))}
-    if args.quantity == "gv":
-        report.update(n=args.n, k=args.k, d=gv_min_distance(args.n, args.k))
-    elif args.quantity == "dg":
-        n, log2m, dmin = dg_params(args.m, args.d)
-        report.update(m=args.m, d=args.d, n=n, log2_size=log2m, dmin=dmin)
-    elif args.quantity == "shadow1":
-        report.update(n=args.n, k=args.k, floor=shadow_lb_deg1(args.n, args.k))
-    elif args.quantity == "shadow2":
-        report.update(n=args.n, k=args.k, floor=shadow_lb_deg2(args.n, args.k))
-    elif args.quantity == "deltacon":
-        report.update(n=args.n, k=args.k, floor=deltacon(args.n, args.k))
-    else:
-        rec = k0(args.n)
-        report.update(
-            n=args.n, k0=rec.k0, k0_cardano=rec.k0_cardano, xi=rec.xi,
-            omega_sq=rec.omega_sq,
-        )
+    report.update((key, getattr(args, key)) for key in flags)
+    report.update(call(args))
     _emit(report, args.out)
     return 0
 
 
+def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> None:
+    for dest, default in flags.items():
+        if isinstance(default, type):
+            kind = dict(type=default, required=True)
+        else:
+            kind = dict(type=int if default is None else type(default), default=default)
+        parser.add_argument("--" + dest.replace("_", "-"), help=_HELP.get(dest), **kind)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     root = argparse.ArgumentParser(
         prog="shadowcodes",
         description="Construct binary shadow codes, tabulate bounds, and verify"
         " every guarantee by brute force.",
     )
     root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output to this file instead of stdout")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
     subs = root.add_subparsers(dest="command", required=True)
 
-    c = subs.add_parser("construct", help="build a code and emit its descriptor")
-    c.add_argument("family", choices=["deg1", "deg2"])
-    c.add_argument("--q", type=int, help="field order")
-    c.add_argument("--e-size", type=int, dest="e_size", help="evaluation set size (deg1)")
-    c.add_argument("--n", type=int, help="code length (deg1; q = n + k - 1)")
-    c.add_argument("--k", type=int, help="dimension")
-    c.add_argument("--seed", type=int, default=None, help="random quadratic choice (deg2)")
-    c.add_argument("--out", help="write the JSON descriptor here")
-    c.set_defaults(fn=_cmd_construct)
+    for command, dest, table, fn, parents, about in (
+        ("construct", "family", FAMILIES, _cmd_construct, [out],
+         "build a code and emit its descriptor"),
+        ("figure", "figure", FIGURES, _cmd_figure, [fmt, out], "rate/distance comparison tables"),
+        ("verify", "suite", SUITES, _cmd_verify, [out], "run a verification suite"),
+        ("bounds", "quantity", QUANTITIES, _cmd_bounds, [out], "single bound evaluations"),
+    ):
+        leaves = subs.add_parser(command, help=about).add_subparsers(dest=dest, required=True)
+        for name, (flags, _, leaf_help) in table.items():
+            leaf = leaves.add_parser(name, parents=parents, help=leaf_help, allow_abbrev=False)
+            _add_flags(leaf, flags)
+            leaf.set_defaults(fn=fn)
 
-    d = subs.add_parser("dmin", help="minimum distance of a stored descriptor")
+    d = subs.add_parser("dmin", parents=[out], allow_abbrev=False,
+                        help="minimum distance of a stored descriptor")
     d.add_argument("descriptor", help="path to a construct descriptor")
-    d.add_argument("--sample", type=int, default=0, help="trials for a sampled upper bound")
-    d.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    d.add_argument("--workers", type=int, default=1, help="processes for the exact scan")
-    d.add_argument("--out")
+    _add_flags(d, DMIN_FLAGS)
     d.set_defaults(fn=_cmd_dmin)
 
-    f = subs.add_parser("figure", help="rate/distance comparison tables")
-    f.add_argument("figure", choices=["fig1", "fig3", "fig4"])
-    f.add_argument("--n", type=int, default=1024, help="length for fig3")
-    f.add_argument("--n-min", type=int, default=10, dest="n_min")
-    f.add_argument("--n-max", type=int, default=100000, dest="n_max")
-    f.add_argument("--points", type=int, default=50)
-    f.add_argument("--a", type=float, default=0.49, help="dimension exponent for fig4")
-    f.add_argument("--m-min", type=int, default=2, dest="m_min")
-    f.add_argument("--m-max", type=int, default=10, dest="m_max")
-    f.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    f.add_argument("--format", choices=["csv", "json"], default="csv")
-    f.add_argument("--out")
-    f.set_defaults(fn=_cmd_figure)
-
-    v = subs.add_parser("verify", help="run a verification suite")
-    v.add_argument(
-        "suite",
-        choices=["weil", "theorem4", "theorem6", "theorem7", "section6"],
-        help="weil: point-count windows; theorem4: code structure;"
-        " theorem6: dimension threshold; theorem7: concatenated distance;"
-        " section6: floor ordering",
-    )
-    v.add_argument("--q-max", type=int, default=121, dest="q_max")
-    v.add_argument("--count", type=int, default=200)
-    v.add_argument("--n-max", type=int, default=100000, dest="n_max")
-    v.add_argument("--m", type=int, default=2)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--out")
-    v.set_defaults(fn=_cmd_verify)
-
-    t = subs.add_parser("concat", help="concatenated code parameters")
-    t.add_argument("--m", type=int, required=True)
-    t.add_argument("--N", type=int, required=True)
-    t.add_argument("--K", type=int, required=True)
+    t = subs.add_parser("concat", parents=[out], allow_abbrev=False,
+                        help="concatenated code parameters")
+    _add_flags(t, CONCAT_FLAGS)
     t.add_argument("--matrix", action="store_true", help="include generator rows")
-    t.add_argument("--out")
     t.set_defaults(fn=_cmd_concat)
-
-    b = subs.add_parser("bounds", help="single bound evaluations")
-    b.add_argument("quantity", choices=["gv", "dg", "shadow1", "shadow2", "k0", "deltacon"])
-    b.add_argument("--n", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--m", type=int)
-    b.add_argument("--d", type=int)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bounds)
 
     return root
 

@@ -205,9 +205,6 @@ class Field:
     def inv(self, a: int) -> int:
         return self.pow(a, -1)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e for any integer e; nonzero a has a**(q - 1) = 1, so e is
         first reduced mod q - 1, negative exponents included."""
@@ -259,10 +256,6 @@ class Field:
                     marks[self.mul(a, a)] = ord("0")
                 self._chi = marks.decode()
         return self._chi
-
-    def is_square(self, a: int) -> bool:
-        """True iff a is a nonzero square; odd q only."""
-        return self.lg_parity(a) == 0
 
     def lg_parity(self, a: int) -> int:
         """0 for nonzero squares, 1 for non-squares; odd q only."""

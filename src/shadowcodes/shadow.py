@@ -325,6 +325,16 @@ def construct_deg2(field: Field, k: int, seed: int | None = None) -> ShadowCode:
     return construct(ev, build_B2(field, k, seed), kind="deg2")
 
 
+def deg1_floor(n: int, k: int) -> Surd:
+    """(n - k + 1)/2 - (sqrt(n + k - 1)/2)(k - 2), the degree <= 1 floor."""
+    return Surd(Fraction(n - k + 1, 2), -Fraction(k - 2, 2), n + k - 1)
+
+
+def deg2_floor(n: int, k: int) -> Surd:
+    """n/2 - (sqrt(n)/2)(2k - 1), the degree 2 floor (length = field order)."""
+    return Surd(Fraction(n, 2), -Fraction(2 * k - 1, 2), n)
+
+
 def distance_lower_bound(code: ShadowCode) -> Surd:
     """The exact distance guarantee; error when it is vacuous.
 
@@ -339,11 +349,9 @@ def distance_lower_bound(code: ShadowCode) -> Surd:
     n = code.n
     k = len(code.basic.polys)
     if code.kind == "deg1":
-        want = Surd(Fraction(n - k + 1, 2), -Fraction(k - 2, 2), n + k - 1)
-        assert q == n + k - 1 and d == want, "degree <= 1 closed form disagrees"
+        assert q == n + k - 1 and d == deg1_floor(n, k), "degree <= 1 closed form disagrees"
     elif code.kind == "deg2":
-        want = Surd(Fraction(n, 2), -Fraction(2 * k - 1, 2), n)
-        assert q == n and d == want, "degree 2 closed form disagrees"
+        assert q == n and d == deg2_floor(n, k), "degree 2 closed form disagrees"
     return d
 
 

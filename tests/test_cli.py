@@ -1,4 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowcodes import __version__
-from shadowcodes.cli import main
+from shadowcodes.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -131,12 +136,18 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("figure", "fig1", "--points", "0"),
         ("figure", "fig1", "--points", "-3"),
         ("bounds", "deltacon", "--n", "16", "--k", "-5"),
+        ("bounds", "shadow1", "--n", str(10**400), "--k", "3"),
+        ("bounds", "shadow2", "--n", str(10**400), "--k", "3"),
+        ("bounds", "shadow1", "--n", "5", "--k", str(10**400)),
+        ("bounds", "shadow1", "--n", "5", "--k", str(10**300)),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
          "theorem7_m_negative", "weil_count_negative", "k0_n_too_large",
          "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
-         "fig1_no_points", "fig1_negative_points", "deltacon_k_negative"],
+         "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
+         "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
+         "shadow1_floor_infinite"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -192,7 +203,9 @@ def test_construct_inadmissible_suggests_neighbor(capsys):
 def test_construct_argument_combinations(capsys):
     assert run_cli(capsys, "construct", "deg1")[0] == 2
     assert run_cli(capsys, "construct", "deg1", "--n", "5")[0] == 2
-    assert run_cli(capsys, "construct", "deg2", "--q", "49")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "deg2", "--q", "49"])
+    assert exc.value.code == 2
 
 
 def test_construct_deg2_seeded_reproducible(capsys):
@@ -302,9 +315,104 @@ def test_bounds_quantities(capsys):
 
 
 def test_bounds_missing_arguments(capsys):
-    code, _, err = run_cli(capsys, "bounds", "gv", "--n", "16")
-    assert code == 2
-    assert "--k" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "gv", "--n", "16"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "fig1", "--a", "0.3"),
+        ("figure", "fig3", "--points", "5"),
+        ("verify", "section6", "--m", "3"),
+        ("verify", "theorem4", "--count", "5"),
+        ("bounds", "k0", "--n", "113", "--k", "9"),
+        ("construct", "deg2", "--q", "9", "--k", "1", "--e-size", "4"),
+        ("construct", "deg1", "--q", "9", "--e-size", "7", "--seed", "5"),
+        ("figure", "--format", "json", "fig4"),
+        ("verify", "theorem6", "--n", "50"),
+    ],
+    ids=["fig1_a", "fig3_points", "section6_m", "theorem4_count", "k0_k", "deg2_e_size",
+         "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max"],
+)
+def test_flags_of_another_leaf_exit_two(capsys, argv):
+    """Each leaf takes only the flags it reads, after the leaf name."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _leaves(parser, path=()):
+    """(leaf path, leaf parser) for every leaf, read off the parser's own subparsers."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [
+        leaf for name, child in subs[0].choices.items() for leaf in _leaves(child, (*path, name))
+    ]
+
+
+def _leaf_options(parser) -> list:
+    skip = (argparse._HelpAction, argparse._VersionAction)
+    return [a for a in parser._actions if a.option_strings and not isinstance(a, skip)]
+
+
+LEAVES = _leaves(build_parser())
+FUZZ_INTS = [*range(-2, 10), 16, 25, 27, 49]
+# verify theorem7 builds 2^m codes: m = 8 takes 4.6 s and m = 9 46 s, so --m
+# stops at 7; from m = 16 on GF(2^(m+1)) is past the table limit and exits 2
+FUZZ_DRAWS = {
+    "workers": st.integers(-1, 2),
+    "m": st.sampled_from([n for n in FUZZ_INTS if not 8 <= n <= 9]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Values for the string arguments: the one positional and --out."""
+    d = tmp_path_factory.mktemp("fuzz")
+    desc = d / "code.json"
+    assert main(["construct", "deg1", "--n", "28", "--k", "4", "--out", str(desc)]) == 0
+    return {"descriptor": str(desc), "out": str(d / "out.txt")}
+
+
+def _draw_value(data, action, paths):
+    if action.choices:
+        return data.draw(st.sampled_from(sorted(action.choices)), label=action.dest)
+    if action.type is int:
+        draw = FUZZ_DRAWS.get(action.dest, st.sampled_from(FUZZ_INTS))
+        return data.draw(draw, label=action.dest)
+    if action.type is float:
+        return data.draw(st.sampled_from([-1, 0, 0.25, 0.49, 0.5, 0.7]), label=action.dest)
+    return paths[action.dest]  # a new string argument needs a value in fuzz_paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_leaf_exits_zero_one_or_two(fuzz_paths, data):
+    """Fuzz every leaf over its own flags, with some dropped at random:
+    parse errors and bad values exit 2, and nothing else escapes main."""
+    path, leaf = data.draw(st.sampled_from(LEAVES), label="leaf")
+    argv = list(path)
+    for action in leaf._actions:
+        if not action.option_strings:
+            argv.append(str(_draw_value(data, action, fuzz_paths)))
+    for action in _leaf_options(leaf):
+        if data.draw(st.booleans(), label=f"give {action.dest}"):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(str(_draw_value(data, action, fuzz_paths)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_argparse_rejects_unknown(capsys):
@@ -356,3 +464,32 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["d"] == 5
+
+
+README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_COMMANDS = [
+    shlex.split(line.removeprefix("$ "), comments=True)[1:]
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README_TEXT, flags=re.M | re.S)
+    for line in block.splitlines()
+    if line.removeprefix("$ ").startswith("shadowcodes ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_lines_parse(argv):
+    """Every README command line parses under today's leaves; none is run."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: shadowcodes {' '.join(argv)}")
+
+
+def test_readme_lists_each_leafs_flags():
+    rows = re.findall(r"^\| `([a-z0-9 ]+)` \| (.*) \|$", README_TEXT, flags=re.M)
+    listed = {leaf: set(re.findall(r"`(--[A-Za-z][\w-]*)`", flags)) for leaf, flags in rows}
+    declared = {
+        " ".join(path): {o for a in _leaf_options(leaf) for o in a.option_strings} - {"--out"}
+        for path, leaf in LEAVES
+    }
+    assert listed == declared
+    assert len(README_COMMANDS) > 10
