@@ -177,16 +177,5 @@ def row_to_hex(row: int, n: int) -> str:
     return format(row, f"0{max(1, (n + 3) // 4)}x")
 
 
-def row_from_bits(bits) -> int:
-    """The row whose bit j is bits[j], each entry 0 or 1."""
-    return int("0" + "".join(map(str, bits))[::-1], 2)
-
-
 def row_from_hex(text: str) -> int:
     return int(text, 16)
-
-
-def weight_histogram_csv(hist: list[int]) -> str:
-    lines = ["weight,count"]
-    lines += [f"{w},{c}" for w, c in enumerate(hist) if c]
-    return "\n".join(lines) + "\n"

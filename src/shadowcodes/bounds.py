@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .binary import exact_min_distance, random_linear_code
+from .concat import concat_params, concat_spec
 from .errors import BadParameters, BadShape
 from .field import find_odd_prime_power
 from .shadow import construct_deg1_nk, deg1_floor, deg2_floor
@@ -253,24 +254,19 @@ def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
         raise BadParameters("need 3 <= n_min < n_max")
     if points < 1:
         raise BadParameters(f"need at least one point, got {points}")
-    grid = sorted(
-        {
-            max(3, round(math.exp(t)))
-            for t in _linspace(math.log(n_min), math.log(n_max), points)
-        }
-    )
     rows = []
-    for n in grid:
+    for n in sorted(set(log_grid(n_min, n_max, points))):
         rec = k0(n)
         rows.append({"n": n, "k0": rec.k0, "approx": math.sqrt(n) + 0.5})
     return rows
 
 
-def _linspace(a: float, b: float, count: int):
-    if count < 2:
-        return [a]
-    step = (b - a) / (count - 1)
-    return [a + i * step for i in range(count)]
+def log_grid(lo: int, hi: int, points: int) -> list[int]:
+    """max(3, round(e^t)) at points evenly spaced t from log(lo) to
+    log(hi); a single point sits at log(lo)."""
+    a, b = math.log(lo), math.log(hi)
+    step = (b - a) / (points - 1) if points > 1 else 0.0
+    return [max(3, round(math.exp(a + i * step))) for i in range(points)]
 
 
 def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
@@ -299,9 +295,8 @@ def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
     if m4 is not None:
         big_n = 1 << m4
         for big_k in range(1, big_n + 1):
-            k = big_k * (m4 + 1)
-            d_lb = (big_n - big_k + 1) << (m4 - 1)
-            rows.append(BoundPoint("rsrm", n, k, k / n, d_lb / n, "lower_bound"))
+            p = concat_params(concat_spec(m4, big_n, big_k))
+            rows.append(BoundPoint("rsrm", n, p.k, p.k / n, p.dmin_lb / n, "lower_bound"))
         if m4 >= 2:  # Delsarte-Goethals DG(2 m4, d) needs n >= 16
             for d in range(1, m4 + 1):
                 _, log2m, dmin = dg_params(2 * m4, d)

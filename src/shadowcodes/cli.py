@@ -263,25 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (flags, _, leaf_help) in table.items():
             leaf = leaves.add_parser(name, parents=parents, help=leaf_help, allow_abbrev=False)
             _add_flags(leaf, flags)
-            leaf.set_defaults(fn=fn)
+            leaf.set_defaults(fn=fn, leaf=leaf)
 
     d = subs.add_parser("dmin", parents=[out], allow_abbrev=False,
                         help="minimum distance of a stored descriptor")
     d.add_argument("descriptor", help="path to a construct descriptor")
     _add_flags(d, DMIN_FLAGS)
-    d.set_defaults(fn=_cmd_dmin)
+    d.set_defaults(fn=_cmd_dmin, leaf=d)
 
     t = subs.add_parser("concat", parents=[out], allow_abbrev=False,
                         help="concatenated code parameters")
     _add_flags(t, CONCAT_FLAGS)
     t.add_argument("--matrix", action="store_true", help="include generator rows")
-    t.set_defaults(fn=_cmd_concat)
+    t.set_defaults(fn=_cmd_concat, leaf=t)
 
     return root
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a subparser hands the arguments it does not know back to the root;
+    # the leaf reports them, so the usage printed is the leaf's
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ShadowcodesError, OSError) as exc:

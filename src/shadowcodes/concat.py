@@ -16,51 +16,46 @@ word.  The result is a (N 2^m, K(m+1)) binary code with minimum
 distance at least (N - K + 1) 2^(m-1): a nonzero Reed-Solomon word has
 at least N - K + 1 nonzero symbols and every nonzero inner block
 weighs at least 2^(m-1).
+
+Bit vectors are ints, as in the binary module: bit i of an inner
+message v is v_(i+1), bit j of t is t_(j+1), bits i(m+1) .. i(m+1) + m
+of a message are outer symbol i, and inner block j of a codeword fills
+bits j 2^m .. (j+1) 2^m - 1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binary import BinaryCode, row_from_bits
+from .binary import BinaryCode
 from .errors import BadParameters, BudgetExceeded, LengthMismatch
 from .field import TABLE_LIMIT, Field, field_create
 from .poly import Poly
 
 
-class ThetaMap:
-    """Bijection between bit tuples of length m+1 and GF(2^(m+1))."""
+@functools.cache
+def theta_table(m: int) -> tuple[int, ...]:
+    """theta(v) in GF(2^(m+1)) for each (m+1)-bit int v."""
+    field = field_create(2, m + 1)
+    alpha = field.primitive_element()
+    basis = [field.pow(alpha, i) for i in range(m + 1)]
+    image = [0]
+    for v in range(1, field.q):
+        image.append(field.add(image[v & (v - 1)], basis[(v & -v).bit_length() - 1]))
+    if len(set(image)) != field.q:
+        raise AssertionError("theta basis is not a basis; construction bug")
+    return tuple(image)
 
-    __slots__ = ("field", "m", "basis", "_inverse")
 
-    def __init__(self, field: Field, m: int):
-        if field.q != 1 << (m + 1):
-            raise BadParameters(f"field order {field.q} is not 2^{m + 1}")
-        alpha = field.primitive_element()
-        self.field = field
-        self.m = m
-        self.basis = tuple(field.pow(alpha, i) for i in range(m + 1))
-        inverse: dict[int, tuple[int, ...]] = {}
-        for v in range(1 << (m + 1)):
-            bits = tuple((v >> i) & 1 for i in range(m + 1))
-            inverse[self.encode(bits)] = bits
-        if len(inverse) != field.q:
-            raise AssertionError("theta basis is not a basis; construction bug")
-        self._inverse = inverse
-
-    def encode(self, bits) -> int:
-        bits = tuple(bits)
-        if len(bits) != self.m + 1:
-            raise LengthMismatch(f"theta takes {self.m + 1} bits")
-        out = 0
-        for b, e in zip(bits, self.basis):
-            if b:
-                out = self.field.add(out, e)
-        return out
-
-    def decode(self, element: int) -> tuple[int, ...]:
-        return self._inverse[element]
+@functools.cache
+def _theta_inverse(m: int) -> tuple[int, ...]:
+    """The v with theta(v) = s, for each symbol s."""
+    inverse = [0] * (2 << m)
+    for v, s in enumerate(theta_table(m)):
+        inverse[s] = v
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,6 @@ class ConcatSpec:
     N: int
     K: int
     field: Field
-    theta: ThetaMap
 
     @property
     def n(self) -> int:
@@ -85,7 +79,8 @@ def concat_spec(m: int, N: int, K: int) -> ConcatSpec:
         raise BadParameters(f"need m >= 1, got {m}")
     q = 1 << (m + 1)
     if q > TABLE_LIMIT:
-        # ThetaMap tabulates all q symbols, and GF(q) has no log tables
+        # theta_table tabulates all q symbols, and past the limit GF(q)
+        # has no log tables, so every field operation is a digit loop
         raise BudgetExceeded(f"GF(2^{m + 1}) exceeds the field table limit {TABLE_LIMIT}")
     if not 1 <= K <= N:
         raise BadParameters(f"need 1 <= K <= N, got K={K}, N={N}")
@@ -93,8 +88,7 @@ def concat_spec(m: int, N: int, K: int) -> ConcatSpec:
         raise BadParameters(
             f"N={N} exceeds the {q - 1} distinct nonzero evaluation points of GF({q})"
         )
-    field = field_create(2, m + 1)
-    return ConcatSpec(m, N, K, field, ThetaMap(field, m))
+    return ConcatSpec(m, N, K, field_create(2, m + 1))
 
 
 def rs_encode(spec: ConcatSpec, message) -> list[int]:
@@ -106,36 +100,36 @@ def rs_encode(spec: ConcatSpec, message) -> list[int]:
     return [poly(beta) for beta in range(1, spec.N + 1)]
 
 
-def rm1_encode(m: int, bits) -> list[int]:
-    """First-order Reed-Muller block for m+1 message bits."""
-    bits = list(bits)
-    if len(bits) != m + 1:
+def rm1_encode(m: int, v: int) -> int:
+    """First-order Reed-Muller block of the (m+1)-bit message v: bit t
+    is v_1 + popcount(t & (v >> 1)) mod 2.  Built by doubling: the t
+    with bit i - 1 set repeat the block below them plus v_(i+1)."""
+    if not 0 <= v < 2 << m:
         raise LengthMismatch(f"inner message needs {m + 1} bits")
-    mask = row_from_bits(bits[1:])
-    return [bits[0] ^ ((t & mask).bit_count() & 1) for t in range(1 << m)]
+    word, width = v & 1, 1
+    for i in range(1, m + 1):
+        flip = (1 << width) - 1 if v >> i & 1 else 0
+        word |= (word ^ flip) << width
+        width <<= 1
+    return word
 
 
-def concat_encode(spec: ConcatSpec, bits) -> list[int]:
-    """K(m+1) message bits to an N 2^m bit codeword."""
-    bits = list(bits)
-    if len(bits) != spec.k:
+def concat_encode(spec: ConcatSpec, message: int) -> int:
+    """K(m+1)-bit message to an N 2^m-bit codeword."""
+    if not 0 <= message < 1 << spec.k:
         raise LengthMismatch(f"message needs {spec.k} bits")
-    w = spec.m + 1
-    symbols = [spec.theta.encode(bits[i * w : (i + 1) * w]) for i in range(spec.K)]
-    out: list[int] = []
-    for s in rs_encode(spec, symbols):
-        out.extend(rm1_encode(spec.m, spec.theta.decode(s)))
-    return out
+    m, w = spec.m, spec.m + 1
+    theta, inverse = theta_table(m), _theta_inverse(m)
+    symbols = [theta[message >> (i * w) & ((1 << w) - 1)] for i in range(spec.K)]
+    word = 0
+    for j, s in enumerate(rs_encode(spec, symbols)):
+        word |= rm1_encode(m, inverse[s]) << (j << m)
+    return word
 
 
 def concat_generator(spec: ConcatSpec) -> BinaryCode:
     """Generator matrix from the unit message vectors."""
-    rows = []
-    for j in range(spec.k):
-        bits = [0] * spec.k
-        bits[j] = 1
-        rows.append(row_from_bits(concat_encode(spec, bits)))
-    return BinaryCode(rows, spec.n)
+    return BinaryCode([concat_encode(spec, 1 << j) for j in range(spec.k)], spec.n)
 
 
 @dataclass(frozen=True)

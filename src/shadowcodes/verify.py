@@ -14,7 +14,15 @@ import random
 from fractions import Fraction
 
 from .binary import exact_min_distance, gf2_rank, weight_distribution
-from .bounds import DEFAULT_SEED, SECTION6_MS, SECTION6_STEPS, k0, s_cubic, section6_margins
+from .bounds import (
+    DEFAULT_SEED,
+    SECTION6_MS,
+    SECTION6_STEPS,
+    k0,
+    log_grid,
+    s_cubic,
+    section6_margins,
+)
 from .concat import concat_generator, concat_params, concat_spec
 from .errors import BadParameters, NonpositiveDelta
 from .field import field_create, field_of_order
@@ -189,9 +197,7 @@ def verify_theorem6(n_max: int = 100000) -> dict:
         failures.append({"check": "negative from n = 2 on"})
     checks = 6
     max_gap = 0.0
-    steps = THEOREM6_GRID_POINTS - 1
-    for t in range(THEOREM6_GRID_POINTS):
-        n = max(3, round(math.exp(math.log(3) + t * (math.log(n_max) - math.log(3)) / steps)))
+    for n in log_grid(3, n_max, THEOREM6_GRID_POINTS):
         rec = k0(n)
         gap = abs(rec.k0 - rec.k0_cardano)
         max_gap = max(max_gap, gap)

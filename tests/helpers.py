@@ -165,3 +165,56 @@ def necklace_count(q: int, d: int) -> int:
         if d % e == 0:
             total += moebius(d // e) * q**e
     return total // d
+
+
+def ref_concat_rows(m: int, N: int, K: int, modulus) -> list[list[int]]:
+    """Generator rows of the RS/RM1 concatenation as bit lists, one per
+    unit message, on ref_ext_mul arithmetic over GF(2^(m+1)) with the
+    given modulus: theta's basis is the powers of the least element of
+    full order, the outer word is the message polynomial at 1..N, and
+    each symbol goes back to its bits by search before its RM1 block is
+    written out coordinate by coordinate."""
+    deg = m + 1
+    q = 1 << deg
+
+    def mul(a, b):
+        return ref_ext_mul(2, deg, modulus, a, b)
+
+    def order(a):
+        v, t = a, 1
+        while v != 1:
+            v, t = mul(v, a), t + 1
+        return t
+
+    alpha = next(a for a in range(1, q) if order(a) == q - 1)
+    basis = [1]
+    for _ in range(m):
+        basis.append(mul(basis[-1], alpha))
+
+    def theta(bits):
+        out = 0
+        for b, e in zip(bits, basis):
+            if b:
+                out ^= e  # characteristic 2: add the coefficient bits mod 2
+        return out
+
+    preimage = {}
+    for v in range(q):
+        bits = [(v >> i) & 1 for i in range(deg)]
+        preimage[theta(bits)] = bits
+    rows = []
+    for j in range(K * deg):
+        message = [0] * (K * deg)
+        message[j] = 1
+        coeffs = [theta(message[i * deg : (i + 1) * deg]) for i in range(K)]
+        word = []
+        for beta in range(1, N + 1):
+            s, power = 0, 1
+            for c in coeffs:
+                s ^= mul(c, power)
+                power = mul(power, beta)
+            v = preimage[s]
+            for t in range(1 << m):
+                word.append((v[0] + sum(v[i + 1] * ((t >> i) & 1) for i in range(m))) % 2)
+        rows.append(word)
+    return rows

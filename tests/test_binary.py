@@ -5,7 +5,7 @@ from concurrent.futures import Future
 from itertools import chain
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
 from shadowcodes import binary
@@ -16,12 +16,10 @@ from shadowcodes.binary import (
     exact_min_distance,
     gf2_rank,
     random_linear_code,
-    row_from_bits,
     row_from_hex,
     row_to_hex,
     sampled_min_distance_upper,
     weight_distribution,
-    weight_histogram_csv,
 )
 from shadowcodes.errors import BadParameters, DimensionTooLarge
 
@@ -238,20 +236,3 @@ def test_hex_round_trip():
             assert row_from_hex(text) == row
     assert row_to_hex(0, 8) == "00"
     assert row_from_hex("ff") == 255
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 1), max_size=300))
-@example([])
-@example([0] * 70)
-def test_row_from_bits_matches_shift_or(bits):
-    row = 0
-    for j, b in enumerate(bits):
-        row |= b << j
-    assert row_from_bits(bits) == row
-
-
-def test_weight_histogram_csv_shape():
-    text = weight_histogram_csv([1, 0, 6, 0, 1])
-    lines = text.strip().splitlines()
-    assert lines == ["weight,count", "0,1", "2,6", "4,1"]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -293,7 +294,7 @@ def test_concat_report(capsys):
     assert report["dmin_lb"] == 6 and report["rate"] == "3/8"
     code, out, _ = run_cli(capsys, "concat", "--m", "2", "--N", "4", "--K", "2", "--matrix")
     report = json.loads(out)
-    assert len(report["G"]) == 6 and all(len(r) == 4 for r in report["G"])
+    assert report["G"] == ["ffff", "aaaa", "cccc", "c5af", "36ca", "9f3c"]
     code, _, err = run_cli(capsys, "concat", "--m", "2", "--N", "9", "--K", "2")
     assert code == 2 and "error:" in err
 
@@ -338,11 +339,16 @@ def test_bounds_missing_arguments(capsys):
          "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max"],
 )
 def test_flags_of_another_leaf_exit_two(capsys, argv):
-    """Each leaf takes only the flags it reads, after the leaf name."""
+    """Each leaf takes only the flags it reads, after the leaf name, and
+    the usage printed is that of the parser the words before the first
+    flag reach, not the root's."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    path = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+    assert err.startswith(f"usage: shadowcodes {path} ["), err
 
 
 def _leaves(parser, path=()):

@@ -3,56 +3,61 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_min_distance
+from helpers import naive_min_distance, ref_concat_rows
 from shadowcodes.binary import exact_min_distance
 from shadowcodes.concat import (
-    ThetaMap,
+    _theta_inverse,
     concat_encode,
     concat_generator,
     concat_params,
     concat_spec,
     rm1_encode,
     rs_encode,
+    theta_table,
 )
 from shadowcodes.errors import BadParameters, BudgetExceeded, LengthMismatch
 from shadowcodes.field import field_create
+from shadowcodes.verify import verify_theorem7
 
 
 def test_theta_frozen_small_case():
     spec = concat_spec(2, 4, 2)
     assert spec.field.modulus == (1, 0, 1, 1)
     assert spec.field.primitive_element() == 2
-    assert spec.theta.basis == (1, 2, 4)
-    assert spec.theta.encode((0, 1, 1)) == 6
-    assert spec.theta.encode((0, 0, 0)) == 0
-    assert spec.theta.encode((1, 0, 0)) == 1
+    theta = theta_table(2)
+    assert [theta[1 << i] for i in range(3)] == [1, 2, 4]  # the basis
+    assert theta[0b110] == 6
+    assert theta[0] == 0
+    assert theta[1] == 1
 
 
 def test_theta_is_a_bijection_and_linear():
     for m in (1, 2, 3, 4):
-        theta = ThetaMap(field_create(2, m + 1), m)
-        width = m + 1
-        images = set()
-        for v in range(1 << width):
-            bits = tuple((v >> i) & 1 for i in range(width))
-            e = theta.encode(bits)
-            assert theta.decode(e) == bits
-            images.add(e)
-        assert images == set(range(1 << width))
-        rng = random.Random(m)
-        for _ in range(20):
-            a = [rng.randrange(2) for _ in range(width)]
-            b = [rng.randrange(2) for _ in range(width)]
-            s = [x ^ y for x, y in zip(a, b)]
-            assert theta.encode(s) == theta.field.add(theta.encode(a), theta.encode(b))
+        field = field_create(2, m + 1)
+        theta = theta_table(m)
+        assert sorted(theta) == list(range(field.q))
+        inverse = _theta_inverse(m)
+        assert all(inverse[theta[v]] == v for v in range(field.q))
+        for a in range(field.q):
+            for b in range(field.q):
+                assert theta[a ^ b] == field.add(theta[a], theta[b])
 
 
 def test_theta_validation():
-    with pytest.raises(BadParameters):
-        ThetaMap(field_create(2, 3), 1)  # order 8 is not 2^2
-    theta = ThetaMap(field_create(2, 2), 1)
-    with pytest.raises(LengthMismatch):
-        theta.encode((1,))
+    # theta reads the (m+1)-bit ints only, and a message past K symbols
+    # never reaches it
+    for m in (1, 2, 3):
+        assert len(theta_table(m)) == 2 << m
+    spec = concat_spec(2, 4, 2)
+    for message in (-1, 1 << spec.k):
+        with pytest.raises(LengthMismatch):
+            concat_encode(spec, message)
+
+
+def test_theorem7_builds_one_theta_table():
+    theta_table.cache_clear()
+    assert verify_theorem7(4)["ok"]
+    assert theta_table.cache_info().misses == 1
 
 
 def test_rs_minimum_symbol_weight_exhaustive():
@@ -69,27 +74,35 @@ def test_rs_minimum_symbol_weight_exhaustive():
 
 
 def test_rm1_weights():
-    for m in (2, 3):
+    for m in (1, 2, 3, 4):
         n = 1 << m
         weights = set()
-        for v in range(1, 1 << (m + 1)):
-            bits = [(v >> i) & 1 for i in range(m + 1)]
-            w = sum(rm1_encode(m, bits))
-            weights.add(w)
-            assert w > 0  # nonzero message -> nonzero block
-        assert weights == {n // 2, n}
-        assert sum(rm1_encode(m, [0] * (m + 1))) == 0
+        for v in range(1, 2 << m):
+            block = rm1_encode(m, v)
+            assert 0 <= block < 1 << n
+            weights.add(block.bit_count())
+        assert weights == {n // 2, n}  # nonzero message -> nonzero block
+        assert rm1_encode(m, 0) == 0
 
 
 def test_concat_encode_is_linear():
     spec = concat_spec(2, 4, 3)
     rng = random.Random(5)
     for _ in range(30):
-        a = [rng.randrange(2) for _ in range(spec.k)]
-        b = [rng.randrange(2) for _ in range(spec.k)]
-        s = [x ^ y for x, y in zip(a, b)]
-        ca, cb, cs = (concat_encode(spec, v) for v in (a, b, s))
-        assert cs == [x ^ y for x, y in zip(ca, cb)]
+        a, b = rng.getrandbits(spec.k), rng.getrandbits(spec.k)
+        assert concat_encode(spec, a ^ b) == concat_encode(spec, a) ^ concat_encode(spec, b)
+
+
+@pytest.mark.parametrize(
+    "m,N,K",
+    [(1, 3, 1), (1, 3, 2), (1, 2, 2), (2, 4, 2), (2, 7, 3), (3, 8, 2), (3, 15, 4),
+     (4, 16, 2), (4, 31, 3)],
+)
+def test_generator_matches_reference_encoder(m, N, K):
+    spec = concat_spec(m, N, K)
+    code = concat_generator(spec)
+    got = [[(row >> t) & 1 for t in range(code.n)] for row in code.rows]
+    assert got == ref_concat_rows(m, N, K, spec.field.modulus)
 
 
 FROZEN = [
@@ -156,7 +169,6 @@ def test_length_mismatches():
     spec = concat_spec(2, 4, 2)
     with pytest.raises(LengthMismatch):
         rs_encode(spec, [1])
-    with pytest.raises(LengthMismatch):
-        rm1_encode(2, [1, 0])
-    with pytest.raises(LengthMismatch):
-        concat_encode(spec, [0] * 5)
+    for v in (-1, 8):
+        with pytest.raises(LengthMismatch):
+            rm1_encode(2, v)
