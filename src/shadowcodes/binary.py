@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, repeat
 from operator import xor
 
@@ -127,6 +126,9 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or k < 18:
         return _min_weight(code.rows, 0, blocks)
+    # imported here: the pool machinery is a large share of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = -(-blocks // workers)
     spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:

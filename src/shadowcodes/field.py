@@ -22,7 +22,10 @@ Primitivity is one power per prime factor of q - 1.
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
 and '2' at a = 0.  Up to q = 2**16 it is a string built once from the
-squares a*a; above, Euler's criterion runs per element asked for.
+squares a*a; above, Euler's criterion runs per element asked for, and
+the string is built only when a gather asks for it (chi_string).  Rows
+of low-degree polynomials come from C-speed gathers over that string:
+translate(s, c) reads s at a + c, and gather_squares(s) reads s at a*a.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import functools
 from itertools import chain
 from math import isqrt
+from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
@@ -96,7 +100,10 @@ class Field:
     and two fields are equal exactly when they are the same object.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_primitive", "_chi")
+    __slots__ = (
+        "p", "m", "q", "modulus", "_exp", "_log", "_primitive",
+        "_chi", "_chi_str", "_squares",
+    )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -107,6 +114,8 @@ class Field:
         self._log: list[int] | None = None
         self._primitive: int | None = None
         self._chi: str | _EulerCharacter | None = None
+        self._chi_str: str | None = None
+        self._squares: itemgetter | None = None
         if self.m > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -242,20 +251,55 @@ class Field:
     @property
     def chi(self) -> str | _EulerCharacter:
         """chi[a] is '0' for a nonzero square, '1' for a non-square and
-        '2' at a = 0; odd q only.  A string of length q up to TABLE_LIMIT,
-        else Euler's criterion at each index read."""
+        '2' at a = 0; odd q only.  The string chi_string() up to
+        TABLE_LIMIT, else Euler's criterion at each index read."""
         if self._chi is None:
-            if self.q % 2 == 0:
-                raise EvenCharacteristic(f"GF({self.q}): every element is a square")
-            if self.q > TABLE_LIMIT:
+            # an even q goes to chi_string, which refuses it
+            if self.q > TABLE_LIMIT and self.q % 2:
                 self._chi = _EulerCharacter(self)
             else:
-                marks = bytearray(b"1" * self.q)
-                marks[0] = ord("2")
-                for a in range(1, self.q):
-                    marks[self.mul(a, a)] = ord("0")
-                self._chi = marks.decode()
+                self._chi = self.chi_string()
         return self._chi
+
+    def chi_string(self) -> str:
+        """chi as a string of length q at any q, built once from the
+        squares; a prime field needs only a*a for a <= (q - 1)/2."""
+        if self._chi_str is None:
+            if self.q % 2 == 0:
+                raise EvenCharacteristic(f"GF({self.q}): every element is a square")
+            marks = bytearray(b"1" * self.q)
+            marks[0] = ord("2")
+            if self.m == 1:
+                squares = (a * a % self.p for a in range(1, (self.q + 1) // 2))
+            else:
+                squares = (self.mul(a, a) for a in range(1, self.q))
+            for s in squares:
+                marks[s] = ord("0")
+            self._chi_str = marks.decode()
+        return self._chi_str
+
+    def translate(self, s: str, c: int) -> str:
+        """The q-length string t with t[a] = s[add(a, c)].
+
+        A prime field rotates s.  Above, digitwise addition never
+        carries from the low m // 2 digits into the high ones, so t is
+        q / P block gathers of P = p^(m // 2) characters: one itemgetter
+        for the low offsets add(lo, c mod P), and one slice of s per
+        block, starting at add(hi * P, c - c mod P)."""
+        if self.m == 1:
+            return s[c:] + s[:c]
+        size = self.p ** (self.m // 2)
+        c_lo = c % size
+        low = itemgetter(*[self.add(lo, c_lo) for lo in range(size)])
+        starts = [self.add(hi, c - c_lo) for hi in range(0, self.q, size)]
+        return "".join(chain.from_iterable([low(s[b : b + size]) for b in starts]))
+
+    def gather_squares(self, s: str) -> str:
+        """The q-length string t with t[a] = s[mul(a, a)]; the itemgetter
+        over the squares is built once per field."""
+        if self._squares is None:
+            self._squares = itemgetter(*[self.mul(a, a) for a in range(self.q)])
+        return "".join(self._squares(s))
 
     def lg_parity(self, a: int) -> int:
         """0 for nonzero squares, 1 for non-squares; odd q only."""

@@ -8,8 +8,9 @@ empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-from itertools import islice, product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import compress, islice, product, repeat
+from operator import eq
+from typing import Iterable, Iterator
 
 from .errors import (
     BadParameters,
@@ -18,9 +19,7 @@ from .errors import (
     ExhaustedSupply,
     FieldMismatch,
 )
-
-if TYPE_CHECKING:
-    from .field import Field
+from .field import TABLE_LIMIT, Field
 
 
 class Poly:
@@ -222,10 +221,27 @@ def _monic_lex(field: "Field", d: int) -> Iterator[Poly]:
 
 
 def _monic_irreducibles(field: "Field", d: int) -> Iterator[Poly]:
-    """Monic irreducibles of degree d, lexicographic order."""
+    """Monic irreducibles of degree d, lexicographic order.
+
+    For d = 2 over an odd field with a chi string (q <= TABLE_LIMIT),
+    x^2 + bx + c is irreducible iff b^2 - 4c is a non-square, so for
+    each c in turn the b are the '1' positions of chi translated by -4c
+    and read at the squares.  Every other case filters the lexicographic
+    walk through Ben-Or's test."""
     if d < 1:
         raise ConstantInput(f"degree must be >= 1, got {d}")
+    if d == 2 and field.q % 2 and field.q <= TABLE_LIMIT:
+        return _irreducible_quadratics(field)
     return filter(is_irreducible, _monic_lex(field, d))
+
+
+def _irreducible_quadratics(field: "Field") -> Iterator[Poly]:
+    chi = field.chi_string()
+    four = 4 % field.p
+    for c in range(field.q):
+        discs = field.gather_squares(field.translate(chi, field.neg(field.mul(four, c))))
+        for b in compress(range(field.q), map(eq, discs, repeat("1"))):
+            yield Poly(field, (c, b, 1))
 
 
 def enumerate_monic_irreducibles(field: "Field", d: int, count: int) -> list[Poly]:

@@ -29,6 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
+from operator import eq, itemgetter
 
 from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
@@ -155,7 +157,7 @@ def evaluation_set(field: Field, points) -> EvaluationSet:
     if field.q % 2 == 0:
         raise EvenCharacteristic("evaluation needs a field of odd order")
     pts = sorted(points)
-    if len(set(pts)) != len(pts):
+    if any(map(eq, pts, islice(pts, 1, None))):
         raise BadParameters("duplicate evaluation points")
     if pts and not (0 <= pts[0] and pts[-1] < field.q):
         raise BadParameters(f"points must be element indices in 0..{field.q - 1}")
@@ -200,15 +202,42 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
     """Pack the square/non-square parities of f over ev into an int row.
 
     Bit j is the parity at the j-th evaluation point, read from the
-    field's quadratic-character string."""
+    field's quadratic-character string.  A constant reads one character.
+    A monic of degree 1 or 2 over an E with 2|E| >= q gathers its row
+    from chi_string(): x + c is chi translated by c, and x^2 + bx + c =
+    (x + b/2)^2 + c - (b/2)^2 is chi translated by c - (b/2)^2, read at
+    the squares, then translated by b/2.  Every other f is evaluated
+    point by point with Horner."""
     if f.field is not ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
-    chi = ev.field.chi
-    row = "".join([chi[f(beta)] for beta in ev.points])
+    field, points = ev.field, ev.points
+    if f.degree < 1:
+        row = field.chi[f(0)] * len(points)
+    elif f.degree <= 2 and f.is_monic and 2 * len(points) >= field.q:
+        row = _gathered_row(f)
+        if points[-1] == len(points) - 1:
+            row = row[: len(points)]
+        else:
+            row = "".join(itemgetter(*points)(row))
+    else:
+        chi = field.chi
+        row = "".join([chi[f(beta)] for beta in points])
     if "2" in row:
-        beta = ev.points[row.index("2")]
+        beta = points[row.index("2")]
         raise VanishesOnE(f"{f!r} vanishes at element {beta} of the evaluation set", beta)
     return int(row[::-1], 2)
+
+
+def _gathered_row(f: Poly) -> str:
+    """chi read at f(a) for every a in the field, f monic of degree 1 or 2."""
+    field = f.field
+    chi = field.chi_string()
+    if f.degree == 1:
+        return field.translate(chi, f.coeffs[0])
+    c, b = f.coeffs[:2]
+    half_b = field.mul(b, field.inv(2))
+    shift = field.sub(c, field.mul(half_b, half_b))
+    return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)
 
 
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
@@ -216,7 +245,10 @@ def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
     constant.  |B| = q - |E| + 1 and the total degree is q - |E|."""
     if field is not ev.field:
         raise FieldMismatch("evaluation set was built over a different field")
-    outside = sorted(set(range(field.q)) - set(ev.points))
+    marks = bytearray(b"\1") * field.q  # one byte per element, 1 outside E
+    for beta in ev.points:
+        marks[beta] = 0
+    outside = list(compress(range(field.q), marks))
     if not outside:
         raise EvaluationSetIsFullField(
             "degree <= 1 construction needs a point outside the evaluation set"

@@ -143,6 +143,36 @@ def oracle_irreducible(f) -> bool:
     raise ValueError("oracle stops at degree 4")
 
 
+def reducible_monic_quadratics(field) -> set[tuple[int, int]]:
+    """(c, b) of every x^2 + bx + c that splits, as (x - r)(x - s) over
+    all root pairs r <= s: no character and no Frobenius."""
+    q = field.q
+    return {
+        (field.mul(r, s), field.neg(field.add(r, s)))
+        for r in range(q)
+        for s in range(r, q)
+    }
+
+
+def euler_row(f, points):
+    """The row of f over points from Horner's rule on the field's add
+    and mul and Euler's criterion a^((q - 1)/2) != 1, with no character
+    string: bit j is set where f(points[j]) is a non-square.  Returns
+    ("vanishes", beta) at the first point beta where f is zero."""
+    field = f.field
+    half = (field.q - 1) // 2
+    row = 0
+    for j, beta in enumerate(points):
+        v = 0
+        for c in reversed(f.coeffs):
+            v = field.add(field.mul(v, beta), c)
+        if v == 0:
+            return ("vanishes", beta)
+        if field.pow(v, half) != 1:
+            row |= 1 << j
+    return row
+
+
 def moebius(n: int) -> int:
     out = 1
     f = 2

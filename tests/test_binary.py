@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 from collections import Counter
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
-from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
@@ -212,7 +212,7 @@ class _InlineExecutor:
 def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, cpus):
     """workers=10**6 gets one span per CPU and one process per span;
     a host with one CPU (or an unknown count) takes the serial scan."""
-    monkeypatch.setattr(binary, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     monkeypatch.setattr(_InlineExecutor, "submits", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)

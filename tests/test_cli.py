@@ -368,8 +368,9 @@ def _leaf_options(parser) -> list:
 
 LEAVES = _leaves(build_parser())
 FUZZ_INTS = [*range(-2, 10), 16, 25, 27, 49]
-# verify theorem7 builds 2^m codes: m = 8 takes 4.6 s and m = 9 46 s, so --m
-# stops at 7; from m = 16 on GF(2^(m+1)) is past the table limit and exits 2
+# verify theorem7 builds 2^m codes and scans each exactly: m = 8 takes 3.4-4.1 s
+# wall on a 2-CPU x86-64 host, so --m stops at 7; from m = 16 on GF(2^(m+1)) is
+# past the table limit and exits 2
 FUZZ_DRAWS = {
     "workers": st.integers(-1, 2),
     "m": st.sampled_from([n for n in FUZZ_INTS if not 8 <= n <= 9]),

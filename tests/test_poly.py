@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import necklace_count, oracle_irreducible
+from helpers import necklace_count, oracle_irreducible, reducible_monic_quadratics
 from shadowcodes.errors import (
     BadParameters,
     ConstantInput,
@@ -12,9 +12,10 @@ from shadowcodes.errors import (
     ExhaustedSupply,
     FieldMismatch,
 )
-from shadowcodes.field import field_create, field_of_order
+from shadowcodes.field import field_create, field_of_order, find_odd_prime_power
 from shadowcodes.poly import (
     Poly,
+    _monic_lex,
     all_monic_irreducibles,
     basic_polys,
     enumerate_monic_irreducibles,
@@ -216,6 +217,25 @@ def test_enumeration_counts_match_necklace_formula():
         field = field_of_order(q)
         got = len(all_monic_irreducibles(field, d))
         assert got == expect == necklace_count(q, d)
+
+
+ODD_ORDERS_243 = [q for q in range(3, 244, 2) if find_odd_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", [q for q in ODD_ORDERS_243 if q <= 49])
+def test_closed_form_quadratics_match_ben_or(q):
+    field = field_of_order(q)
+    assert all_monic_irreducibles(field, 2) == list(filter(is_irreducible, _monic_lex(field, 2)))
+
+
+def test_closed_form_quadratics_are_the_non_split_ones():
+    """Up to q = 243 the list is every monic quadratic, in lex order,
+    that is no product of two linears."""
+    for q in ODD_ORDERS_243:
+        field = field_of_order(q)
+        split = reducible_monic_quadratics(field)
+        expect = [(c, b, 1) for c in range(q) for b in range(q) if (c, b) not in split]
+        assert [f.coeffs for f in all_monic_irreducibles(field, 2)] == expect, q
 
 
 def test_linears_enumerate_in_root_order():

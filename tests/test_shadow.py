@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import naive_min_distance, naive_weight_hist
+from helpers import euler_row, naive_min_distance, naive_weight_hist
 from shadowcodes.binary import exact_min_distance, weight_distribution
 from shadowcodes.errors import (
     BadDescriptor,
@@ -16,7 +17,7 @@ from shadowcodes.errors import (
     ParameterNotAdmissible,
     VanishesOnE,
 )
-from shadowcodes.field import field_create, field_of_order
+from shadowcodes.field import field_create, field_of_order, find_odd_prime_power
 from shadowcodes.poly import Poly, x_minus
 from shadowcodes.shadow import (
     Surd,
@@ -160,6 +161,56 @@ def test_lambda_map_vanishing_reports_point():
     with pytest.raises(VanishesOnE) as exc:
         lambda_map(x_minus(F7, 4) * x_minus(F7, 1), ev)
     assert exc.value.point == 1
+
+
+GATHER_ORDERS = [q for q in range(3, 730, 2) if find_odd_prime_power(q)] + [65537]
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_lambda_map_matches_horner_and_euler(data):
+    """Constants and the monics of degree 1 and 2 gather their rows when
+    2|E| >= q; over every odd q <= 729 and GF(65537), contiguous E and
+    scattered E alike, the row equals Horner plus Euler's criterion."""
+    for q in GATHER_ORDERS:
+        field = field_of_order(q)
+        coeff = st.integers(0, q - 1)
+        n = data.draw(st.integers((q + 1) // 2, q), label="n")
+        if data.draw(st.booleans(), label="contiguous"):
+            points = range(n)
+        else:
+            seed = data.draw(st.integers(0, 2**32), label="seed")
+            points = sorted(random.Random(seed).sample(range(q), n))
+        ev = evaluation_set(field, points)
+        polys = [
+            Poly.constant(field, data.draw(coeff, label="const")),
+            Poly(field, (data.draw(coeff, label="c"), 1)),
+            Poly(field, (data.draw(coeff, label="c"), data.draw(coeff, label="b"), 1)),
+        ]
+        for f in polys:
+            try:
+                got = lambda_map(f, ev)
+            except VanishesOnE as exc:
+                got = ("vanishes", exc.point)
+            assert got == euler_row(f, ev.points), (q, f)
+
+
+def test_gathered_row_reports_the_first_vanishing_point():
+    ev = evaluation_set(F7, [0, 1, 4, 5])  # 2|E| >= 7: the row is gathered
+    with pytest.raises(VanishesOnE) as exc:
+        lambda_map(x_minus(F7, 5), ev)
+    assert exc.value.point == 5
+    with pytest.raises(VanishesOnE) as exc:
+        lambda_map(x_minus(F7, 4) * x_minus(F7, 1), ev)
+    assert exc.value.point == 1
+    f49 = field_of_order(49)
+    minus_one = f49.neg(1)
+    with pytest.raises(VanishesOnE) as exc:
+        lambda_map(x_minus(f49, minus_one) * x_minus(f49, 1), full_evaluation_set(f49))
+    assert exc.value.point == 1
+    with pytest.raises(VanishesOnE) as exc:
+        lambda_map(Poly.zero(f49), full_evaluation_set(f49))
+    assert exc.value.point == 0
 
 
 def test_lambda_map_is_multiplicative():

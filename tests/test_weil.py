@@ -99,9 +99,13 @@ def test_rabin_runs_once_per_polynomial(monkeypatch):
         if hasattr(module, "is_irreducible"):
             monkeypatch.setattr(module, "is_irreducible", counting)
     assert verify.verify_weil(27, 30)["ok"]
+    weil_tests = len(tested)
+    assert weil_tests > 0
+    # the quadratics come from the closed form, which runs no Ben-Or test
     code = construct_deg2(field_of_order(49), 4, seed=1729)
-    assert len(tested) > 49 * 49 and repeats == []
+    assert len(tested) == weil_tests and repeats == []
     assert shadow.basic_set(code.basic.polys) == code.basic
+    assert len(tested) == weil_tests + 4 and repeats == []
 
 
 def test_weight_argument_flagship_all_messages():
