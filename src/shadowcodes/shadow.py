@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-from operator import eq, itemgetter
+from operator import eq
 
 from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
@@ -203,22 +203,24 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
 
     Bit j is the parity at the j-th evaluation point, read from the
     field's quadratic-character string.  A constant reads one character.
-    A monic of degree 1 or 2 over an E with 2|E| >= q gathers its row
-    from chi_string(): x + c is chi translated by c, and x^2 + bx + c =
-    (x + b/2)^2 + c - (b/2)^2 is chi translated by c - (b/2)^2, read at
-    the squares, then translated by b/2.  Every other f is evaluated
-    point by point with Horner."""
+    A monic of degree 1 or 2 over E = range(|E|) with 2|E| >= q gathers
+    its row from chi_string() and keeps the first |E| characters: x + c
+    is chi translated by c, and x^2 + bx + c = (x + b/2)^2 + c - (b/2)^2
+    is chi translated by c - (b/2)^2, read at the squares, then
+    translated by b/2.  Every other f, and every f over any other E, is
+    evaluated point by point with Horner."""
     if f.field is not ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
     field, points = ev.field, ev.points
     if f.degree < 1:
         row = field.chi[f(0)] * len(points)
-    elif f.degree <= 2 and f.is_monic and 2 * len(points) >= field.q:
-        row = _gathered_row(f)
-        if points[-1] == len(points) - 1:
-            row = row[: len(points)]
-        else:
-            row = "".join(itemgetter(*points)(row))
+    elif (
+        f.degree <= 2
+        and f.is_monic
+        and 2 * len(points) >= field.q
+        and points[-1] == len(points) - 1
+    ):
+        row = _gathered_row(f)[: len(points)]
     else:
         chi = field.chi
         row = "".join([chi[f(beta)] for beta in points])
