@@ -65,7 +65,6 @@ from .shadow import (
 from .weil import (
     CurveSpec,
     check_corollary,
-    check_weight_argument,
     count_zeros,
     curve_spec,
     random_curve_spec,

@@ -215,8 +215,10 @@ def is_irreducible(f: Poly) -> bool:
 
 def _monic_lex(field: "Field", d: int) -> Iterator[Poly]:
     # product varies the last of (c0, .., c_{d-1}) fastest, which walks
-    # monic polynomials in lexicographic coefficient order
-    for cs in product(range(field.q), repeat=d):
+    # monic polynomials in lexicographic coefficient order; for d >= 2
+    # the walk starts at c0 = 1, since x divides every c0 = 0 polynomial
+    q = field.q
+    for cs in product(range(d >= 2, q), *repeat(range(q), d - 1)):
         yield Poly(field, cs + (1,))
 
 

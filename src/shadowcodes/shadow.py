@@ -78,30 +78,19 @@ class Surd:
     def is_exact(self) -> bool:
         return self.root is not None or self.b == 0
 
-    def exact_value(self) -> Fraction:
-        if not self.is_exact:
-            raise BadParameters(f"sqrt({self.q}) is irrational")
-        return self.a + self.b * (self.root if self.root is not None else 0)
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.q)
 
     def sign(self) -> int:
-        if self.is_exact:
-            v = self.exact_value()
-            return (v > 0) - (v < 0)
+        """Sign of a + b sqrt(q), decided on rationals alone: when a and
+        b sqrt(q) have opposite signs, by comparing a^2 with b^2 q."""
         a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b| sqrt(q) decided on squares
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0) if self.q else 0
+        if sa * sb >= 0:
+            return sa or sb
         lhs, rhs = a * a, b * b * self.q
-        if lhs == rhs:
-            return 0
-        return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
+        return sa if lhs > rhs else sb if lhs < rhs else 0
 
     def shifted(self, t) -> "Surd":
         return Surd(self.a - Fraction(t), self.b, self.q)
@@ -183,7 +172,6 @@ class BasicSet:
 
     polys: tuple[Poly, ...]
     total_degree: int
-    has_constant: bool
 
 
 def basic_set(polys) -> BasicSet:
@@ -195,7 +183,7 @@ def basic_set(polys) -> BasicSet:
         if not c.field.is_primitive(c(0)):
             raise BadParameters("the constant generator must be primitive")
     total = sum(f.degree for f in polys if f.degree >= 1)
-    return BasicSet(polys, total, bool(constants))
+    return BasicSet(polys, total)
 
 
 def lambda_map(f: Poly, ev: EvaluationSet) -> int:
@@ -258,7 +246,7 @@ def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
     polys = [x_minus(field, lam) for lam in outside]
     polys.append(Poly.constant(field, field.primitive_element()))
     # distinct linears and a primitive constant: a basic set by construction
-    return BasicSet(tuple(polys), len(outside), True)
+    return BasicSet(tuple(polys), len(outside))
 
 
 def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
@@ -276,7 +264,7 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
             )
         polys = sorted(random.Random(seed).sample(supply, k), key=lambda f: f.coeffs[::-1])
     # distinct monic irreducibles, each already through is_irreducible
-    return BasicSet(tuple(polys), 2 * k, False)
+    return BasicSet(tuple(polys), 2 * k)
 
 
 def delta(ev: EvaluationSet, basic: BasicSet) -> Surd:

@@ -260,7 +260,7 @@ def verify_section6() -> dict:
     checks = 0
     for m, r, lhs, rhs in section6_margins():
         checks += 1
-        if not (lhs > rhs or (r == 0 and lhs == rhs)):
+        if not lhs > rhs:
             failures.append({"m": m, "r": str(r), "lhs": str(lhs), "rhs": str(rhs)})
     return {
         "suite": "section6",

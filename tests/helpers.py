@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 
 def naive_min_distance(rows, n: int) -> int:
@@ -114,6 +116,25 @@ def naive_curve_points(spec) -> int:
             v = field.mul(v, f(x))
         total += squares[v]
     return total
+
+
+def surd_value(a, b, q: int):
+    """a + b sqrt(q) for rational a, b: exact Fraction arithmetic on
+    a + b isqrt(q) when q is a perfect square, else a 60-digit Decimal.
+    With q not a square, a nonzero X + Y sqrt(q) with integer X, Y is at
+    least 1 / (|X| + |Y| sqrt(q)) in size, so at the sizes the tests draw
+    the value lies far further from every integer than the rounding, and
+    the Decimal's sign and ceiling are exact."""
+    a, b = Fraction(a), Fraction(b)
+    r = math.isqrt(q)
+    if r * r == q:
+        return a + b * r
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (
+            Decimal(a.numerator) / a.denominator
+            + Decimal(b.numerator) / b.denominator * Decimal(q).sqrt()
+        )
 
 
 def oracle_irreducible(f) -> bool:

@@ -25,7 +25,7 @@ def test_1_deg1_flagship():
     code = construct_deg1(field_of_order(121), 113)
     assert (code.n, code.claimed_dim, code.rank) == (113, 9, 9)
     floor = distance_lower_bound(code)
-    assert floor.is_exact and floor.exact_value() == 14
+    assert floor.is_exact and floor.shifted(14).sign() == 0
     dmin = exact_min_distance(code.generator())
     assert dmin >= 14
     _report(
@@ -41,7 +41,7 @@ def test_2_deg2_instance():
     code = construct_deg2(field_of_order(49), 3)
     assert (code.n, code.claimed_dim, code.rank) == (49, 3, 3)
     floor = distance_lower_bound(code)
-    assert floor.is_exact and floor.exact_value() == 7
+    assert floor.is_exact and floor.shifted(7).sign() == 0
     dmin = exact_min_distance(code.generator())
     assert dmin >= 7
     _report(

@@ -54,18 +54,87 @@ def _named(tree: ast.AST) -> set[str]:
     return out
 
 
+def _member_reads(tree: ast.AST, members: set[int]) -> set[tuple[str, int]]:
+    """(name, owner) for every name a tree spells as an attribute, a
+    keyword argument or a whole string, the ways a member is read; owner
+    is the id of the innermost node in members around it, or 0."""
+    out = set()
+    stack = [(tree, 0)]
+    while stack:
+        node, owner = stack.pop()
+        if id(node) in members:
+            owner = id(node)
+        if isinstance(node, ast.Attribute):
+            out.add((node.attr, owner))
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.add((node.arg, owner))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add((node.value, owner))
+        stack += [(c, owner) for c in ast.iter_child_nodes(node)]
+    return out
+
+
+def _readers() -> list[Path]:
+    """The files whose reads keep a name alive: every package module but
+    __init__.py, whose re-exports read nothing, and every non-test
+    benchmark file."""
+    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    return [p for p in MODULES if p.name != "__init__.py"] + [
+        p for p in bench if not p.name.startswith("test_")
+    ]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_every_top_level_name_is_used():
     """Each top-level function and class of the package is named outside
-    its own definition, in the package (re-exports count) or in the
-    benchmark; one that only tests reach is dead code."""
-    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    its own definition, by a package module or by the benchmark; a
+    re-export alone does not count, and one that only tests reach is
+    dead code."""
     named = set()
     defined = []
-    for path in MODULES + [p for p in bench if not p.name.startswith("test_")]:
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for path in _readers():
+        for node in _parse(path).body:
             own = getattr(node, "name", None)
             named |= _named(node) - {own}
             if path in MODULES and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append(f"{path.name}:{own}")
     unused = [d for d in defined if d.split(":")[1] not in named]
     assert not unused, unused
+
+
+def _members(cls: ast.ClassDef):
+    """(name, node) of each method, property and annotated field."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_class_member_is_read():
+    """Each method, property and dataclass field of a package class is
+    read outside its own definition, by a package module or by the
+    benchmark, as an attribute, a keyword argument or a string; dunders
+    are called by the language and are exempt."""
+    trees = {path: _parse(path) for path in _readers()}
+    defined = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if path in MODULES and isinstance(cls, ast.ClassDef):
+                defined += [
+                    (f"{cls.name}.{name}", name, node)
+                    for name, node in _members(cls)
+                    if not (name.startswith("__") and name.endswith("__"))
+                ]
+    members = {id(node) for _, _, node in defined}
+    readers: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for name, owner in _member_reads(tree, members):
+            readers.setdefault(name, set()).add(owner)
+    unread = [
+        label for label, name, node in defined if not readers.get(name, set()) - {id(node)}
+    ]
+    assert not unread, unread

@@ -228,6 +228,15 @@ def test_closed_form_quadratics_match_ben_or(q):
     assert all_monic_irreducibles(field, 2) == list(filter(is_irreducible, _monic_lex(field, 2)))
 
 
+@pytest.mark.parametrize("q, d", [(5, 3), (9, 3), (3, 4), (5, 4)])
+def test_lex_walk_skips_no_irreducible(q, d):
+    """The lexicographic walk starts at c0 = 1 for d >= 2; its list is
+    still every monic of degree d that the root-scan oracle accepts."""
+    field = field_of_order(q)
+    every_monic = (Poly(field, cs + (1,)) for cs in product(range(q), repeat=d))
+    assert all_monic_irreducibles(field, d) == list(filter(oracle_irreducible, every_monic))
+
+
 def test_closed_form_quadratics_are_the_non_split_ones():
     """Up to q = 243 the list is every monic quadratic, in lex order,
     that is no product of two linears."""

@@ -6,10 +6,9 @@ from helpers import naive_curve_points
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import field_create, field_of_order
 from shadowcodes.poly import Poly, x_minus
-from shadowcodes.shadow import construct_deg1, construct_deg2
+from shadowcodes.shadow import construct_deg2
 from shadowcodes.weil import (
     check_corollary,
-    check_weight_argument,
     count_zeros,
     curve_spec,
     random_curve_spec,
@@ -106,38 +105,6 @@ def test_rabin_runs_once_per_polynomial(monkeypatch):
     assert len(tested) == weil_tests and repeats == []
     assert shadow.basic_set(code.basic.polys) == code.basic
     assert len(tested) == weil_tests + 4 and repeats == []
-
-
-def test_weight_argument_flagship_all_messages():
-    code = construct_deg1(field_of_order(121), 113)
-    constant_only = 1 << 8  # the primitive constant is the last generator
-    for message in range(1, 1 << 9):
-        report = check_weight_argument(code, message)
-        assert report.ok, message
-        assert report.weight + report.zero_entries == 113
-        if message == constant_only:
-            assert report.curve_count is None
-        else:
-            assert report.curve_count >= 2 * report.zero_entries
-
-
-def test_weight_argument_deg2_counts_exactly():
-    # over the full field with no constant factor, an irreducible
-    # quadratic product never vanishes, so the count is exactly twice
-    # the number of square values
-    code = construct_deg2(field_of_order(49), 3)
-    for message in range(1, 8):
-        report = check_weight_argument(code, message)
-        assert report.ok
-        assert report.curve_count == 2 * report.zero_entries
-
-
-def test_weight_argument_message_range():
-    code = construct_deg2(field_of_order(25), 2)
-    with pytest.raises(ZeroArgument):
-        check_weight_argument(code, 0)
-    with pytest.raises(ZeroArgument):
-        check_weight_argument(code, 1 << 2)
 
 
 def test_count_budget():
