@@ -116,11 +116,6 @@ def _floor_float(floor, n: int, k: int) -> float:
     return value
 
 
-def deg2_max_k(n: int) -> int:
-    """Largest k with a positive degree 2 floor: (2k - 1)^2 < n."""
-    return (math.isqrt(n - 1) + 1) // 2
-
-
 # -- the dimension-threshold cubic ------------------------------------------
 
 
@@ -274,23 +269,12 @@ def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
     rows: list[BoundPoint] = []
-    # S(n, 2) = -(n - 1)^2 and S rises in k from k = 2 on, so the
-    # feasible dimensions are 2 .. kmax1
-    kmax1 = 1
-    while s_cubic(n, kmax1 + 1) < 0:
-        kmax1 += 1
-    for k in range(2, kmax1 + 1):
-        rows.append(
-            BoundPoint(
-                "shadow_deg1", n, k, k / n, shadow_lb_deg1(n, k) / n, "lower_bound"
-            )
-        )
-    for k in range(1, deg2_max_k(n) + 1):
-        rows.append(
-            BoundPoint(
-                "shadow_deg2", n, k, k / n, shadow_lb_deg2(n, k) / n, "lower_bound"
-            )
-        )
+    # each floor falls as k grows, so its rows run from the first
+    # dimension up to the last k with a positive floor
+    for scheme, floor, k in (("shadow_deg1", deg1_floor, 2), ("shadow_deg2", deg2_floor, 1)):
+        while (d := floor(n, k)).sign() > 0:
+            rows.append(BoundPoint(scheme, n, k, k / n, float(d) / n, "lower_bound"))
+            k += 1
     m4 = fourth_power_exponent(n)
     if m4 is not None:
         big_n = 1 << m4

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .binary import exact_min_distance, sampled_min_distance_upper
@@ -201,17 +202,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_concat(args) -> int:
     spec = concat_spec(args.m, args.N, args.K)
-    params = concat_params(spec)
-    report = {
-        "config": _config(args, ("m", "N", "K")),
-        "n": params.n,
-        "k": params.k,
-        "dmin_lb": params.dmin_lb,
-        "rate": str(params.rate),
-        "rs_rate": str(params.rs_rate),
-        "delta_lb": str(params.delta_lb),
-        "delta_formula_lb": str(params.delta_formula_lb),
-    }
+    report = {"config": _config(args, ("m", "N", "K")), **asdict(concat_params(spec))}
     if args.matrix:
         gen = concat_generator(spec)
         report["G"] = [binary.row_to_hex(r, gen.n) for r in gen.rows]

@@ -87,12 +87,7 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = f.sub(out[i], c)
-        return Poly(f, out)
+        return self + other.scale(self.field.neg(1))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)

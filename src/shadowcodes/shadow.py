@@ -65,18 +65,17 @@ from .poly import (
 class Surd:
     """Exact a + b*sqrt(q) with rational a, b and integer q >= 0."""
 
-    __slots__ = ("a", "b", "q", "root")
+    __slots__ = ("a", "b", "q")
 
     def __init__(self, a, b, q: int):
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.q = int(q)
-        r = math.isqrt(self.q)
-        self.root = r if r * r == self.q else None
 
     @property
     def is_exact(self) -> bool:
-        return self.root is not None or self.b == 0
+        """True when the value is rational: b = 0 or q a perfect square."""
+        return self.b == 0 or math.isqrt(self.q) ** 2 == self.q
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.q)
@@ -171,7 +170,6 @@ class BasicSet:
     one constant, which must be primitive."""
 
     polys: tuple[Poly, ...]
-    total_degree: int
 
 
 def basic_set(polys) -> BasicSet:
@@ -182,8 +180,7 @@ def basic_set(polys) -> BasicSet:
     for c in constants:
         if not c.field.is_primitive(c(0)):
             raise BadParameters("the constant generator must be primitive")
-    total = sum(f.degree for f in polys if f.degree >= 1)
-    return BasicSet(polys, total)
+    return BasicSet(polys)
 
 
 def lambda_map(f: Poly, ev: EvaluationSet) -> int:
@@ -246,7 +243,7 @@ def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
     polys = [x_minus(field, lam) for lam in outside]
     polys.append(Poly.constant(field, field.primitive_element()))
     # distinct linears and a primitive constant: a basic set by construction
-    return BasicSet(tuple(polys), len(outside))
+    return BasicSet(tuple(polys))
 
 
 def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
@@ -264,14 +261,15 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
             )
         polys = sorted(random.Random(seed).sample(supply, k), key=lambda f: f.coeffs[::-1])
     # distinct monic irreducibles, each already through is_irreducible
-    return BasicSet(tuple(polys), 2 * k)
+    return BasicSet(tuple(polys))
 
 
 def delta(ev: EvaluationSet, basic: BasicSet) -> Surd:
-    """|E| - q/2 - (sqrt(q)/2)(d_B - 1), exact."""
+    """|E| - q/2 - (sqrt(q)/2)(d_B - 1), exact.  A constant has degree
+    0, so d_B sums the degrees of every generator."""
     q = ev.field.q
     a = Fraction(len(ev.points)) - Fraction(q, 2)
-    b = -Fraction(basic.total_degree - 1, 2)
+    b = -Fraction(sum(f.degree for f in basic.polys) - 1, 2)
     return Surd(a, b, q)
 
 
@@ -282,27 +280,24 @@ class ShadowCode:
     rows: tuple[int, ...]
     n: int
     delta: Surd
-    claimed_dim: int
     delta_positive: bool
     rank: int
     kind: str
 
     @property
     def k(self) -> int:
-        return self.claimed_dim
+        return self.rank
 
     def generator(self) -> BinaryCode:
-        if self.rank == len(self.rows):
-            return BinaryCode(self.rows, self.n)
         return BinaryCode.from_span(self.rows, self.n)
 
 
 def construct(ev: EvaluationSet, basic: BasicSet, kind: str = "custom") -> ShadowCode:
     """Assemble the generator matrix and the exact distance bound.
 
-    When delta > 0 the dimension is exactly |B|; otherwise the claimed
-    dimension falls back to the observed rank and delta_positive is
-    False to flag that no distance guarantee holds."""
+    The dimension is the rank of the rows.  When delta > 0 it is
+    exactly |B|; otherwise delta_positive is False to flag that no
+    distance guarantee holds."""
     rows = tuple(lambda_map(f, ev) for f in basic.polys)
     d = delta(ev, basic)
     rk = gf2_rank(rows)
@@ -312,8 +307,7 @@ def construct(ev: EvaluationSet, basic: BasicSet, kind: str = "custom") -> Shado
             "rank fell below |B| with a positive bound; this contradicts the"
             " construction guarantee and indicates a bug"
         )
-    dim = len(rows) if positive else rk
-    return ShadowCode(ev, basic, rows, len(ev.points), d, dim, positive, rk, kind)
+    return ShadowCode(ev, basic, rows, len(ev.points), d, positive, rk, kind)
 
 
 def construct_deg1(field: Field, e_size: int) -> ShadowCode:
@@ -385,7 +379,7 @@ def to_descriptor(code: ShadowCode) -> dict:
         "B": [poly_to_text(f) for f in code.basic.polys],
         "G": [row_to_hex(r, code.n) for r in code.rows],
         "n": code.n,
-        "k": code.claimed_dim,
+        "k": code.rank,
         "delta": code.delta.to_json(),
         "delta_positive": code.delta_positive,
         "rank": code.rank,

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .binary import exact_min_distance, gf2_rank, weight_distribution
+from .binary import exact_min_distance, weight_distribution
 from .bounds import (
     DEFAULT_SEED,
     SECTION6_MS,
@@ -147,11 +147,11 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
                 fail(code, "product_row_sum", exponents=exps)
         checks += 1
         if code.delta_positive:
-            if gf2_rank(code.rows) != len(polys):
+            if code.rank != len(polys):
                 fail(code, "full_rank")
         elif code.rank > len(polys):
             fail(code, "rank_bound")
-        if code.delta_positive and code.claimed_dim <= THEOREM4_ENUM_CAP:
+        if code.delta_positive and code.rank <= THEOREM4_ENUM_CAP:
             need = distance_lower_bound(code).ceil()
             dmin = exact_min_distance(code.generator())
             checks += 1
@@ -164,7 +164,7 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
                 fail(code, "vacuous_floor_not_flagged")
             except NonpositiveDelta:
                 pass
-        if code.kind == "deg1" and code.claimed_dim <= THEOREM4_ENUM_CAP:
+        if code.kind == "deg1" and code.rank <= THEOREM4_ENUM_CAP:
             hist = weight_distribution(code.generator())
             checks += 1
             if any(hist[w] != hist[code.n - w] for w in range(code.n + 1)):

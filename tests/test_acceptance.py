@@ -23,7 +23,7 @@ def _report(name: str, budget: float, elapsed: float, detail: str) -> None:
 def test_1_deg1_flagship():
     start = time.perf_counter()
     code = construct_deg1(field_of_order(121), 113)
-    assert (code.n, code.claimed_dim, code.rank) == (113, 9, 9)
+    assert (code.n, code.k, code.rank) == (113, 9, 9)
     floor = distance_lower_bound(code)
     assert floor.is_exact and floor.shifted(14).sign() == 0
     dmin = exact_min_distance(code.generator())
@@ -39,7 +39,7 @@ def test_1_deg1_flagship():
 def test_2_deg2_instance():
     start = time.perf_counter()
     code = construct_deg2(field_of_order(49), 3)
-    assert (code.n, code.claimed_dim, code.rank) == (49, 3, 3)
+    assert (code.n, code.k, code.rank) == (49, 3, 3)
     floor = distance_lower_bound(code)
     assert floor.is_exact and floor.shifted(7).sign() == 0
     dmin = exact_min_distance(code.generator())
@@ -137,11 +137,11 @@ def test_8_tightness_observation():
     gaps = []
     for q, e_size in roster:
         code = construct_deg1(field_of_order(q), e_size)
-        assert code.claimed_dim <= 14 and code.delta_positive
+        assert code.k <= 14 and code.delta_positive
         floor = distance_lower_bound(code).ceil()
         dmin = exact_min_distance(code.generator())
         assert dmin >= floor
-        gaps.append((q, code.claimed_dim, dmin, floor))
+        gaps.append((q, code.k, dmin, floor))
     assert len(gaps) >= 5
     assert any(dmin > floor for _, _, dmin, floor in gaps)
     detail = ", ".join(f"q={q} k={k}: {d} vs {f}" for q, k, d, f in gaps)

@@ -14,7 +14,6 @@ from shadowcodes.bounds import (
     FIG_FIELDNAMES,
     K0_N_MAX,
     BoundPoint,
-    deg2_max_k,
     deltacon,
     deltash_family,
     dg_params,
@@ -110,11 +109,17 @@ def test_shadow_floor_formulas():
         shadow_lb_deg2(10, 0)
 
 
-def test_deg2_max_k_threshold():
-    for n in (25, 49, 81, 121, 1024):
-        k = deg2_max_k(n)
-        assert shadow_lb_deg2(n, k) > 0 or k == math.ceil((math.sqrt(n) - 1) / 2)
-        assert shadow_lb_deg2(n, k + 2) <= 0
+def test_fig3_floor_rows_stop_at_the_thresholds():
+    for n in (1, 2, 9, 25, 26, 49, 81, 121, 256, 1024):
+        rows = fig3_rows(n)
+        deg2 = [r.k for r in rows if r.scheme == "shadow_deg2"]
+        big_k = len(deg2)
+        assert deg2 == list(range(1, big_k + 1))
+        assert (big_k == 0 or (2 * big_k - 1) ** 2 < n) and n <= (2 * big_k + 1) ** 2
+        deg1 = [r.k for r in rows if r.scheme == "shadow_deg1"]
+        k1 = len(deg1) + 1
+        assert deg1 == list(range(2, k1 + 1))
+        assert all(s_cubic(n, k) < 0 for k in deg1) and s_cubic(n, k1 + 1) >= 0
 
 
 # ------------------------------------------------------- threshold cubic

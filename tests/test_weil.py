@@ -49,7 +49,6 @@ def test_count_invariant_under_square_scaling():
                     field, field.mul(spec.gamma, s2), spec.factors
                 )
                 assert count_zeros(scaled) == base
-                break
 
 
 def test_corollary_on_many_random_curves():
@@ -77,8 +76,8 @@ def test_random_curve_spec_is_seeded_and_valid():
     assert curve_spec(F7, a.gamma, a.factors) == a
 
 
-def test_rabin_runs_once_per_polynomial(monkeypatch):
-    """No builder hands a polynomial that already passed the
+def test_ben_or_runs_once_per_polynomial(monkeypatch):
+    """No builder hands a polynomial that already passed the Ben-Or
     irreducibility test to that test again.  Counted per polynomial object: a random curve
     that draws a value another curve drew has made a new draw, and that
     draw is tested once."""
