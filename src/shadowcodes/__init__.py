@@ -26,12 +26,10 @@ from .bounds import (
 )
 from .concat import (
     ConcatSpec,
-    concat_encode,
     concat_generator,
     concat_params,
     concat_spec,
     rm1_encode,
-    rs_encode,
     theta_table,
 )
 from .field import Field, field_create, field_from_json, field_of_order, find_odd_prime_power

@@ -20,7 +20,7 @@ import io
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -240,7 +240,7 @@ class BoundPoint:
     kind: str  # lower_bound | exact | existence
 
 
-FIG_FIELDNAMES = ["scheme", "n", "k", "rate", "delta", "kind"]
+FIG_FIELDNAMES = [f.name for f in fields(BoundPoint)]
 
 
 def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
@@ -337,14 +337,13 @@ def rows_to_csv(rows, config: dict | None = None) -> str:
     if config:
         for key in sorted(config):
             buf.write(f"# {key}={config[key]}\n")
-    dicts = [asdict(r) if isinstance(r, BoundPoint) else r for r in rows]
-    names = FIG_FIELDNAMES if dicts and "scheme" in dicts[0] else list(dicts[0])
-    writer = csv.DictWriter(buf, fieldnames=names)
+    dicts = [vars(r) if isinstance(r, BoundPoint) else r for r in rows]
+    writer = csv.DictWriter(buf, fieldnames=list(dicts[0]))
     writer.writeheader()
     writer.writerows(dicts)
     return buf.getvalue()
 
 
 def rows_to_json(rows, config: dict | None = None) -> str:
-    dicts = [asdict(r) if isinstance(r, BoundPoint) else r for r in rows]
+    dicts = [vars(r) if isinstance(r, BoundPoint) else r for r in rows]
     return json.dumps({"config": config or {}, "rows": dicts}, indent=2)

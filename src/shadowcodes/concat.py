@@ -1,21 +1,21 @@
 """Reed-Solomon / first-order Reed-Muller concatenation.
 
-The outer code is an (N, K) Reed-Solomon code over GF(2^(m+1)),
-evaluating message polynomials of degree < K at the first N nonzero
-canonical elements.  Each symbol is carried back to m+1 bits through
-the inverse of
+The outer code is an (N, K) Reed-Solomon code over GF(2^(m+1)): a
+message polynomial of degree < K is evaluated at the first N nonzero
+canonical elements beta = 1..N.  Each symbol goes back to m+1 bits
+through the inverse of
 
     theta(v_1, .., v_{m+1}) = sum v_i alpha^(i-1),   alpha primitive,
 
 and the bits feed the inner (2^m, m+1) first-order Reed-Muller encoder
 
-    c_t = v_1 + v_2 t_1 + .. + v_{m+1} t_m   (t_1 .. t_m the bits of t),
+    c_t = v_1 + v_2 t_1 + .. + v_{m+1} t_m   (t_1 .. t_m the bits of t).
 
-whose nonzero codewords all have weight 2^(m-1) except the all-ones
-word.  The result is a (N 2^m, K(m+1)) binary code with minimum
-distance at least (N - K + 1) 2^(m-1): a nonzero Reed-Solomon word has
-at least N - K + 1 nonzero symbols and every nonzero inner block
-weighs at least 2^(m-1).
+Generator row i(m+1) + b is the outer polynomial theta(2^b) x^i, so its
+block beta - 1 is the RM1 block of theta^-1(theta(2^b) beta^i).  Nonzero
+RM1 blocks weigh at least 2^(m-1) and a nonzero Reed-Solomon word has at
+least N - K + 1 nonzero symbols, so the (N 2^m, K(m+1)) binary code has
+minimum distance at least (N - K + 1) 2^(m-1).
 
 Bit vectors are ints, as in the binary module: bit i of an inner
 message v is v_(i+1), bit j of t is t_(j+1), bits i(m+1) .. i(m+1) + m
@@ -32,7 +32,6 @@ from fractions import Fraction
 from .binary import BinaryCode
 from .errors import BadParameters, BudgetExceeded, LengthMismatch
 from .field import TABLE_LIMIT, Field, field_create
-from .poly import Poly
 
 
 @functools.cache
@@ -42,8 +41,9 @@ def theta_table(m: int) -> tuple[int, ...]:
     alpha = field.primitive_element()
     basis = [field.pow(alpha, i) for i in range(m + 1)]
     image = [0]
+    # canonical indices are coefficient bit vectors, so adding is XOR
     for v in range(1, field.q):
-        image.append(field.add(image[v & (v - 1)], basis[(v & -v).bit_length() - 1]))
+        image.append(image[v & (v - 1)] ^ basis[(v & -v).bit_length() - 1])
     if len(set(image)) != field.q:
         raise AssertionError("theta basis is not a basis; construction bug")
     return tuple(image)
@@ -91,15 +91,6 @@ def concat_spec(m: int, N: int, K: int) -> ConcatSpec:
     return ConcatSpec(m, N, K, field_create(2, m + 1))
 
 
-def rs_encode(spec: ConcatSpec, message) -> list[int]:
-    """Evaluate the degree < K message polynomial at points 1..N."""
-    message = list(message)
-    if len(message) != spec.K:
-        raise LengthMismatch(f"outer message needs {spec.K} symbols")
-    poly = Poly(spec.field, message)
-    return [poly(beta) for beta in range(1, spec.N + 1)]
-
-
 def rm1_encode(m: int, v: int) -> int:
     """First-order Reed-Muller block of the (m+1)-bit message v: bit t
     is v_1 + popcount(t & (v >> 1)) mod 2.  Built by doubling: the t
@@ -114,22 +105,19 @@ def rm1_encode(m: int, v: int) -> int:
     return word
 
 
-def concat_encode(spec: ConcatSpec, message: int) -> int:
-    """K(m+1)-bit message to an N 2^m-bit codeword."""
-    if not 0 <= message < 1 << spec.k:
-        raise LengthMismatch(f"message needs {spec.k} bits")
-    m, w = spec.m, spec.m + 1
-    theta, inverse = theta_table(m), _theta_inverse(m)
-    symbols = [theta[message >> (i * w) & ((1 << w) - 1)] for i in range(spec.K)]
-    word = 0
-    for j, s in enumerate(rs_encode(spec, symbols)):
-        word |= rm1_encode(m, inverse[s]) << (j << m)
-    return word
-
-
 def concat_generator(spec: ConcatSpec) -> BinaryCode:
-    """Generator matrix from the unit message vectors."""
-    return BinaryCode([concat_encode(spec, 1 << j) for j in range(spec.k)], spec.n)
+    """Generator matrix, one row per outer polynomial theta(2^b) x^i."""
+    m, field = spec.m, spec.field
+    theta, inverse = theta_table(m), _theta_inverse(m)
+    rows = []
+    for i in range(spec.K):
+        powers = [field.pow(beta, i) for beta in range(1, spec.N + 1)]
+        for b in range(m + 1):
+            word = 0
+            for j, power in enumerate(powers):
+                word |= rm1_encode(m, inverse[field.mul(theta[1 << b], power)]) << (j << m)
+            rows.append(word)
+    return BinaryCode(rows, spec.n)
 
 
 @dataclass(frozen=True)

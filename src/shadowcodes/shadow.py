@@ -145,12 +145,14 @@ def evaluation_set(field: Field, points) -> EvaluationSet:
     if field.q % 2 == 0:
         raise EvenCharacteristic("evaluation needs a field of odd order")
     pts = sorted(points)
-    if any(map(eq, pts, islice(pts, 1, None))):
-        raise BadParameters("duplicate evaluation points")
-    if pts and not (0 <= pts[0] and pts[-1] < field.q):
-        raise BadParameters(f"points must be element indices in 0..{field.q - 1}")
     if not pts:
         raise BadParameters("empty evaluation set")
+    if set(map(type, pts)) != {int}:
+        raise BadParameters("evaluation points must be ints")
+    if any(map(eq, pts, islice(pts, 1, None))):
+        raise BadParameters("duplicate evaluation points")
+    if not (0 <= pts[0] and pts[-1] < field.q):
+        raise BadParameters(f"points must be element indices in 0..{field.q - 1}")
     return EvaluationSet(field, tuple(pts))
 
 

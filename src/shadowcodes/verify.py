@@ -48,9 +48,9 @@ def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) ->
     (deg - 1) sqrt(q) window, decided in exact integers."""
     if count < 0:
         raise BadParameters(f"need count >= 0, got {count}")
+    if q_max < WEIL_FIELD_ORDERS[0]:
+        raise BadParameters(f"need q_max >= {WEIL_FIELD_ORDERS[0]}, got {q_max}")
     orders = [q for q in WEIL_FIELD_ORDERS if q <= q_max]
-    if not orders:
-        orders = [WEIL_FIELD_ORDERS[0]]
     rng = random.Random(seed)
     failures = []
     checks = 0

@@ -76,8 +76,9 @@ def test_dmin_descriptor_faults_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, index, text",
-    [("B", 0, "x,1"), ("G", 0, "zz"), ("B", 0, "999,1"), ("B", 0, 5)],
-    ids=["B_not_an_integer", "G_not_hex", "B_coefficient_out_of_range", "B_not_a_string"],
+    [("B", 0, "x,1"), ("G", 0, "zz"), ("B", 0, "999,1"), ("B", 0, 5), ("E", 0, 0.5)],
+    ids=["B_not_an_integer", "G_not_hex", "B_coefficient_out_of_range", "B_not_a_string",
+         "E_not_an_integer"],
 )
 def test_dmin_malformed_descriptor_text_exits_two(tmp_path, capsys, key, index, text):
     path = tmp_path / "code.json"
@@ -130,6 +131,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("verify", "theorem6", "--n-max", "-1"),
         ("verify", "theorem7", "--m", "-1"),
         ("verify", "weil", "--count", "-1"),
+        ("verify", "weil", "--q-max", "3"),
         ("bounds", "k0", "--n", "1000000000000"),
         ("figure", "fig1", "--n-max", str(10**21)),
         ("verify", "theorem6", "--n-max", str(10**10)),
@@ -144,8 +146,8 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
-         "theorem7_m_negative", "weil_count_negative", "k0_n_too_large",
-         "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
+         "theorem7_m_negative", "weil_count_negative", "weil_q_max_below_roster",
+         "k0_n_too_large", "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
          "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
          "shadow1_floor_infinite"],
