@@ -3,6 +3,11 @@
 A length-n vector is an int with bit j holding coordinate j; a code is
 the row span of a tuple of such ints.  Exhaustive scans walk messages
 in Gray-code order, one step per block of all low-row combinations.
+
+When the all-ones word 1 lies in the code, c and c + 1 weigh w and
+n - w, so the exact minimum-distance scan walks only the 2^(k-1)
+messages of a complement of {0, 1} and reads both weights off each.
+The weight distribution always walks all 2^k codewords.
 """
 
 from __future__ import annotations
@@ -103,17 +108,27 @@ def _gray_blocks(rows: tuple[int, ...], lo: int = 0, hi: int | None = None):
         yield map(int.bit_count, map(xor, table, repeat(cw)))
 
 
-def _min_weight(rows: tuple[int, ...], lo: int, hi: int) -> int:
-    """Least weight over blocks [lo, hi), skipping the zero message."""
-    weights = chain.from_iterable(_gray_blocks(rows, lo, hi))
+def _min_weight(rows: tuple[int, ...], lo: int, hi: int, n: int = 0) -> int:
+    """Least weight over blocks [lo, hi), skipping the zero message.
+    With n > 0 the rows span a complement of {0, 1} in a length-n code
+    holding 1, so each weight w also stands for n - w."""
+    blocks = _gray_blocks(rows, lo, hi)
     if lo == 0:
-        next(weights)  # the zero message
-    return min(weights)
+        first = next(blocks)
+        next(first)  # the zero message
+        blocks = chain((first,), blocks)
+    if not n:
+        return min(chain.from_iterable(blocks))
+    best = n  # the zero message's coset {0, 1}
+    for ws in map(list, blocks):
+        best = min(best, min(ws), n - max(ws))
+    return best
 
 
 def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
-    """Minimum nonzero codeword weight by full enumeration."""
-    k = code.k
+    """Minimum nonzero codeword weight by full enumeration, of the
+    quotient by 1 when the code holds 1."""
+    k, n = code.k, code.n
     if k == 0:
         raise BadParameters("the trivial code has no nonzero codeword")
     if k > ENUM_BUDGET_LOG2:
@@ -121,18 +136,27 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             f"2**{k} codewords exceed the enumeration budget 2**{ENUM_BUDGET_LOG2};"
             " use sampled_min_distance_upper"
         )
-    blocks = 1 << max(k - LOW_ROWS, 0)
+    # 1 is in the code exactly when it adds no rank; the rows kept after
+    # it then span a complement of {0, 1}
+    kept = _independent_rows(((1 << n) - 1,) + code.rows)
+    if len(kept) == k:
+        rows, fold = tuple(kept[1:]), n
+        if not rows:
+            return n  # the code is {0, 1}
+    else:
+        rows, fold = code.rows, 0
+    blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     # one span per CPU at most: the pool may fork all workers at once
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or k < 18:
-        return _min_weight(code.rows, 0, blocks)
+    if workers <= 1 or len(rows) < 18:
+        return _min_weight(rows, 0, blocks, fold)
     # imported here: the pool machinery is a large share of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-blocks // workers)
     spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futs = [pool.submit(_min_weight, code.rows, lo, hi) for lo, hi in spans]
+        futs = [pool.submit(_min_weight, rows, lo, hi, fold) for lo, hi in spans]
         return min(f.result() for f in futs)
 
 
@@ -153,7 +177,12 @@ def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
 
 
 def weight_distribution(code: BinaryCode) -> list[int]:
-    """Histogram over weights 0..n of all 2^k codewords."""
+    """Histogram over weights 0..n of all 2^k codewords.
+
+    The walk is never folded by 1: a histogram with A[w] = A[n - w] for
+    every w has A[n] = A[0] = 1, so 1 is in the code, and 1 in the code
+    makes c -> c + 1 map weight w to n - w.  Symmetry is thus a real test
+    of 1 in C only while both halves are counted."""
     if code.k > WEIGHT_DIST_BUDGET_LOG2:
         raise DimensionTooLarge(
             f"2**{code.k} codewords exceed the histogram budget"

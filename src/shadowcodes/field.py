@@ -36,6 +36,8 @@ from math import isqrt
 from operator import itemgetter
 
 from .errors import (
+    BadParameters,
+    BudgetExceeded,
     DegreeMismatch,
     DivisionByZero,
     EvenCharacteristic,
@@ -45,11 +47,24 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 16
+# trial division stops here, a few hundredths of a second in: every
+# integer up to its square, 10^12, is factored, and a larger one with
+# no factor below it is refused
+TRIAL_DIVISION_MAX = 10**6
 
 
 def least_prime_factor(x: int) -> int:
-    """Least prime factor of x >= 2, by trial division."""
-    return next((f for f in chain((2,), range(3, isqrt(x) + 1, 2)) if x % f == 0), x)
+    """Least prime factor of x >= 2, by trial division up to
+    TRIAL_DIVISION_MAX; an x with no factor that far and a square root
+    past it is refused rather than left to divide for minutes."""
+    root = isqrt(x)
+    top = min(root, TRIAL_DIVISION_MAX)
+    f = next((f for f in chain((2,), range(3, top + 1, 2)) if x % f == 0), None)
+    if f is None and root > TRIAL_DIVISION_MAX:
+        raise BudgetExceeded(
+            f"{x} has no factor up to {TRIAL_DIVISION_MAX}; trial division stops there"
+        )
+    return x if f is None else f
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,4 +400,7 @@ def field_of_order(q: int) -> Field:
 
 
 def field_from_json(obj: dict) -> Field:
-    return field_create(int(obj["p"]), int(obj["m"]), obj.get("modulus"))
+    p, m = obj["p"], obj["m"]
+    if type(p) is not int or type(m) is not int:
+        raise BadParameters(f"field p and m must be ints, got {p!r} and {m!r}")
+    return field_create(p, m, obj.get("modulus"))

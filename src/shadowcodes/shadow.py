@@ -398,7 +398,10 @@ def from_descriptor(obj: dict) -> ShadowCode:
         stored = tuple(row_from_hex(s) for s in obj["G"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadDescriptor(f"malformed descriptor: {type(exc).__name__}: {exc}") from exc
-    code = construct(ev, basic_set(polys), kind=obj.get("kind", "custom"))
+    kind = obj.get("kind", "custom")
+    if type(kind) is not str:
+        raise BadDescriptor(f"descriptor kind must be a string, got {kind!r}")
+    code = construct(ev, basic_set(polys), kind=kind)
     if stored != code.rows:
         raise BadDescriptor("stored generator matrix does not match its field/E/B")
     return code

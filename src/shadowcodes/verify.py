@@ -165,6 +165,8 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
             except NonpositiveDelta:
                 pass
         if code.kind == "deg1" and code.rank <= THEOREM4_ENUM_CAP:
+            # the unfolded histogram is symmetric exactly when 1 is in C;
+            # one folded by 1 would be symmetric whatever C is
             hist = weight_distribution(code.generator())
             checks += 1
             if any(hist[w] != hist[code.n - w] for w in range(code.n + 1)):

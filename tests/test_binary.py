@@ -6,13 +6,15 @@ from concurrent.futures import Future
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
     _gray_blocks,
+    _independent_rows,
+    _min_weight,
     exact_min_distance,
     gf2_rank,
     random_linear_code,
@@ -97,6 +99,55 @@ def test_gray_kernel_matches_naive_oracles(k, extra, seed):
 def test_parallel_walk_matches_naive_oracle(n, seed):
     code = random_linear_code(n, 18, seed)
     assert exact_min_distance(code, workers=2) == naive_min_distance(code.rows, n)
+
+
+def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
+    """A random (n, k) code with the all-ones word as its first row, in
+    its span with no row equal to it, or (for "absent") as drawn."""
+    code = random_linear_code(n, k, seed)
+    if ones == "absent":
+        return code
+    rows = _independent_rows(((1 << n) - 1,) + code.rows)[:k]
+    if ones == "span" and k > 1:
+        rows[0] ^= rows[1]
+    return BinaryCode(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.one_of(st.integers(1, 6), st.sampled_from([LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 2])),
+    extra=st.integers(0, 20),
+    seed=st.integers(0, 2**32),
+    ones=st.sampled_from(["row", "span", "absent"]),
+)
+def test_quotient_walk_matches_naive_oracle(k, extra, seed, ones):
+    # k - 1 walked rows fall below, at and above the width of the low-row table
+    n = k + extra
+    code = _ones_code(n, k, seed, ones)
+    ones_word = (1 << n) - 1
+    holds = ones_word in map(code.encode, range(1 << k))
+    assume(holds == (ones != "absent"))
+    assert (ones_word in code.rows) == (holds and (ones == "row" or k == 1))
+    d = naive_min_distance(code.rows, n)
+    assert exact_min_distance(code) == d
+    # two folded spans, cut at any high Gray index, give the same minimum
+    if holds and k > 1:
+        rows = tuple(_independent_rows((ones_word,) + code.rows)[1:])
+        blocks = 1 << max(k - 1 - LOW_ROWS, 0)
+        for cut in range(1, blocks):
+            assert min(_min_weight(rows, 0, cut, n), _min_weight(rows, cut, blocks, n)) == d
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_the_code_of_zero_and_ones_has_distance_n(n):
+    assert exact_min_distance(BinaryCode([(1 << n) - 1], n)) == n
+
+
+def test_weight_distribution_is_not_folded():
+    """A code without 1 has an asymmetric histogram, which a histogram
+    folded by 1 could not show; with 1 added it turns symmetric."""
+    assert weight_distribution(BinaryCode([0b011, 0b110], 3)) == [1, 0, 3, 0]
+    assert weight_distribution(BinaryCode([0b011, 0b110, 0b111], 3)) == [1, 3, 3, 1]
 
 
 def test_encode_is_xor_of_selected_rows():
@@ -208,22 +259,46 @@ class _InlineExecutor:
         return fut
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
-def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, cpus):
-    """workers=10**6 gets one span per CPU and one process per span;
-    a host with one CPU (or an unknown count) takes the serial scan."""
+def _assert_pool_capped(monkeypatch, cpus, code):
+    """code walks 18 rows, cut into spans of its 2^(18 - LOW_ROWS) blocks."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     monkeypatch.setattr(_InlineExecutor, "submits", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    code = random_linear_code(40, 18, 5)
     blocks = 1 << (18 - LOW_ROWS)
-    assert exact_min_distance(code, workers=10**6) == exact_min_distance(code)
+    full = _min_weight(code.rows, 0, 1 << (code.k - LOW_ROWS))
+    assert exact_min_distance(code, workers=10**6) == full
     if (cpus or 1) == 1:
         assert _InlineExecutor.sizes == [] and _InlineExecutor.submits == []
     else:
         assert _InlineExecutor.sizes == [min(blocks, cpus)]
         assert len(_InlineExecutor.submits) == min(blocks, cpus)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
+def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, cpus):
+    """workers=10**6 gets one span per CPU and one process per span;
+    a host with one CPU (or an unknown count) takes the serial scan."""
+    code = random_linear_code(40, 18, 5)
+    assert gf2_rank(((1 << 40) - 1,) + code.rows) == 19  # 1 is not in the code
+    _assert_pool_capped(monkeypatch, cpus, code)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
+def test_folded_worker_pool_splits_the_quotient(monkeypatch, cpus):
+    """A dimension-19 code holding 1 walks 18 rows, so its spans are cut
+    from 2^(18 - LOW_ROWS) blocks and still run in parallel.  Its rows 1
+    and 1 + e_0 put the weight-1 word e_0 outside the walked complement,
+    so only a span that folds finds it."""
+    ones = (1 << 40) - 1
+    code = BinaryCode((ones, ones ^ 1) + random_linear_code(40, 17, 5).rows, 40)
+    _assert_pool_capped(monkeypatch, cpus, code)
+    # at dimension 18 the 17 walked rows fall below the cut-off: serial
+    code = BinaryCode((ones,) + random_linear_code(40, 17, 5).rows, 40)
+    submits = len(_InlineExecutor.submits)
+    full = _min_weight(code.rows, 0, 1 << (18 - LOW_ROWS))
+    assert exact_min_distance(code, workers=10**6) == full
+    assert len(_InlineExecutor.submits) == submits
 
 
 def test_hex_round_trip():

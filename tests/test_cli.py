@@ -92,6 +92,39 @@ def test_dmin_malformed_descriptor_text_exits_two(tmp_path, capsys, key, index, 
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, field, value",
+    [("field", "p", 31.0), ("field", "p", "31"), ("field", "m", True), (None, "kind", [1])],
+    ids=["p_float", "p_string", "m_bool", "kind_not_a_string"],
+)
+def test_dmin_descriptor_with_mistyped_field_or_kind_exits_two(
+    tmp_path, capsys, key, field, value
+):
+    path = tmp_path / "code.json"
+    run_cli(capsys, "construct", "deg1", "--n", "28", "--k", "4", "--out", str(path))
+    desc = json.loads(path.read_text())
+    (desc[key] if key else desc)[field] = value
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(capsys, "dmin", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
+    """Trial division stops at its bound, so a prime characteristic of
+    61 bits is refused where it used to divide for minutes."""
+    desc = tmp_path / "huge.json"
+    desc.write_text(json.dumps(
+        {"field": {"p": 2**61 - 1, "m": 3}, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_dmin_three_points_over_a_huge_prime_field(tmp_path, capsys):
     """A 3-point E over GF(2**31 - 1) costs three Euler powers, not a
     character table of the whole field."""
@@ -370,7 +403,7 @@ def _leaf_options(parser) -> list:
 
 LEAVES = _leaves(build_parser())
 FUZZ_INTS = [*range(-2, 10), 16, 25, 27, 49]
-# verify theorem7 builds 2^m codes and scans each exactly: m = 8 takes 3.4-4.1 s
+# verify theorem7 builds 2^m codes and scans each exactly: m = 8 takes 1.3-1.6 s
 # wall on a 2-CPU x86-64 host, so --m stops at 7; from m = 16 on GF(2^(m+1)) is
 # past the table limit and exits 2
 FUZZ_DRAWS = {

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_order, ref_ext_mul, ref_ext_pow
 from shadowcodes.errors import (
+    BudgetExceeded,
     DegreeMismatch,
     DivisionByZero,
     EvenCharacteristic,
@@ -15,10 +16,12 @@ from shadowcodes.errors import (
     ZeroArgument,
 )
 from shadowcodes.field import (
+    TRIAL_DIVISION_MAX,
     field_create,
     field_from_json,
     field_of_order,
     find_odd_prime_power,
+    least_prime_factor,
     nearest_odd_prime_power,
     prime_power,
 )
@@ -303,6 +306,23 @@ def test_composite_characteristic_is_rejected_at_its_least_factor():
         field_of_order(3 * (2**61 - 1))
     assert prime_power(3**5 * (2**61 - 1)) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_trial_division_stops_at_its_bound():
+    """A 61-bit prime has no factor up to TRIAL_DIVISION_MAX and a root
+    past it, so it is refused within a second; everything up to the
+    bound's square is still decided."""
+    start = time.perf_counter()
+    for make in (lambda: field_create(2**61 - 1, 3), lambda: field_of_order(2**61 - 1)):
+        with pytest.raises(BudgetExceeded):
+            make()
+    assert time.perf_counter() - start < 1.0
+    top = TRIAL_DIVISION_MAX
+    assert least_prime_factor(top * top) == 2
+    assert least_prime_factor(999983 * 1000033) == 999983  # the largest prime below 10^6
+    assert least_prime_factor(1000003) == 1000003
+    with pytest.raises(BudgetExceeded):
+        least_prime_factor(1000003 * 1000033)
 
 
 def test_default_modulus_is_searched_once(monkeypatch):
