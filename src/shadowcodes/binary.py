@@ -1,8 +1,12 @@
 """Binary linear codes as integer bitsets.
 
 A length-n vector is an int with bit j holding coordinate j; a code is
-the row span of a tuple of such ints.  Exhaustive scans walk messages
-in Gray-code order, one step per block of all low-row combinations.
+the row span of a tuple of such ints.  Exhaustive scans step the high
+rows in Gray-code order, one block per step, and weigh all 2^b messages
+of the low b rows at once with a Walsh transform (MacWilliams & Sloane,
+ch. 5): the columns are histogrammed by their low-row pattern, signed
+by the block's high codeword, and the 2^b transform lanes, packed into
+one int, give 2(n - w) for every codeword of the block.
 
 When the all-ones word 1 lies in the code, c and c + 1 weigh w and
 n - w, so the exact minimum-distance scan walks only the 2^(k-1)
@@ -14,15 +18,17 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from array import array
 from collections import Counter
-from itertools import chain, repeat
-from operator import xor
+from itertools import compress
 
 from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
-LOW_ROWS = 10  # rows tabulated per Gray block: 2^10 entries of n bits each
+LOW_ROWS = 14  # rows per transform block: 2^14 lanes in one packed int
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _independent_rows(rows) -> list[int]:
@@ -86,17 +92,68 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _gray_blocks(rows: tuple[int, ...], lo: int = 0, hi: int | None = None):
-    """Codeword weights, one block per Gray index h in [lo, hi) of the
-    high rows (default: all of them).  Block h is the weights of a table
-    of all 2^b combinations of the low b = min(LOW_ROWS, k) rows, XORed
-    with the high rows that gray(h) selects; the first entry of block 0
-    is the zero message."""
+def _lane_format(n: int, b: int) -> tuple[str, int, int]:
+    """Array type code, width in bits and lane-wise 1 of 2^b packed lanes
+    wide enough for 0..2n below a spare top bit, the lane's guard bit."""
+    code = "H" if n < 1 << 14 else "I" if n < 1 << 30 else "Q"
+    size = array(code).itemsize
+    return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << b), "little")
+
+
+def _unpack(v: int, code: str, b: int) -> array:
+    """The 2^b lanes of a packed int, lane 0 first."""
+    lanes = array(code, v.to_bytes(array(code).itemsize << b, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _column_bits(row: int, n: int) -> bytes:
+    """Byte j is bit j of a length-n row, as 0 or 1."""
+    return format(row, f"0{n}b").encode()[::-1].translate(_BITS)
+
+
+def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None):
+    """Packed lanes, one int per Gray index h in [lo, hi) of the high rows
+    (default: all of them), laid out as _lane_format(n, b) for the low
+    b = min(LOW_ROWS, k) rows.  Lane u of block h holds 2(n - w) for the
+    codeword of low message u plus the high rows that gray(h) selects;
+    lane 0 of block 0 is the zero message.
+
+    Block h transforms the signed histogram f(p) = sum (-1)^(c_j) over
+    the columns j whose low-row pattern is p, c being the high codeword,
+    plus n at p = 0: lane u of the transform is then n + sum_j
+    (-1)^(c_j + u.p_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
+    so each butterfly is one add and one subtract over all lanes; the
+    guard bit absorbs the add's carry and the subtract's borrow, and
+    masking it off leaves 2(n - w) exact, as it lies in 0..2n."""
     b = min(LOW_ROWS, len(rows))
     low, high = rows[:b], rows[b:]
-    table = [0]
-    for i in range(1, 1 << b):
-        table.append(table[-1] ^ low[(i & -i).bit_length() - 1])
+    code, bits, ones = _lane_format(n, b)
+    size, wrap = bits // 8, 1 << (bits - 1)
+    guards = ones << (bits - 1)
+    values = guards - ones
+    # pats[j] is column j's low-row pattern, laid down as byte planes of 8 rows
+    planes = bytearray(2 * n)
+    for plane in range(2):
+        packed = 0
+        for i, row in enumerate(low[8 * plane : 8 * plane + 8]):
+            packed |= int.from_bytes(_column_bits(row, n), "little") << i
+        planes[plane::2] = packed.to_bytes(n, "little")
+    pats = array("H", planes)
+    if sys.byteorder == "big":
+        pats.byteswap()
+    base = array(code, bytes(size << b))
+    for p, count in Counter(pats).items():
+        base[p] = count
+    base[0] += n
+    # stage s pairs lane i with lane i + 2^s, shifting by 2^s lanes; its
+    # mask holds the lanes i
+    stages = []
+    for s in range(b):
+        run = size << s
+        mask = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (b - 1 - s)), "little")
+        stages.append((8 * run, mask))
     g = lo ^ (lo >> 1)
     cw = 0
     for j, row in enumerate(high):
@@ -105,23 +162,44 @@ def _gray_blocks(rows: tuple[int, ...], lo: int = 0, hi: int | None = None):
     for h in range(lo, 1 << len(high) if hi is None else hi):
         if h > lo:
             cw ^= high[(h & -h).bit_length() - 1]
-        yield map(int.bit_count, map(xor, table, repeat(cw)))
+        lanes = base[:]
+        for p, count in Counter(compress(pats, _column_bits(cw, n))).items():
+            lanes[p] = (lanes[p] - 2 * count) % wrap
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        v = int.from_bytes(lanes, "little")
+        for shift, mask in stages:
+            x = v & mask
+            y = (v >> shift) & mask
+            v = ((x + y) | (((x | guards) - y) << shift)) & values
+        yield v
 
 
-def _min_weight(rows: tuple[int, ...], lo: int, hi: int, n: int = 0) -> int:
+def _min_weight(rows: tuple[int, ...], n: int, lo: int, hi: int, fold: bool = False) -> int:
     """Least weight over blocks [lo, hi), skipping the zero message.
-    With n > 0 the rows span a complement of {0, 1} in a length-n code
-    holding 1, so each weight w also stands for n - w."""
-    blocks = _gray_blocks(rows, lo, hi)
-    if lo == 0:
-        first = next(blocks)
-        next(first)  # the zero message
-        blocks = chain((first,), blocks)
-    if not n:
-        return min(chain.from_iterable(blocks))
-    best = n  # the zero message's coset {0, 1}
-    for ws in map(list, blocks):
-        best = min(best, min(ws), n - max(ws))
+    With fold the rows span a complement of {0, 1} in a length-n code
+    holding 1, so each weight w also stands for n - w.
+
+    A block is decoded only when some lane beats the best weight so far:
+    adding 2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
+    exactly when it holds more than 2(n - best), that is w < best, and
+    the same test on 2n - lane finds n - w < best."""
+    b = min(LOW_ROWS, len(rows))
+    code, bits, ones = _lane_format(n, b)
+    guards = ones << (bits - 1)
+    best, seen = (n if fold else n + 1), None  # fold: the zero message's coset {0, 1}
+    for h, v in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
+        if best != seen:
+            seen = best
+            thresh = guards - (1 + 2 * (n - best)) * ones
+            flipped = 2 * n * ones + thresh
+        if h == 0 or (v + thresh) & guards or fold and (flipped - v) & guards:
+            lanes = _unpack(v, code, b)
+            if h == 0:
+                lanes = memoryview(lanes)[1:]  # the zero message
+            best = min(best, n - max(lanes) // 2)
+            if fold:
+                best = min(best, min(lanes) // 2)
     return best
 
 
@@ -140,23 +218,23 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     # it then span a complement of {0, 1}
     kept = _independent_rows(((1 << n) - 1,) + code.rows)
     if len(kept) == k:
-        rows, fold = tuple(kept[1:]), n
+        rows, fold = tuple(kept[1:]), True
         if not rows:
             return n  # the code is {0, 1}
     else:
-        rows, fold = code.rows, 0
+        rows, fold = code.rows, False
     blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     # one span per CPU at most: the pool may fork all workers at once
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(rows) < 18:
-        return _min_weight(rows, 0, blocks, fold)
+        return _min_weight(rows, n, 0, blocks, fold)
     # imported here: the pool machinery is a large share of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-blocks // workers)
     spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futs = [pool.submit(_min_weight, rows, lo, hi, fold) for lo, hi in spans]
+        futs = [pool.submit(_min_weight, rows, n, lo, hi, fold) for lo, hi in spans]
         return min(f.result() for f in futs)
 
 
@@ -188,8 +266,12 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f"2**{code.k} codewords exceed the histogram budget"
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
-    counts = Counter(chain.from_iterable(_gray_blocks(code.rows)))
-    return [counts[w] for w in range(code.n + 1)]
+    n, b = code.n, min(LOW_ROWS, code.k)
+    lane_code = _lane_format(n, b)[0]
+    counts = Counter()
+    for v in _walsh_blocks(code.rows, n):
+        counts.update(_unpack(v, lane_code, b))
+    return [counts[2 * (n - w)] for w in range(n + 1)]
 
 
 def random_linear_code(n: int, k: int, seed: int) -> BinaryCode:

@@ -403,4 +403,9 @@ def field_from_json(obj: dict) -> Field:
     p, m = obj["p"], obj["m"]
     if type(p) is not int or type(m) is not int:
         raise BadParameters(f"field p and m must be ints, got {p!r} and {m!r}")
-    return field_create(p, m, obj.get("modulus"))
+    modulus = obj.get("modulus")
+    if modulus is not None and not (
+        type(modulus) is list and len(modulus) == m + 1 and all(type(c) is int for c in modulus)
+    ):
+        raise BadParameters(f"field modulus must be a list of {m + 1} ints, got {modulus!r}")
+    return field_create(p, m, modulus)

@@ -8,7 +8,7 @@ empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-from itertools import compress, islice, product, repeat
+from itertools import compress, islice, repeat
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -209,12 +209,17 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _monic_lex(field: "Field", d: int) -> Iterator[Poly]:
-    # product varies the last of (c0, .., c_{d-1}) fastest, which walks
-    # monic polynomials in lexicographic coefficient order; for d >= 2
-    # the walk starts at c0 = 1, since x divides every c0 = 0 polynomial
+    # the base-q digits of a counter, most significant first, are
+    # (c0, .., c_{d-1}) in lexicographic order; for d >= 2 the count
+    # starts at c0 = 1, since x divides every c0 = 0 polynomial.  Digits
+    # are decoded lazily, so a huge q never lists its coefficients
     q = field.q
-    for cs in product(range(d >= 2, q), *repeat(range(q), d - 1)):
-        yield Poly(field, cs + (1,))
+    for i in range(q ** (d - 1) if d >= 2 else 0, q**d):
+        cs = [1]
+        for _ in range(d):
+            i, c = divmod(i, q)
+            cs.append(c)
+        yield Poly(field, tuple(reversed(cs)))
 
 
 def _monic_irreducibles(field: "Field", d: int) -> Iterator[Poly]:

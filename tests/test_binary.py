@@ -9,12 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_weight_hist
+from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
-    _gray_blocks,
     _independent_rows,
+    _lane_format,
     _min_weight,
+    _unpack,
+    _walsh_blocks,
     exact_min_distance,
     gf2_rank,
     random_linear_code,
@@ -78,20 +81,38 @@ def test_elimination_matches_span_enumeration(rows):
     assert {code.encode(msg) for msg in range(1 << code.k)} == span
 
 
+def _block_weights(rows, n, lo, hi):
+    """Every weight the blocks [lo, hi) of _walsh_blocks hold, counted."""
+    b = min(binary.LOW_ROWS, len(rows))
+    code = _lane_format(n, b)[0]
+    counts = Counter()
+    for v in _walsh_blocks(rows, n, lo, hi):
+        counts.update(n - lane // 2 for lane in _unpack(v, code, b))
+    return counts
+
+
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, LOW_ROWS + 3), extra=st.integers(0, 30), seed=st.integers(0, 2**32))
-def test_gray_kernel_matches_naive_oracles(k, extra, seed):
-    # k runs below, at and above the width of the low-row table
+@given(
+    width=st.integers(1, 4),
+    k=st.integers(1, 7),
+    extra=st.integers(0, 30),
+    seed=st.integers(0, 2**32),
+)
+def test_walsh_kernel_matches_naive_oracles(width, k, extra, seed):
+    # a narrow low-row block puts k below, at and above its width, so
+    # that codes small enough for the oracles still span many blocks
     code = random_linear_code(k + extra, k, seed)
     hist = naive_weight_hist(code.rows, code.n)
-    assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
-    assert weight_distribution(code) == hist
-    # two workers' spans, cut at any high Gray index, cover each message once
-    blocks = 1 << max(k - LOW_ROWS, 0)
-    for cut in range(1, blocks):
-        spans = chain(_gray_blocks(code.rows, 0, cut), _gray_blocks(code.rows, cut, blocks))
-        counts = Counter(chain.from_iterable(spans))
-        assert [counts[w] for w in range(code.n + 1)] == hist
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "LOW_ROWS", width)
+        assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
+        assert weight_distribution(code) == hist
+        # two workers' spans, cut at any high Gray index, cover each message once
+        blocks = 1 << max(k - width, 0)
+        for cut in range(1, blocks):
+            counts = _block_weights(code.rows, code.n, 0, cut)
+            counts += _block_weights(code.rows, code.n, cut, blocks)
+            assert [counts[w] for w in range(code.n + 1)] == hist
 
 
 @settings(max_examples=2, deadline=None)
@@ -115,13 +136,14 @@ def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    k=st.one_of(st.integers(1, 6), st.sampled_from([LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 2])),
+    width=st.integers(1, 4),
+    k=st.integers(1, 7),
     extra=st.integers(0, 20),
     seed=st.integers(0, 2**32),
     ones=st.sampled_from(["row", "span", "absent"]),
 )
-def test_quotient_walk_matches_naive_oracle(k, extra, seed, ones):
-    # k - 1 walked rows fall below, at and above the width of the low-row table
+def test_quotient_walk_matches_naive_oracle(width, k, extra, seed, ones):
+    # k - 1 walked rows fall below, at and above a narrow low-row block
     n = k + extra
     code = _ones_code(n, k, seed, ones)
     ones_word = (1 << n) - 1
@@ -129,13 +151,58 @@ def test_quotient_walk_matches_naive_oracle(k, extra, seed, ones):
     assume(holds == (ones != "absent"))
     assert (ones_word in code.rows) == (holds and (ones == "row" or k == 1))
     d = naive_min_distance(code.rows, n)
-    assert exact_min_distance(code) == d
-    # two folded spans, cut at any high Gray index, give the same minimum
-    if holds and k > 1:
-        rows = tuple(_independent_rows((ones_word,) + code.rows)[1:])
-        blocks = 1 << max(k - 1 - LOW_ROWS, 0)
-        for cut in range(1, blocks):
-            assert min(_min_weight(rows, 0, cut, n), _min_weight(rows, cut, blocks, n)) == d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "LOW_ROWS", width)
+        assert exact_min_distance(code) == d
+        # two folded spans, cut at any high Gray index, give the same minimum
+        if holds and k > 1:
+            rows = tuple(_independent_rows((ones_word,) + code.rows)[1:])
+            blocks = 1 << max(k - 1 - width, 0)
+            for cut in range(1, blocks):
+                halves = _min_weight(rows, n, 0, cut, True), _min_weight(rows, n, cut, blocks, True)
+                assert min(halves) == d
+
+
+def test_minimum_found_after_block_zero(monkeypatch):
+    """With two low rows, block 0 of this code weighs 6 at least, and its
+    weight-1 word r0 + r2 lies in block 1, which only the lane threshold
+    test can pick out."""
+    n = 12
+    rows = (0b0111_1111_1110, 0b1111_1100_0000, 0b0111_1111_1111)
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    assert _min_weight(rows, n, 0, 1) == 6
+    assert exact_min_distance(BinaryCode(rows, n)) == naive_min_distance(rows, n) == 1
+
+
+def test_folded_minimum_found_on_the_complement_side(monkeypatch):
+    """With two low rows, block 0 of the walked rows gives 3 at least,
+    folded or not.  Block 1 weighs 11, 8, 7 and 4, so no word there is
+    lighter than 3, but r2 = 1 + e_0 of weight 11 stands for e_0 of
+    weight 1, which only the threshold test on 2n - lane finds."""
+    n, ones = 12, (1 << 12) - 1
+    walked = (0b0000_0000_1110, 0b0000_1111_0000, ones ^ 1)
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    assert _min_weight(walked, n, 0, 1, True) == 3
+    assert _min_weight(walked, n, 0, 2) == 3  # unfolded: e_0 is not in the span
+    code = BinaryCode((ones,) + walked, n)
+    assert exact_min_distance(code) == naive_min_distance(code.rows, n) == 1
+
+
+@pytest.mark.parametrize("n, lane", [(16383, "H"), (16384, "I")])
+def test_lane_width_edge(n, lane):
+    """2n < 2^15 keeps 16-bit lanes with the guard bit free; n = 2^14 takes
+    32-bit lanes.  Each code has words of weight 1 and n - 1, the zero
+    message's lane 2n; the second holds 1, so its weight distribution
+    reads lanes 0 and 2n in one block."""
+    assert _lane_format(n, 3)[0] == lane
+    ones = (1 << n) - 1
+    for rows in [
+        (1, ones ^ 1, random.Random(n).getrandbits(n)),
+        (ones, ones ^ 1, ones ^ 0b110, random.Random(n + 1).getrandbits(n)),
+    ]:
+        code = BinaryCode.from_span(rows, n)
+        assert exact_min_distance(code) == naive_min_distance(code.rows, n)
+        assert weight_distribution(code) == naive_weight_hist(code.rows, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -174,6 +241,7 @@ def test_exact_min_distance_matches_naive_oracle():
 
 
 def test_weight_distribution_matches_naive_oracle():
+    assert weight_distribution(BinaryCode([], 5)) == [1, 0, 0, 0, 0, 0]
     for seed in (3, 11):
         code = random_linear_code(12, 5, seed)
         hist = weight_distribution(code)
@@ -266,7 +334,7 @@ def _assert_pool_capped(monkeypatch, cpus, code):
     monkeypatch.setattr(_InlineExecutor, "submits", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     blocks = 1 << (18 - LOW_ROWS)
-    full = _min_weight(code.rows, 0, 1 << (code.k - LOW_ROWS))
+    full = _min_weight(code.rows, code.n, 0, 1 << (code.k - LOW_ROWS))
     assert exact_min_distance(code, workers=10**6) == full
     if (cpus or 1) == 1:
         assert _InlineExecutor.sizes == [] and _InlineExecutor.submits == []
@@ -296,7 +364,7 @@ def test_folded_worker_pool_splits_the_quotient(monkeypatch, cpus):
     # at dimension 18 the 17 walked rows fall below the cut-off: serial
     code = BinaryCode((ones,) + random_linear_code(40, 17, 5).rows, 40)
     submits = len(_InlineExecutor.submits)
-    full = _min_weight(code.rows, 0, 1 << (18 - LOW_ROWS))
+    full = _min_weight(code.rows, 40, 0, 1 << (18 - LOW_ROWS))
     assert exact_min_distance(code, workers=10**6) == full
     assert len(_InlineExecutor.submits) == submits
 

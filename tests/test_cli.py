@@ -110,6 +110,23 @@ def test_dmin_descriptor_with_mistyped_field_or_kind_exits_two(
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "modulus", [[1.7, 0.2, True], "abc", 5], ids=["floats_and_bool", "string", "int"]
+)
+def test_dmin_descriptor_with_malformed_modulus_exits_two(tmp_path, capsys, modulus):
+    """GF(9)'s modulus is (1, 0, 1), which int() would read off the first."""
+    path = tmp_path / "code.json"
+    run_cli(capsys, "construct", "deg1", "--q", "9", "--e-size", "7", "--out", str(path))
+    desc = json.loads(path.read_text())
+    assert desc["field"] == {"p": 3, "m": 2, "modulus": [1, 0, 1]}
+    assert run_cli(capsys, "dmin", str(path))[0] == 0
+    desc["field"]["modulus"] = modulus
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(capsys, "dmin", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
     """Trial division stops at its bound, so a prime characteristic of
     61 bits is refused where it used to divide for minutes."""
@@ -123,6 +140,22 @@ def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_dmin_over_a_40_bit_characteristic_squared_ends_cleanly(tmp_path):
+    """p = 999999999989 passes trial division, and GF(p^2)'s default
+    modulus comes from a lazy lexicographic walk: the scan ends with exit
+    0 or 2, never a MemoryError from listing range(p)."""
+    desc = tmp_path / "huge.json"
+    desc.write_text(json.dumps(
+        {"field": {"p": 999999999989, "m": 2}, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
 
 
 def test_dmin_three_points_over_a_huge_prime_field(tmp_path, capsys):
@@ -403,12 +436,12 @@ def _leaf_options(parser) -> list:
 
 LEAVES = _leaves(build_parser())
 FUZZ_INTS = [*range(-2, 10), 16, 25, 27, 49]
-# verify theorem7 builds 2^m codes and scans each exactly: m = 8 takes 1.3-1.6 s
-# wall on a 2-CPU x86-64 host, so --m stops at 7; from m = 16 on GF(2^(m+1)) is
-# past the table limit and exits 2
+# verify theorem7 builds 2^m codes and scans each exactly: m = 8 takes 0.3 s
+# and m = 9 1.2-1.6 s wall on a 2-CPU x86-64 host, so --m stops at 8; from
+# m = 16 on GF(2^(m+1)) is past the table limit and exits 2
 FUZZ_DRAWS = {
     "workers": st.integers(-1, 2),
-    "m": st.sampled_from([n for n in FUZZ_INTS if not 8 <= n <= 9]),
+    "m": st.sampled_from([n for n in FUZZ_INTS if n != 9]),
 }
 
 

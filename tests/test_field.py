@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_order, ref_ext_mul, ref_ext_pow
 from shadowcodes.errors import (
+    BadParameters,
     BudgetExceeded,
     DegreeMismatch,
     DivisionByZero,
@@ -352,6 +353,17 @@ def test_json_round_trip():
         assert field_from_json(json.loads(json.dumps(f.to_json()))) is f
     assert "modulus" not in field_create(7).to_json()
     assert field_create(3, 2).to_json()["modulus"] == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [[1.7, 0.2, True], [1, 0, True], "abc", 5, [1, 0], [1, 0, 1, 0]],
+    ids=["floats_and_bool", "bool", "string", "int", "short", "long"],
+)
+def test_json_modulus_must_be_m_plus_one_ints(modulus):
+    # int() would read [1.7, 0.2, true] as the canonical GF(9) modulus (1, 0, 1)
+    with pytest.raises(BadParameters):
+        field_from_json({"p": 3, "m": 2, "modulus": modulus})
 
 
 def test_large_prime_field_skips_tables():
