@@ -3,7 +3,6 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import Future
-from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st

@@ -246,14 +246,6 @@ def test_lex_walk_is_the_product_order(q, d):
     assert [f.coeffs for f in _monic_lex(field, d)] == [cs + (1,) for cs in order]
 
 
-def test_lex_walk_over_a_40_bit_prime_is_lazy():
-    """GF(p^2) with p = 999999999989 < 10^12 passes trial division; its
-    default modulus comes from the walk, which lists no range(p)."""
-    field = field_create(999999999989, 2)
-    assert len(field.modulus) == 3 and field.modulus[-1] == 1
-    assert is_irreducible(Poly(field_create(999999999989), field.modulus))
-
-
 def test_closed_form_quadratics_are_the_non_split_ones():
     """Up to q = 243 the list is every monic quadratic, in lex order,
     that is no product of two linears."""
