@@ -207,6 +207,8 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     """Minimum nonzero codeword weight by full enumeration, of the
     quotient by 1 when the code holds 1."""
     k, n = code.k, code.n
+    if workers < 1:
+        raise BadParameters(f"need workers >= 1, got {workers}")
     if k == 0:
         raise BadParameters("the trivial code has no nonzero codeword")
     if k > ENUM_BUDGET_LOG2:

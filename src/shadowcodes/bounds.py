@@ -37,6 +37,9 @@ FIG3_RANDOM_KS = (8, 12, 16)  # fig3's random codes, where k <= n; scanned exact
 # here; it drifts past that from about n = 2.5e9
 K0_N_MAX = 10**9
 FIG4_M_MAX = 511  # n = 4^m must fit a float
+# the largest even m whose DG length 2^m prints: Python refuses to turn
+# an int of more than 4300 digits into text by default
+DG_M_MAX = 14284
 # the section 6 grid: inner degrees m and outer-rate steps per m
 SECTION6_MS = range(2, 11)
 SECTION6_STEPS = 100
@@ -50,8 +53,8 @@ def dg_params(m: int, d: int) -> tuple[int, int, int]:
 
     Requires even m = 2t + 2 >= 4 and 1 <= d <= t + 1.  d = t + 1 is the
     Kerdock code; d = 1 is second-order Reed-Muller."""
-    if m < 4 or m % 2:
-        raise BadParameters(f"DG needs even m >= 4, got {m}")
+    if not 4 <= m <= DG_M_MAX or m % 2:
+        raise BadParameters(f"DG needs even m in 4..{DG_M_MAX}, got {m}")
     t = (m - 2) // 2
     if not 1 <= d <= t + 1:
         raise BadParameters(f"DG(m={m}) needs 1 <= d <= {t + 1}, got {d}")
@@ -302,6 +305,8 @@ def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
         if find_odd_prime_power(n + k - 1) is None:
             continue
         code = construct_deg1_nk(n, k)
+        if code.rank != k:  # rank-deficient: no (n, k) code to report
+            continue
         d = exact_min_distance(code.generator())
         rows.append(BoundPoint("shadow_exact", n, k, k / n, d / n, "exact"))
     return rows

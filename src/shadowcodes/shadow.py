@@ -62,15 +62,14 @@ from .poly import (
 )
 
 
+@dataclass(frozen=True)
 class Surd:
-    """Exact a + b*sqrt(q) with rational a, b and integer q >= 0."""
+    """Exact a + b*sqrt(q) with rational a, b (Fractions or ints) and
+    integer q >= 0."""
 
-    __slots__ = ("a", "b", "q")
-
-    def __init__(self, a, b, q: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.q = int(q)
+    a: Fraction
+    b: Fraction
+    q: int
 
     @property
     def is_exact(self) -> bool:
@@ -91,31 +90,19 @@ class Surd:
         lhs, rhs = a * a, b * b * self.q
         return sa if lhs > rhs else sb if lhs < rhs else 0
 
-    def shifted(self, t) -> "Surd":
-        return Surd(self.a - Fraction(t), self.b, self.q)
-
     def ceil(self) -> int:
-        """Least integer t with value <= t, decided exactly."""
-        t = math.ceil(float(self))
-        while self.shifted(t).sign() > 0:
-            t += 1
-        while self.shifted(t - 1).sign() <= 0:
-            t -= 1
-        return t
+        """Least integer t with value <= t, in integers: ceil(x) = -floor(-x).
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Surd)
-            and self.a == other.a
-            and self.b == other.b
-            and self.q == other.q
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.q))
-
-    def __repr__(self) -> str:
-        return f"Surd({self.a} + {self.b}*sqrt({self.q}))"
+        Over a common denominator d, -x = (-a' - b' sqrt(q))/d, and with
+        r = isqrt(b'^2 q) the numerator's floor is r - a' for b' <= 0 and
+        -a' - r, less one when b'^2 q is not a square, for b' > 0."""
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        a = self.a.numerator * (d // self.a.denominator)
+        b = self.b.numerator * (d // self.b.denominator)
+        sq = b * b * self.q
+        r = math.isqrt(sq)
+        low = r - a if b <= 0 else -a - r - (r * r != sq)
+        return -(low // d)
 
     def to_json(self) -> dict:
         return {
@@ -267,12 +254,14 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
 
 
 def delta(ev: EvaluationSet, basic: BasicSet) -> Surd:
-    """|E| - q/2 - (sqrt(q)/2)(d_B - 1), exact.  A constant has degree
-    0, so d_B sums the degrees of every generator."""
-    q = ev.field.q
-    a = Fraction(len(ev.points)) - Fraction(q, 2)
-    b = -Fraction(sum(f.degree for f in basic.polys) - 1, 2)
-    return Surd(a, b, q)
+    """The guarantee of ev and basic.  A constant has degree 0, so d_B
+    sums the degrees of every generator."""
+    return _delta(len(ev.points), ev.field.q, sum(f.degree for f in basic.polys))
+
+
+def _delta(e_size: int, q: int, d_b: int) -> Surd:
+    """|E| - q/2 - (sqrt(q)/2)(d_B - 1), exact."""
+    return Surd(e_size - Fraction(q, 2), Fraction(1 - d_b, 2), q)
 
 
 @dataclass(frozen=True)
@@ -344,32 +333,31 @@ def construct_deg2(field: Field, k: int, seed: int | None = None) -> ShadowCode:
 
 
 def deg1_floor(n: int, k: int) -> Surd:
-    """(n - k + 1)/2 - (sqrt(n + k - 1)/2)(k - 2), the degree <= 1 floor."""
-    return Surd(Fraction(n - k + 1, 2), -Fraction(k - 2, 2), n + k - 1)
+    """(n - k + 1)/2 - (sqrt(n + k - 1)/2)(k - 2), the degree <= 1 floor:
+    q = n + k - 1 and d_B = k - 1."""
+    return _delta(n, n + k - 1, k - 1)
 
 
 def deg2_floor(n: int, k: int) -> Surd:
-    """n/2 - (sqrt(n)/2)(2k - 1), the degree 2 floor (length = field order)."""
-    return Surd(Fraction(n, 2), -Fraction(2 * k - 1, 2), n)
+    """n/2 - (sqrt(n)/2)(2k - 1), the degree 2 floor: q = n and d_B = 2k."""
+    return _delta(n, n, 2 * k)
 
 
 def distance_lower_bound(code: ShadowCode) -> Surd:
     """The exact distance guarantee; error when it is vacuous.
 
     For the two stock families the generic surd is cross-checked
-    against the closed forms in n and k."""
+    against the closed forms in n and k, which pins the builders' q
+    and d_B."""
     if not code.delta_positive:
         raise NonpositiveDelta(
             f"delta = {float(code.delta):.4f} <= 0 guarantees nothing"
         )
-    d = code.delta
-    q = code.evaluation.field.q
-    n = code.n
-    k = len(code.basic.polys)
+    d, n, k = code.delta, code.n, len(code.basic.polys)
     if code.kind == "deg1":
-        assert q == n + k - 1 and d == deg1_floor(n, k), "degree <= 1 closed form disagrees"
+        assert d == deg1_floor(n, k), "degree <= 1 closed form disagrees"
     elif code.kind == "deg2":
-        assert q == n and d == deg2_floor(n, k), "degree 2 closed form disagrees"
+        assert d == deg2_floor(n, k), "degree 2 closed form disagrees"
     return d
 
 

@@ -11,7 +11,7 @@ from shadowcodes.binary import exact_min_distance
 from shadowcodes.bounds import dg_params, fig4_rows, gv_min_distance, rm2_dim
 from shadowcodes.concat import concat_generator, concat_params, concat_spec
 from shadowcodes.field import field_of_order
-from shadowcodes.shadow import construct_deg1, construct_deg2, distance_lower_bound
+from shadowcodes.shadow import Surd, construct_deg1, construct_deg2, distance_lower_bound
 from shadowcodes.verify import verify_section6, verify_theorem6, verify_weil
 
 
@@ -25,7 +25,7 @@ def test_1_deg1_flagship():
     code = construct_deg1(field_of_order(121), 113)
     assert (code.n, code.k, code.rank) == (113, 9, 9)
     floor = distance_lower_bound(code)
-    assert floor.is_exact and floor.shifted(14).sign() == 0
+    assert floor.is_exact and Surd(floor.a - 14, floor.b, floor.q).sign() == 0
     dmin = exact_min_distance(code.generator())
     assert dmin >= 14
     _report(
@@ -41,7 +41,7 @@ def test_2_deg2_instance():
     code = construct_deg2(field_of_order(49), 3)
     assert (code.n, code.k, code.rank) == (49, 3, 3)
     floor = distance_lower_bound(code)
-    assert floor.is_exact and floor.shifted(7).sign() == 0
+    assert floor.is_exact and Surd(floor.a - 7, floor.b, floor.q).sign() == 0
     dmin = exact_min_distance(code.generator())
     assert dmin >= 7
     _report(

@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import gv_definition
+from shadowcodes.binary import exact_min_distance
 from shadowcodes.bounds import (
     DEFAULT_SEED,
+    DG_M_MAX,
+    FIG3_EXACT_CAP,
     FIG4_M_MAX,
     FIG_FIELDNAMES,
     K0_N_MAX,
@@ -32,7 +35,8 @@ from shadowcodes.bounds import (
     shadow_lb_deg2,
 )
 from shadowcodes.errors import BadParameters, BadShape
-from shadowcodes.shadow import Surd
+from shadowcodes.field import find_odd_prime_power
+from shadowcodes.shadow import Surd, construct_deg1_nk
 
 
 def test_default_seed_value():
@@ -54,9 +58,11 @@ def test_dg_d1_matches_second_order_reed_muller():
 
 
 def test_dg_validation():
-    for m, d in [(3, 1), (2, 1), (4, 0), (4, 3), (10, 6)]:
+    for m, d in [(3, 1), (2, 1), (4, 0), (4, 3), (10, 6), (DG_M_MAX + 2, 1), (20000, 1)]:
         with pytest.raises(BadParameters):
             dg_params(m, d)
+    # the cap is the last even m whose length still prints as a decimal
+    assert len(str(dg_params(DG_M_MAX, 1)[0])) == 4300
     with pytest.raises(BadParameters):
         rm2_dim(1)
 
@@ -294,6 +300,24 @@ def test_fig3_rows_at_1024():
     floors = {r.k: r.delta for r in by_scheme["shadow_deg1"]}
     for r in by_scheme["shadow_exact"]:
         assert r.delta >= floors[r.k]
+
+
+@pytest.mark.parametrize("n", [2, 40, 108, 155])
+def test_fig3_exact_rows_claim_only_their_codes_rank(n):
+    """At these lengths some deg1 codes with k <= FIG3_EXACT_CAP are
+    rank-deficient; no shadow_exact row may claim a dimension its code
+    lacks."""
+    exact = [r for r in fig3_rows(n) if r.scheme == "shadow_exact"]
+    dropped = [
+        k
+        for k in range(2, FIG3_EXACT_CAP + 1)
+        if find_odd_prime_power(n + k - 1) and k not in {r.k for r in exact}
+    ]
+    assert dropped
+    for r in exact:
+        code = construct_deg1_nk(n, r.k)
+        assert code.rank == r.k
+        assert r.delta == exact_min_distance(code.generator()) / n
 
 
 def test_fig3_rows_deterministic():

@@ -203,6 +203,9 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("bounds", "shadow2", "--n", str(10**400), "--k", "3"),
         ("bounds", "shadow1", "--n", "5", "--k", str(10**400)),
         ("bounds", "shadow1", "--n", "5", "--k", str(10**300)),
+        ("bounds", "dg", "--m", "20000", "--d", "1"),
+        ("dmin", "{tmp}/code.json", "--workers", "0"),
+        ("verify", "theorem7", "--workers", "-1"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
@@ -210,9 +213,12 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "k0_n_too_large", "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
          "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
-         "shadow1_floor_infinite"],
+         "shadow1_floor_infinite", "dg_m_past_the_printable_cap", "dmin_workers_zero",
+         "theorem7_workers_negative"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
+    assert main(["construct", "deg1", "--n", "28", "--k", "4",
+                 "--out", str(tmp_path / "code.json")]) == 0
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err

@@ -95,9 +95,44 @@ def test_surd_sign_and_ceil_match_the_oracle(a, b, q, tie):
     assert s.ceil() == math.ceil(v)
 
 
+HUGE_INTS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(10**400, 10**401),
+    st.integers(-(10**401), -(10**400)),
+)
+HUGE_RATIONALS = st.builds(
+    Fraction, HUGE_INTS, st.one_of(st.integers(1, 100), st.integers(1, 10**20))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=HUGE_RATIONALS,
+    b=HUGE_RATIONALS,
+    q=st.one_of(
+        st.integers(0, 10**6),
+        st.integers(0, 10**6).map(lambda r: r * r),
+        st.integers(0, 10**40),
+    ),
+    tie=st.one_of(st.none(), st.integers(-3, 3)),
+)
+def test_surd_ceil_is_the_least_integer_above(a, b, q, tie):
+    """ceil is the least t with a - t + b sqrt(q) <= 0, far past float
+    range (|a|, |b| up to 10^401) and with denominators up to 10^20; that
+    sign falls as t grows, so t = ceil must pass and t - 1 fail."""
+    r = math.isqrt(q)
+    if tie is not None and r * r == q:
+        a = tie - b * r  # the value is the integer tie
+    t = Surd(a, b, q).ceil()
+    assert Surd(a - t, b, q).sign() <= 0
+    assert Surd(a - (t - 1), b, q).sign() > 0
+    if tie is not None and r * r == q:
+        assert t == tie
+
+
 def test_surd_exactness_and_json():
     s = Surd(Fraction(105, 2), Fraction(-7, 2), 121)
-    assert s.is_exact and s.shifted(14).sign() == 0
+    assert s.is_exact and Surd(s.a - 14, s.b, s.q).sign() == 0
     t = Surd(1, 1, 7)
     assert not t.is_exact
     for v in (s, t):

@@ -1,0 +1,128 @@
+"""Every failure branch of the verify suites, and of the dmin floor check.
+
+Each case rebinds one name the suite reads so that one check fails,
+runs the CLI, and reads the report: exit 1, "ok": false, and failure
+entries that carry the keys a reader needs to reproduce them."""
+
+import json
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from shadowcodes import cli, verify
+from shadowcodes.cli import main
+
+THEOREM4_KEYS = {"kind", "q", "n", "B_size", "check"}
+
+
+def _deficient_rank(code):
+    return replace(code, rank=code.rank - 1) if code.delta_positive else code
+
+
+def _excess_rank(code):
+    return code if code.delta_positive else replace(code, rank=len(code.basic.polys) + 1)
+
+
+# (argv, module, name, replacement built from the real function,
+#  keys of each failure entry, the "check" each entry names or None)
+CASES = {
+    "weil_count_window": (
+        ("weil", "--count", "2"), verify, "check_corollary",
+        lambda real: lambda spec: replace(real(spec), ok=False),
+        {"q", "gamma", "factors", "count", "degree"}, None,
+    ),
+    "weil_base_case": (
+        ("weil", "--count", "0"), verify, "check_corollary",
+        lambda real: lambda spec: replace(real(spec), count=real(spec).count + 1),
+        {"q", "expected_count", "count"}, None,
+    ),
+    "theorem4_product_row_sum": (
+        ("theorem4",), verify, "lambda_map",
+        lambda real: lambda f, ev: real(f, ev) ^ 1,
+        THEOREM4_KEYS | {"exponents"}, "product_row_sum",
+    ),
+    "theorem4_full_rank": (
+        ("theorem4",), verify, "construct_deg1",
+        lambda real: lambda field, size: _deficient_rank(real(field, size)),
+        THEOREM4_KEYS, "full_rank",
+    ),
+    "theorem4_rank_bound": (
+        ("theorem4",), verify, "construct_deg1",
+        lambda real: lambda field, size: _excess_rank(real(field, size)),
+        THEOREM4_KEYS, "rank_bound",
+    ),
+    "theorem4_distance_floor": (
+        ("theorem4",), verify, "exact_min_distance",
+        lambda real: lambda gen, workers=1: 1,
+        THEOREM4_KEYS | {"dmin", "floor"}, "distance_floor",
+    ),
+    "theorem4_vacuous_floor_not_flagged": (
+        ("theorem4",), verify, "distance_lower_bound",
+        lambda real: lambda code: code.delta,
+        THEOREM4_KEYS, "vacuous_floor_not_flagged",
+    ),
+    "theorem4_complement_symmetry": (
+        ("theorem4",), verify, "weight_distribution",
+        lambda real: lambda gen: [1] + [0] * gen.n,
+        THEOREM4_KEYS, "complement_symmetry",
+    ),
+    "theorem6_quartic_identity": (
+        ("theorem6", "--n-max", "100"), verify, "s_cubic",
+        lambda real: lambda n, k: real(n, k) + 1,
+        {"m", "S"}, None,
+    ),
+    "theorem6_negative_from_two": (
+        ("theorem6", "--n-max", "100"), verify, "Surd",
+        lambda real: lambda a, b, q: real(-a, b, q),
+        {"check"}, "negative from n = 2 on",
+    ),
+    "theorem6_root_gap": (
+        ("theorem6", "--n-max", "100"), verify, "k0",
+        lambda real: lambda n: replace(real(n), k0_cardano=real(n).k0 + 1e-3),
+        {"n", "bisection", "cardano"}, None,
+    ),
+    "theorem6_root_above_approx": (
+        ("theorem6", "--n-max", "100"), verify, "k0",
+        lambda real: lambda n: replace(real(n), k0=1.0, k0_cardano=1.0),
+        {"n", "k0", "approx"}, None,
+    ),
+    "theorem7_rate": (
+        ("theorem7",), verify, "concat_params",
+        lambda real: lambda spec: replace(real(spec), rate=real(spec).rate + 1),
+        {"m", "K", "check"}, "rate",
+    ),
+    "theorem7_floor": (
+        ("theorem7",), verify, "exact_min_distance",
+        lambda real: lambda code, workers=1: 1,
+        {"m", "K", "dmin", "floor"}, None,
+    ),
+    "section6_margin": (
+        ("section6",), verify, "section6_margins",
+        lambda real: lambda: [(2, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))],
+        {"m", "r", "lhs", "rhs"}, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_failed_check_exits_one_with_its_entry(tmp_path, monkeypatch, case):
+    args, module, name, patch, keys, check = CASES[case]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    out = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["ok"] is False and report["failures"]
+    for entry in report["failures"]:
+        assert set(entry) == keys
+        assert entry.get("check") == check
+
+
+def test_dmin_below_the_floor_exits_one(tmp_path, monkeypatch):
+    desc, out = tmp_path / "code.json", tmp_path / "report.json"
+    assert main(["construct", "deg1", "--n", "28", "--k", "4", "--out", str(desc)]) == 0
+    monkeypatch.setattr(cli, "exact_min_distance", lambda gen, workers=1: 1)
+    assert main(["dmin", str(desc), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["dmin"] == 1 and report["floor"] > 1
+    assert report["floor_met"] is False
