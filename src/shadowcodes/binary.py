@@ -11,6 +11,10 @@ one int, give 2(n - w) for every codeword of the block.
 When the all-ones word 1 lies in the code, c and c + 1 weigh w and
 n - w, so the exact minimum-distance scan walks only the 2^(k-1)
 messages of a complement of {0, 1} and reads both weights off each.
+When the code also holds the reversal of each of its words, which the
+reversed rows adding no rank decides exactly, reversing the coordinates
+is a weight-preserving involution M of that quotient, and the serial
+scan walks about one coset per orbit {x, Mx}: near half the quotient.
 The weight distribution always walks all 2^k codewords.
 """
 
@@ -175,10 +179,13 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
         yield v
 
 
-def _min_weight(rows: tuple[int, ...], n: int, lo: int, hi: int, fold: bool = False) -> int:
-    """Least weight over blocks [lo, hi), skipping the zero message.
-    With fold the rows span a complement of {0, 1} in a length-n code
-    holding 1, so each weight w also stands for n - w.
+def _min_weight(
+    rows: tuple[int, ...], n: int, lo: int, hi: int, fold: bool = False, best: int | None = None
+) -> int:
+    """Least weight over blocks [lo, hi), skipping the zero message, or
+    best when no walked codeword is lighter (default: above every
+    weight).  With fold the rows span a complement of {0, 1} in a
+    length-n code holding 1, so each weight w also stands for n - w.
 
     A block is decoded only when some lane beats the best weight so far:
     adding 2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
@@ -187,7 +194,9 @@ def _min_weight(rows: tuple[int, ...], n: int, lo: int, hi: int, fold: bool = Fa
     b = min(LOW_ROWS, len(rows))
     code, bits, ones = _lane_format(n, b)
     guards = ones << (bits - 1)
-    best, seen = (n if fold else n + 1), None  # fold: the zero message's coset {0, 1}
+    if best is None:
+        best = n if fold else n + 1  # fold: the zero message's coset {0, 1}
+    seen = None
     for h, v in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
         if best != seen:
             seen = best
@@ -203,9 +212,71 @@ def _min_weight(rows: tuple[int, ...], n: int, lo: int, hi: int, fold: bool = Fa
     return best
 
 
+def _reverse(row: int, n: int) -> int:
+    """The length-n row with its coordinates in reverse order."""
+    return int(format(row, f"0{n}b")[::-1], 2)
+
+
+def _holds_reversal(rows: tuple[int, ...], n: int) -> bool:
+    """Whether the span of 1 and rows, independent of 1 and each other,
+    holds the reversal of each word: the reversed rows add no rank."""
+    ones = (1 << n) - 1
+    revs = (_reverse(row, n) for row in rows)
+    return len(_independent_rows((ones, *rows, *revs))) == len(rows) + 1
+
+
+def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[int, ...], int, int]]:
+    """The serial scan as (rows, lo, hi) parts for _min_weight: the plain
+    walk of every block, or one walk per orbit of the coordinate reversal.
+
+    When the code holds 1 and its reversal, M(x) = canon(rev(x)) is an
+    involution on the quotient by 1, canon(c) clearing bit 0 by adding 1.
+    N = M + I has N^2 = 0, so the quotient has a basis f, g, e with
+    N(e_i) = f_i and N(g) = 0.  M fixes span(f, g), and the orbit
+    {x, Mx} of an x whose highest e is e_j holds one member free of f_j.
+    Part 0 walks span(f, g, e_1..e_j0) whole, within LOW_ROWS rows; part
+    j > j0 walks the rows (f but f_j, g, e_1..e_j) with e_j the last high
+    row, over the Gray blocks that select it.  With no high row, the part
+    walks its one block, meeting some orbits twice."""
+    blocks = 1 << max(len(rows) - LOW_ROWS, 0)
+    plain = [(rows, 0, blocks)]
+    if not (fold and _holds_reversal(rows, n)):
+        return plain
+    ones = (1 << n) - 1
+
+    def canon(c: int) -> int:
+        return c ^ ones if c & 1 else c
+
+    # eliminate the pairs (N(x), x), keeping N(e) = f for every pivot
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for row in rows:
+        f, e = canon(row ^ _reverse(row, n)), canon(row)
+        while f:
+            top = f.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (f, e)
+                break
+            f ^= pivots[top][0]
+            e ^= pivots[top][1]
+        else:
+            kernel.append(e)
+    fs, es = [f for f, _ in pivots.values()], [e for _, e in pivots.values()]
+    r = len(fs)
+    gs = _independent_rows(fs + kernel)[r:]
+    j0 = max(0, min(r, LOW_ROWS - len(rows) + r))
+    parts = [(tuple(fs + gs + es[:j0]), 0, 1 << max(len(rows) - r + j0 - LOW_ROWS, 0))]
+    for j in range(j0, r):
+        part = tuple(fs[:j] + fs[j + 1 :] + gs + es[: j + 1])
+        high = len(part) - LOW_ROWS
+        parts.append((part, 1 << (high - 1), 1 << high) if high > 0 else (part, 0, 1))
+    return parts if sum(hi - lo for _, lo, hi in parts) < blocks else plain
+
+
 def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     """Minimum nonzero codeword weight by full enumeration, of the
-    quotient by 1 when the code holds 1."""
+    quotient by 1 when the code holds 1, and serially of one coset per
+    orbit of the coordinate reversal when the code holds that too."""
     k, n = code.k, code.n
     if workers < 1:
         raise BadParameters(f"need workers >= 1, got {workers}")
@@ -225,11 +296,14 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             return n  # the code is {0, 1}
     else:
         rows, fold = code.rows, False
-    blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     # one span per CPU at most: the pool may fork all workers at once
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(rows) < 18:
-        return _min_weight(rows, n, 0, blocks, fold)
+        best = None  # each part starts from the best weight of the parts before it
+        for part, lo, hi in _walk_parts(rows, n, fold):
+            best = _min_weight(part, n, lo, hi, fold, best)
+        return best
+    blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     # imported here: the pool machinery is a large share of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
@@ -246,11 +320,24 @@ def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
         raise BadParameters("the trivial code has no nonzero codeword")
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
+    # one 256-entry XOR table per 8 rows: entry u of table i encodes the
+    # message byte u in rows 8i .. 8i + 7
+    tables = []
+    for i in range(0, code.k, 8):
+        table = [0]
+        for row in code.rows[i : i + 8]:
+            table += [t ^ row for t in table]
+        tables.append(table)
     rng = random.Random(seed)
     top = 1 << code.k
     best = code.n + 1
     for _ in range(trials):
-        w = code.encode(rng.randrange(1, top)).bit_count()
+        m = rng.randrange(1, top)
+        cw = 0
+        for table in tables:
+            cw ^= table[m & 255]
+            m >>= 8
+        w = cw.bit_count()
         if w < best:
             best = w
     return best

@@ -152,6 +152,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_dmin(args) -> int:
+    if args.workers < 1:  # checked for the sampled path too, which runs no pool
+        raise BadParameters(f"need workers >= 1, got {args.workers}")
     with open(args.descriptor) as fh:
         try:
             obj = json.load(fh)

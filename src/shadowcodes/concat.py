@@ -109,14 +109,14 @@ def concat_generator(spec: ConcatSpec) -> BinaryCode:
     """Generator matrix, one row per outer polynomial theta(2^b) x^i."""
     m, field = spec.m, spec.field
     theta, inverse = theta_table(m), _theta_inverse(m)
+    block_bits = f"0{1 << m}b"
     rows = []
     for i in range(spec.K):
         powers = [field.pow(beta, i) for beta in range(1, spec.N + 1)]
         for b in range(m + 1):
-            word = 0
-            for j, power in enumerate(powers):
-                word |= rm1_encode(m, inverse[field.mul(theta[1 << b], power)]) << (j << m)
-            rows.append(word)
+            blocks = [rm1_encode(m, inverse[field.mul(theta[1 << b], power)]) for power in powers]
+            # one bit-string join, block N - 1 first, so that block j fills bits j 2^m ..
+            rows.append(int("".join(format(block, block_bits) for block in reversed(blocks)), 2))
     return BinaryCode(rows, spec.n)
 
 

@@ -12,10 +12,13 @@ from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
+    _holds_reversal,
     _independent_rows,
     _lane_format,
     _min_weight,
+    _reverse,
     _unpack,
+    _walk_parts,
     _walsh_blocks,
     exact_min_distance,
     gf2_rank,
@@ -26,6 +29,8 @@ from shadowcodes.binary import (
     weight_distribution,
 )
 from shadowcodes.errors import BadParameters, DimensionTooLarge
+from shadowcodes.field import field_of_order
+from shadowcodes.shadow import construct_deg1, construct_deg1_nk
 
 
 def test_rank_hand_cases():
@@ -187,6 +192,161 @@ def test_folded_minimum_found_on_the_complement_side(monkeypatch):
     assert exact_min_distance(code) == naive_min_distance(code.rows, n) == 1
 
 
+def test_min_weight_keeps_a_lower_starting_bound(monkeypatch):
+    """A caller's best below every walked weight comes back unchanged, and
+    one above the minimum is beaten by it, folded or not."""
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    code = random_linear_code(16, 6, 3)
+    d = naive_min_distance(code.rows, 16)
+    assert _min_weight(code.rows, 16, 0, 16) == d
+    for best in range(d + 1):
+        assert _min_weight(code.rows, 16, 0, 16, best=best) == best
+    assert _min_weight(code.rows, 16, 0, 16, best=d + 3) == d
+    folded = _ones_code(16, 6, 3, "row")
+    rows = folded.rows[1:]
+    d = naive_min_distance(folded.rows, 16)
+    assert _min_weight(rows, 16, 0, 8, True) == d
+    for best in range(d + 1):
+        assert _min_weight(rows, 16, 0, 8, True, best) == best
+
+
+def _span(rows) -> list[int]:
+    """Word u is the sum of the rows that the bits of u select."""
+    span = [0]
+    for row in rows:
+        span += [word ^ row for word in span]
+    return span
+
+
+def _canon(word: int, n: int) -> int:
+    """The word of {word, word + 1} with bit 0 clear."""
+    return word ^ ((1 << n) - 1) if word & 1 else word
+
+
+def _quotient_rows(code: BinaryCode) -> tuple[int, ...]:
+    """The rows exact_min_distance walks for a code holding 1."""
+    kept = _independent_rows(((1 << code.n) - 1,) + code.rows)
+    assert len(kept) == code.k
+    return tuple(kept[1:])
+
+
+def _covers_every_orbit(rows, n, parts) -> bool:
+    """Each walked message is a nonzero coset of the quotient spanned by
+    rows, and each nonzero coset is walked or is the reversal of one
+    that is.  Block h of a part adds the high rows gray(h) selects to
+    each low message; the zero message of block 0 is not walked."""
+    walked = set()
+    for part, lo, hi in parts:
+        b = min(binary.LOW_ROWS, len(part))
+        low = _span(part[:b])
+        for h in range(lo, hi):
+            g = h ^ (h >> 1)
+            high = 0
+            for j, row in enumerate(part[b:]):
+                if g >> j & 1:
+                    high ^= row
+            walked.update(_canon(high ^ word, n) for word in low[h == 0 :])
+    cosets = {_canon(word, n) for word in _span(rows)} - {0}
+    return walked <= cosets and all(c in walked or _canon(_reverse(c, n), n) in walked for c in cosets)
+
+
+def _mirrored_code(n: int, pairs: int, palindromes: int, seed: int) -> BinaryCode:
+    """The span of 1, random words, their reversals and palindromes."""
+    rng = random.Random(seed)
+    xs = [rng.getrandbits(n) for _ in range(pairs)]
+    pals = [x | _reverse(x, n) for x in (rng.getrandbits(n) for _ in range(palindromes))]
+    return BinaryCode.from_span([(1 << n) - 1, *xs, *(_reverse(x, n) for x in xs), *pals], n)
+
+
+# prime q with E = range(n): q = 5, 13, 17, 29, 37, 41 are 1 mod 4, the rest 3
+_DEG1_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@st.composite
+def _reversal_invariant_codes(draw):
+    if draw(st.booleans()):
+        q = draw(st.sampled_from(_DEG1_PRIMES))
+        k = draw(st.integers(2, min(q, 8)))
+        return construct_deg1_nk(q - k + 1, k).generator()
+    return _mirrored_code(
+        draw(st.integers(2, 18)), draw(st.integers(0, 4)), draw(st.integers(0, 3)),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.integers(1, 3), code=_reversal_invariant_codes())
+def test_orbit_walk_matches_naive_oracle(width, code):
+    # the code holds the reversal of each word: checked on its span
+    span = set(_span(code.rows))
+    assert {_reverse(word, code.n) for word in span} == span
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "LOW_ROWS", width)
+        assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
+        if code.k > 1:
+            rows = _quotient_rows(code)
+            assert _holds_reversal(rows, code.n)
+            assert _covers_every_orbit(rows, code.n, _walk_parts(rows, code.n, True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), k=st.integers(2, 5), seed=st.integers(0, 2**32))
+def test_reversal_test_matches_the_span(n, k, seed):
+    code = _ones_code(n, min(k, n), seed, "row")
+    span = set(_span(code.rows))
+    closed = {_reverse(word, n) for word in span} == span
+    assert _holds_reversal(_quotient_rows(code), n) == closed
+
+
+def test_orbit_parts_cover_the_quotient_and_each_is_needed(monkeypatch):
+    """On codes whose reversal map N = M + I has rank r = 0 to 4, the parts
+    meet every orbit and walk fewer blocks than the plain walk, or are
+    the plain walk.  Dropping any part, or walking the Gray half of a
+    part without its last high row, misses an orbit."""
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    ranks, taken, no_high = set(), set(), 0
+    codes = [_mirrored_code(n, pairs, pals, seed)
+             for n, pairs, pals, seed in [(12, 0, 3, 1), (12, 1, 1, 2), (14, 2, 0, 3),
+                                          (16, 1, 3, 7), (16, 2, 2, 4), (18, 3, 1, 5),
+                                          (18, 4, 0, 6)]]
+    # q = 13, 17, 19, 23
+    codes += [construct_deg1_nk(n, k).generator() for n, k in [(9, 5), (12, 6), (13, 7), (16, 8)]]
+    for code in codes:
+        n, rows = code.n, _quotient_rows(code)
+        r = gf2_rank([_canon(row ^ _reverse(row, n), n) for row in rows])
+        ranks.add(r)
+        parts = _walk_parts(rows, n, True)
+        plain = [(rows, 0, 1 << max(len(rows) - 2, 0))]
+        assert _covers_every_orbit(rows, n, parts)
+        if parts == plain:  # r = 0, or too few blocks to save one
+            continue
+        taken.add(r)
+        assert sum(hi - lo for _, lo, hi in parts) < plain[0][2]
+        no_high += sum(lo == 0 for _, lo, _ in parts[1:])
+        for i in range(len(parts)):
+            assert not _covers_every_orbit(rows, n, parts[:i] + parts[i + 1 :])
+            part, lo, hi = parts[i]
+            if lo:
+                assert not _covers_every_orbit(rows, n, [*parts[:i], (part, 0, lo), *parts[i + 1 :]])
+    assert (ranks, taken) == ({0, 1, 2, 3, 4}, {1, 2, 3, 4})
+    assert no_high  # a part whose rows all fit in its one block
+
+
+@pytest.mark.parametrize("code", [
+    construct_deg1(field_of_order(25), 21).generator(),
+    construct_deg1(field_of_order(121), 113).generator(),
+    BinaryCode.from_span([(1 << 12) - 1, 0b1, 0b110, 0b111000, 0b1011_0100_0000], 12),
+], ids=["gf25_e21", "gf121_e113", "random"])
+def test_code_without_its_reversal_keeps_the_folded_walk(monkeypatch, code):
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    span = set(_span(code.rows))
+    assert {_reverse(word, code.n) for word in span} != span
+    rows = _quotient_rows(code)
+    assert not _holds_reversal(rows, code.n)
+    assert _walk_parts(rows, code.n, True) == [(rows, 0, 1 << (len(rows) - 2))]
+    assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
+
+
 @pytest.mark.parametrize("n, lane", [(16383, "H"), (16384, "I")])
 def test_lane_width_edge(n, lane):
     """2n < 2^15 keeps 16-bit lanes with the guard bit free; n = 2^14 takes
@@ -266,6 +426,17 @@ def test_sampled_is_deterministic_in_seed():
     c = sampled_min_distance_upper(code, trials=50, seed=8)
     assert a == b
     assert c >= exact_min_distance(code)
+
+
+def test_sampled_bound_encodes_the_same_draws():
+    """The byte tables give each drawn message its codeword: the bound is
+    the least weight over the same randrange draws, encoded row by row,
+    with k below, at and past a multiple of 8."""
+    for k in (3, 8, 9, 17):
+        code = random_linear_code(40, k, k)
+        rng = random.Random(5)
+        want = min(code.encode(rng.randrange(1, 1 << k)).bit_count() for _ in range(300))
+        assert sampled_min_distance_upper(code, trials=300, seed=5) == want
 
 
 def test_sampled_needs_a_trial():

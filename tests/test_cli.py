@@ -205,6 +205,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("bounds", "shadow1", "--n", "5", "--k", str(10**300)),
         ("bounds", "dg", "--m", "20000", "--d", "1"),
         ("dmin", "{tmp}/code.json", "--workers", "0"),
+        ("dmin", "{tmp}/code.json", "--sample", "5", "--workers", "0"),
         ("verify", "theorem7", "--workers", "-1"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
@@ -214,6 +215,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
          "shadow1_floor_infinite", "dg_m_past_the_printable_cap", "dmin_workers_zero",
+         "dmin_sample_workers_zero",
          "theorem7_workers_negative"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
