@@ -13,9 +13,9 @@ n - w, so the exact minimum-distance scan walks only the 2^(k-1)
 messages of a complement of {0, 1} and reads both weights off each.
 When the code also holds the reversal of each of its words, which the
 reversed rows adding no rank decides exactly, reversing the coordinates
-is a weight-preserving involution M of that quotient, and the serial
-scan walks about one coset per orbit {x, Mx}: near half the quotient.
-The weight distribution always walks all 2^k codewords.
+is a weight-preserving involution M of that quotient, and the scan,
+serial or pooled, walks about one coset per orbit {x, Mx}: near half
+the quotient.  The weight distribution always walks all 2^k codewords.
 """
 
 from __future__ import annotations
@@ -35,21 +35,25 @@ LOW_ROWS = 14  # rows per transform block: 2^14 lanes in one packed int
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _independent_rows(rows) -> list[int]:
-    """The rows outside the span of the rows before them, in order."""
-    kept = []
-    basis: dict[int, int] = {}
+def _echelon(rows) -> dict[int, tuple[int, int]]:
+    """Pivot -> (row, reduced) for each row outside the span of the rows
+    before it, in order: reduced is row plus earlier reduced rows, and
+    its top bit is its pivot, which no other reduced row has."""
+    basis: dict[int, tuple[int, int]] = {}
     for row in rows:
         cur = row
         while cur:
             pivot = cur.bit_length() - 1
-            if pivot in basis:
-                cur ^= basis[pivot]
-            else:
-                basis[pivot] = cur
-                kept.append(row)
+            if pivot not in basis:
+                basis[pivot] = (row, cur)
                 break
-    return kept
+            cur ^= basis[pivot][1]
+    return basis
+
+
+def _independent_rows(rows) -> list[int]:
+    """The rows outside the span of the rows before them, in order."""
+    return [row for row, _ in _echelon(rows).values()]
 
 
 def gf2_rank(rows) -> int:
@@ -226,7 +230,7 @@ def _holds_reversal(rows: tuple[int, ...], n: int) -> bool:
 
 
 def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[int, ...], int, int]]:
-    """The serial scan as (rows, lo, hi) parts for _min_weight: the plain
+    """The scan as (rows, lo, hi) parts for _min_weight: the plain
     walk of every block, or one walk per orbit of the coordinate reversal.
 
     When the code holds 1 and its reversal, M(x) = canon(rev(x)) is an
@@ -247,21 +251,13 @@ def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[i
     def canon(c: int) -> int:
         return c ^ ones if c & 1 else c
 
-    # eliminate the pairs (N(x), x), keeping N(e) = f for every pivot
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for row in rows:
-        f, e = canon(row ^ _reverse(row, n)), canon(row)
-        while f:
-            top = f.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (f, e)
-                break
-            f ^= pivots[top][0]
-            e ^= pivots[top][1]
-        else:
-            kernel.append(e)
-    fs, es = [f for f, _ in pivots.values()], [e for _, e in pivots.values()]
+    # eliminate the pairs (N(x), x) packed as N(x) << n | x: a reduced
+    # row with its pivot at bit n or above holds N(e) = f, one below is
+    # a kernel row
+    packed = (canon(row ^ _reverse(row, n)) << n | canon(row) for row in rows)
+    reduced = [v for _, v in _echelon(packed).values()]
+    fs, es = [v >> n for v in reduced if v >> n], [v & ones for v in reduced if v >> n]
+    kernel = [v for v in reduced if not v >> n]
     r = len(fs)
     gs = _independent_rows(fs + kernel)[r:]
     j0 = max(0, min(r, LOW_ROWS - len(rows) + r))
@@ -275,8 +271,10 @@ def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[i
 
 def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     """Minimum nonzero codeword weight by full enumeration, of the
-    quotient by 1 when the code holds 1, and serially of one coset per
-    orbit of the coordinate reversal when the code holds that too."""
+    quotient by 1 when the code holds 1, and of one coset per orbit of
+    the coordinate reversal when the code holds that too.  The scan,
+    serial or pooled, walks the parts of _walk_parts; the pool cuts them
+    into spans, at most one process per CPU this process may use."""
     k, n = code.k, code.n
     if workers < 1:
         raise BadParameters(f"need workers >= 1, got {workers}")
@@ -296,21 +294,22 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             return n  # the code is {0, 1}
     else:
         rows, fold = code.rows, False
-    # one span per CPU at most: the pool may fork all workers at once
-    workers = min(workers, os.cpu_count() or 1)
+    parts = _walk_parts(rows, n, fold)
+    # one span per usable CPU at most: the pool may fork all workers at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus)
     if workers <= 1 or len(rows) < 18:
         best = None  # each part starts from the best weight of the parts before it
-        for part, lo, hi in _walk_parts(rows, n, fold):
+        for part, lo, hi in parts:
             best = _min_weight(part, n, lo, hi, fold, best)
         return best
-    blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     # imported here: the pool machinery is a large share of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-blocks // workers)
-    spans = [(i, min(i + chunk, blocks)) for i in range(0, blocks, chunk)]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futs = [pool.submit(_min_weight, rows, n, lo, hi, fold) for lo, hi in spans]
+    chunk = -(-sum(hi - lo for _, lo, hi in parts) // workers)
+    spans = [(part, i, min(i + chunk, hi)) for part, lo, hi in parts for i in range(lo, hi, chunk)]
+    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+        futs = [pool.submit(_min_weight, part, n, lo, hi, fold) for part, lo, hi in spans]
         return min(f.result() for f in futs)
 
 

@@ -14,6 +14,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
+def naive_span(rows) -> list[int]:
+    """Every word of the row span, by subset sums: word u is the sum of
+    the rows that the bits of u select, so repeats are kept."""
+    span = [0]
+    for row in rows:
+        span += [word ^ row for word in span]
+    return span
+
+
 def naive_min_distance(rows, n: int) -> int:
     """Minimum nonzero-codeword weight by encoding every message."""
     k = len(rows)

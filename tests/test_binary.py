@@ -7,11 +7,12 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import naive_min_distance, naive_weight_hist
+from helpers import naive_min_distance, naive_span, naive_weight_hist
 from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
     BinaryCode,
+    _echelon,
     _holds_reversal,
     _independent_rows,
     _lane_format,
@@ -69,20 +70,35 @@ def test_from_span_keeps_exactly_the_span():
     assert spanned == naive
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 255), max_size=9))
+@st.composite
+def _row_lists(draw):
+    """Random rows plus zero rows, repeats and sums of earlier rows, shuffled."""
+    rows = draw(st.lists(st.integers(1, 2**10 - 1), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(naive_span(rows)[draw(st.integers(0, 2 ** len(rows) - 1))])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_lists())
 def test_elimination_matches_span_enumeration(rows):
     # a row is kept exactly when it lies outside the span of the rows
-    # before it; the span is grown by enumeration
-    span, kept = {0}, []
+    # before it; the spans are enumerated
+    span, kept = set(naive_span(rows)), []
     for row in rows:
-        if row not in span:
+        if row not in naive_span(kept):
             kept.append(row)
-            span |= {s ^ row for s in span}
     assert gf2_rank(rows) == len(kept)
-    code = BinaryCode.from_span(rows, 8)
+    code = BinaryCode.from_span(rows, 10)
     assert list(code.rows) == kept
     assert {code.encode(msg) for msg in range(1 << code.k)} == span
+    # _echelon keeps the same rows; each pivot is its reduced row's top
+    # bit, so no two reduced rows share one, and they span the rows
+    basis = _echelon(rows)
+    assert [row for row, _ in basis.values()] == kept
+    reduced = [v for _, v in basis.values()]
+    assert [v.bit_length() - 1 for v in reduced] == list(basis)
+    assert set(naive_span(reduced)) == span
 
 
 def _block_weights(rows, n, lo, hi):
@@ -210,14 +226,6 @@ def test_min_weight_keeps_a_lower_starting_bound(monkeypatch):
         assert _min_weight(rows, 16, 0, 8, True, best) == best
 
 
-def _span(rows) -> list[int]:
-    """Word u is the sum of the rows that the bits of u select."""
-    span = [0]
-    for row in rows:
-        span += [word ^ row for word in span]
-    return span
-
-
 def _canon(word: int, n: int) -> int:
     """The word of {word, word + 1} with bit 0 clear."""
     return word ^ ((1 << n) - 1) if word & 1 else word
@@ -238,7 +246,7 @@ def _covers_every_orbit(rows, n, parts) -> bool:
     walked = set()
     for part, lo, hi in parts:
         b = min(binary.LOW_ROWS, len(part))
-        low = _span(part[:b])
+        low = naive_span(part[:b])
         for h in range(lo, hi):
             g = h ^ (h >> 1)
             high = 0
@@ -246,7 +254,7 @@ def _covers_every_orbit(rows, n, parts) -> bool:
                 if g >> j & 1:
                     high ^= row
             walked.update(_canon(high ^ word, n) for word in low[h == 0 :])
-    cosets = {_canon(word, n) for word in _span(rows)} - {0}
+    cosets = {_canon(word, n) for word in naive_span(rows)} - {0}
     return walked <= cosets and all(c in walked or _canon(_reverse(c, n), n) in walked for c in cosets)
 
 
@@ -278,7 +286,7 @@ def _reversal_invariant_codes(draw):
 @given(width=st.integers(1, 3), code=_reversal_invariant_codes())
 def test_orbit_walk_matches_naive_oracle(width, code):
     # the code holds the reversal of each word: checked on its span
-    span = set(_span(code.rows))
+    span = set(naive_span(code.rows))
     assert {_reverse(word, code.n) for word in span} == span
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
@@ -293,25 +301,57 @@ def test_orbit_walk_matches_naive_oracle(width, code):
 @given(n=st.integers(2, 10), k=st.integers(2, 5), seed=st.integers(0, 2**32))
 def test_reversal_test_matches_the_span(n, k, seed):
     code = _ones_code(n, min(k, n), seed, "row")
-    span = set(_span(code.rows))
+    span = set(naive_span(code.rows))
     closed = {_reverse(word, n) for word in span} == span
     assert _holds_reversal(_quotient_rows(code), n) == closed
 
 
-def test_orbit_parts_cover_the_quotient_and_each_is_needed(monkeypatch):
-    """On codes whose reversal map N = M + I has rank r = 0 to 4, the parts
-    meet every orbit and walk fewer blocks than the plain walk, or are
-    the plain walk.  Dropping any part, or walking the Gray half of a
-    part without its last high row, misses an orbit."""
-    monkeypatch.setattr(binary, "LOW_ROWS", 2)
-    ranks, taken, no_high = set(), set(), 0
+def _rank_roster() -> list[BinaryCode]:
+    """Codes holding 1 and their reversal, whose map N = M + I on the
+    quotient by 1 has rank r = 0 to 4."""
     codes = [_mirrored_code(n, pairs, pals, seed)
              for n, pairs, pals, seed in [(12, 0, 3, 1), (12, 1, 1, 2), (14, 2, 0, 3),
                                           (16, 1, 3, 7), (16, 2, 2, 4), (18, 3, 1, 5),
                                           (18, 4, 0, 6)]]
     # q = 13, 17, 19, 23
-    codes += [construct_deg1_nk(n, k).generator() for n, k in [(9, 5), (12, 6), (13, 7), (16, 8)]]
-    for code in codes:
+    return codes + [construct_deg1_nk(n, k).generator() for n, k in [(9, 5), (12, 6), (13, 7), (16, 8)]]
+
+
+def test_walk_parts_unpack_pairs_and_kernel_rows(monkeypatch):
+    """_walk_parts eliminates the packed words N(x) << n | x: each reduced
+    word with its pivot at bit n or above unpacks to a pair with
+    N(e) = f, and each one below it is a kernel row g with N(g) = 0."""
+    calls = []
+
+    def spy(rows):
+        rows = list(rows)
+        calls.append((rows, _echelon(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(binary, "_echelon", spy)
+    pairs = 0
+    for code in _rank_roster():
+        n, rows, ones = code.n, _quotient_rows(code), (1 << code.n) - 1
+        calls.clear()
+        _walk_parts(rows, n, True)
+        # the first elimination of words whose low n bits are the rows' cosets
+        basis = next(b for r, b in calls if [v & ones for v in r] == [_canon(x, n) for x in rows])
+        assert len(basis) == len(rows)
+        for pivot, (_, v) in basis.items():
+            f, e = (v >> n, v & ones) if pivot >= n else (0, v)
+            assert _canon(e ^ _reverse(e, n), n) == f
+            pairs += pivot >= n
+    assert pairs
+
+
+def test_orbit_parts_cover_the_quotient_and_each_is_needed(monkeypatch):
+    """On the codes of _rank_roster the parts meet every orbit and walk
+    fewer blocks than the plain walk, or are the plain walk, and each of
+    r = 0 to 4 occurs.  Dropping any part, or walking the Gray half of a
+    part without its last high row, misses an orbit."""
+    monkeypatch.setattr(binary, "LOW_ROWS", 2)
+    ranks, taken, no_high = set(), set(), 0
+    for code in _rank_roster():
         n, rows = code.n, _quotient_rows(code)
         r = gf2_rank([_canon(row ^ _reverse(row, n), n) for row in rows])
         ranks.add(r)
@@ -339,7 +379,7 @@ def test_orbit_parts_cover_the_quotient_and_each_is_needed(monkeypatch):
 ], ids=["gf25_e21", "gf121_e113", "random"])
 def test_code_without_its_reversal_keeps_the_folded_walk(monkeypatch, code):
     monkeypatch.setattr(binary, "LOW_ROWS", 2)
-    span = set(_span(code.rows))
+    span = set(naive_span(code.rows))
     assert {_reverse(word, code.n) for word in span} != span
     rows = _quotient_rows(code)
     assert not _holds_reversal(rows, code.n)
@@ -471,15 +511,18 @@ def test_dimension_budget_enforced():
 
 
 def test_parallel_walk_agrees_with_serial():
-    code = random_linear_code(24, 18, 2)
-    assert exact_min_distance(code, workers=2) == exact_min_distance(code)
+    """A process pool over the plain walk, and over the orbit parts of a
+    deg1 code."""
+    for code in (random_linear_code(24, 18, 2), construct_deg1_nk(341, 19).generator()):
+        assert exact_min_distance(code, workers=2) == exact_min_distance(code)
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task at submit."""
+    """Stands in for ProcessPoolExecutor: runs each task at submit and
+    records its (rows, lo, hi)."""
 
     sizes: list[int] = []
-    submits: list[int] = []
+    submits: list[tuple[tuple[int, ...], int, int]] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -490,53 +533,97 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        self.submits.append(1)
+    def submit(self, fn, rows, n, lo, hi, fold):
+        self.submits.append((rows, lo, hi))
         fut = Future()
-        fut.set_result(fn(*args))
+        fut.set_result(fn(rows, n, lo, hi, fold))
         return fut
 
 
-def _assert_pool_capped(monkeypatch, cpus, code):
-    """code walks 18 rows, cut into spans of its 2^(18 - LOW_ROWS) blocks."""
+def _patch_cpus(monkeypatch, count, affinity):
+    """Run pools inline on a host of count CPUs, of which this process
+    may use affinity; with affinity None, os has no sched_getaffinity."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     monkeypatch.setattr(_InlineExecutor, "submits", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+def _assert_pool_capped(monkeypatch, code, count, affinity):
+    """code walks 18 rows, cut into spans of its 2^(18 - LOW_ROWS) blocks,
+    on a host of count CPUs of which this process may use affinity."""
+    _patch_cpus(monkeypatch, count, affinity)
+    cpus = (count or 1) if affinity is None else len(affinity)
     blocks = 1 << (18 - LOW_ROWS)
     full = _min_weight(code.rows, code.n, 0, 1 << (code.k - LOW_ROWS))
     assert exact_min_distance(code, workers=10**6) == full
-    if (cpus or 1) == 1:
+    if cpus == 1:
         assert _InlineExecutor.sizes == [] and _InlineExecutor.submits == []
     else:
         assert _InlineExecutor.sizes == [min(blocks, cpus)]
         assert len(_InlineExecutor.submits) == min(blocks, cpus)
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
-def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, cpus):
-    """workers=10**6 gets one span per CPU and one process per span;
-    a host with one CPU (or an unknown count) takes the serial scan."""
+# (CPU count, usable CPUs): None for either is an os that cannot tell
+_HOSTS = [pytest.param(None, None, id="None"),
+          *(pytest.param(c, set(range(c)), id=str(c)) for c in (1, 2, 10**4))]
+
+
+@pytest.mark.parametrize("count, affinity", [
+    *_HOSTS,
+    pytest.param(4, {0}, id="1_of_4"),
+    pytest.param(4, {1, 3}, id="2_of_4"),
+    pytest.param(2, None, id="2_no_affinity"),
+])
+def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, count, affinity):
+    """workers=10**6 gets one span per usable CPU and one process per
+    span; a process that may use one CPU, whatever the host's count, or
+    whose CPU count is unknown, takes the serial scan."""
     code = random_linear_code(40, 18, 5)
     assert gf2_rank(((1 << 40) - 1,) + code.rows) == 19  # 1 is not in the code
-    _assert_pool_capped(monkeypatch, cpus, code)
+    _assert_pool_capped(monkeypatch, code, count, affinity)
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 2, 10**4])
-def test_folded_worker_pool_splits_the_quotient(monkeypatch, cpus):
+@pytest.mark.parametrize("count, affinity", _HOSTS)
+def test_folded_worker_pool_splits_the_quotient(monkeypatch, count, affinity):
     """A dimension-19 code holding 1 walks 18 rows, so its spans are cut
     from 2^(18 - LOW_ROWS) blocks and still run in parallel.  Its rows 1
     and 1 + e_0 put the weight-1 word e_0 outside the walked complement,
     so only a span that folds finds it."""
     ones = (1 << 40) - 1
     code = BinaryCode((ones, ones ^ 1) + random_linear_code(40, 17, 5).rows, 40)
-    _assert_pool_capped(monkeypatch, cpus, code)
+    _assert_pool_capped(monkeypatch, code, count, affinity)
     # at dimension 18 the 17 walked rows fall below the cut-off: serial
     code = BinaryCode((ones,) + random_linear_code(40, 17, 5).rows, 40)
     submits = len(_InlineExecutor.submits)
     full = _min_weight(code.rows, 40, 0, 1 << (18 - LOW_ROWS))
     assert exact_min_distance(code, workers=10**6) == full
     assert len(_InlineExecutor.submits) == submits
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 10**4])
+@pytest.mark.parametrize("n, k, blocks", [(341, 19, 9), (1000, 20, 17)])
+def test_worker_pool_deals_out_the_walk_parts(monkeypatch, cpus, n, k, blocks):
+    """The pool walks the serial scan's orbit parts: each span lies in one
+    part, and the spans cover each part's blocks once, 9 and 17 of the
+    plain walk's 16 and 32."""
+    code = construct_deg1_nk(n, k).generator()
+    _patch_cpus(monkeypatch, cpus, set(range(cpus)))
+    serial = exact_min_distance(code)
+    assert _InlineExecutor.submits == []
+    assert exact_min_distance(code, workers=10**6) == serial
+    spans = _InlineExecutor.submits
+    parts = _walk_parts(_quotient_rows(code), n, True)
+    assert _InlineExecutor.sizes == [min(cpus, len(spans))]
+    for rows, lo, hi in spans:
+        assert any(rows == part and a <= lo < hi <= b for part, a, b in parts)
+    walked = Counter((rows, h) for rows, lo, hi in spans for h in range(lo, hi))
+    assert walked == Counter((part, h) for part, a, b in parts for h in range(a, b))
+    assert sum(hi - lo for _, lo, hi in spans) == blocks
 
 
 def test_hex_round_trip():
