@@ -11,12 +11,15 @@ always produces the same field, the same element order, and therefore
 byte-identical downstream artifacts.
 
 Extension fields (m > 1) with q <= 2**16 precompute exp/log tables
-over the least primitive element.  Prime fields need none, since they
-compute mod p directly; larger extension fields fall back to direct
+over the least primitive element g, and the Zech logarithms
+zech[t] = log(1 + g^t).  Prime fields need none, since they compute
+mod p directly; larger extension fields fall back to direct
 polynomial arithmetic, which is slower but keeps every operation
 correct at any size.  Each operation is one method holding all three
 cases: mul, pow (any integer exponent, reduced mod q - 1), inv as
-pow(a, -1), add and sub as one digit pass, neg as sub(0, a).
+pow(a, -1), add as exp[log a + zech[log b - log a]], sub as
+add(a, neg b), and neg as a shift of the log by (q - 1)/2 in odd
+characteristic; past the tables add, sub and neg are one digit pass.
 Primitivity is one power per prime factor of q - 1.
 
 Every odd field has one quadratic character chi, which the shadow rows
@@ -116,7 +119,7 @@ class Field:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_exp", "_log", "_primitive",
+        "p", "m", "q", "modulus", "_exp", "_log", "_zech", "_primitive",
         "_chi", "_chi_str", "_squares",
     )
 
@@ -127,6 +130,7 @@ class Field:
         self.modulus = modulus  # length m+1, low degree first, monic; None iff m == 1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         self._primitive: int | None = None
         self._chi: str | _EulerCharacter | None = None
         self._chi_str: str | None = None
@@ -153,13 +157,25 @@ class Field:
     # -- additive structure --------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        """a + b; a tabled extension field reads a(1 + b/a) off the
+        Zech logarithms, where zech[t] = log(1 + g^t) and -1 marks 0."""
         if self.m == 1:
             return (a + b) % self.p
+        if a == 0 or b == 0:
+            return a or b
+        if self._zech is not None:
+            la = self._log[a]
+            z = self._zech[self._log[b] - la]
+            return 0 if z < 0 else self._exp[la + z]
+        return self._add_digits(a, b)
+
+    def _add_digits(self, a: int, b: int, sign: int = 1) -> int:
+        # digitwise a + sign * b, for extension fields past TABLE_LIMIT
         p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            out += ((a + b) % p) * mult
+            out += ((a + sign * b) % p) * mult
             a //= p
             b //= p
             mult *= p
@@ -168,18 +184,20 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self._zech is None:
+            return self._add_digits(a, b, -1)
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        """-a; in characteristic 2 every element is its own negative, and
+        in a tabled odd field -1 = g^((q - 1)/2)."""
+        if self.m == 1:
+            return -a % self.p
+        if a == 0 or self.p == 2:
+            return a
+        if self._log is not None:
+            return self._exp[self._log[a] + (self.q - 1) // 2]
+        return self._add_digits(0, a, -1)
 
     # -- multiplicative structure ---------------------------------------
 
@@ -214,8 +232,13 @@ class Field:
             log[v] = i
             dv = self._mul_digits(dv, da)
         exp[q - 1 :] = exp[: q - 1]
+        # 1 + v differs from v in digit 0 alone, which wraps from p - 1
+        # to 0 without a carry
+        p = self.p
+        one_plus = [v - p + 1 if v % p == p - 1 else v + 1 for v in exp[: q - 1]]
         self._exp = exp
         self._log = log
+        self._zech = [log[w] if w else -1 for w in one_plus]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -20,6 +20,9 @@ from .poly import Poly, basic_polys, is_irreducible
 COUNT_BUDGET = 1 << 14
 CURVE_MAX_DEGREE = 3  # largest factor degree random_curve_spec draws
 CURVE_MAX_FACTORS = 5  # most distinct factors random_curve_spec draws
+# points over x by chi of A(x): two at a nonzero square, none at a
+# non-square, one at a root
+_POINTS = {"0": 2, "1": 0, "2": 1}
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ def count_zeros(spec: CurveSpec) -> int:
     field = spec.field
     if field.q > COUNT_BUDGET:
         raise BudgetExceeded(f"q = {field.q} exceeds the scan budget {COUNT_BUDGET}")
-    half = (field.q - 1) // 2
+    chi = field.chi  # the string, as COUNT_BUDGET <= TABLE_LIMIT
     total = 0
     for x in range(field.q):
         v = spec.gamma
@@ -61,10 +64,7 @@ def count_zeros(spec: CurveSpec) -> int:
             v = field.mul(v, f(x))
             if v == 0:
                 break
-        if v == 0:
-            total += 1
-        elif field.pow(v, half) == 1:  # Euler's criterion
-            total += 2
+        total += _POINTS[chi[v]]
     return total
 
 

@@ -282,6 +282,28 @@ def _reversal_invariant_codes(draw):
     )
 
 
+def _unpacked_pairs(rows, n: int) -> list[tuple[int, int]]:
+    """The (f, e) that _walk_parts unpacks from its elimination of the
+    packed words N(x) << n | x, read off a spy on _echelon: a reduced
+    word with its pivot at bit n or above is a pair, one below it a
+    kernel row e with f = 0."""
+    calls = []
+
+    def spy(words):
+        words = list(words)
+        calls.append((words, _echelon(words)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "_echelon", spy)
+        _walk_parts(rows, n, True)
+    ones = (1 << n) - 1
+    # the first elimination of words whose low n bits are the rows' cosets
+    basis = next(b for w, b in calls if [v & ones for v in w] == [_canon(x, n) for x in rows])
+    assert len(basis) == len(rows)
+    return [(v >> n, v & ones) if pivot >= n else (0, v) for pivot, (_, v) in basis.items()]
+
+
 @settings(max_examples=80, deadline=None)
 @given(width=st.integers(1, 3), code=_reversal_invariant_codes())
 def test_orbit_walk_matches_naive_oracle(width, code):
@@ -295,6 +317,8 @@ def test_orbit_walk_matches_naive_oracle(width, code):
             rows = _quotient_rows(code)
             assert _holds_reversal(rows, code.n)
             assert _covers_every_orbit(rows, code.n, _walk_parts(rows, code.n, True))
+            for f, e in _unpacked_pairs(rows, code.n):
+                assert _canon(e ^ _reverse(e, code.n), code.n) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,30 +341,16 @@ def _rank_roster() -> list[BinaryCode]:
     return codes + [construct_deg1_nk(n, k).generator() for n, k in [(9, 5), (12, 6), (13, 7), (16, 8)]]
 
 
-def test_walk_parts_unpack_pairs_and_kernel_rows(monkeypatch):
+def test_walk_parts_unpack_pairs_and_kernel_rows():
     """_walk_parts eliminates the packed words N(x) << n | x: each reduced
     word with its pivot at bit n or above unpacks to a pair with
     N(e) = f, and each one below it is a kernel row g with N(g) = 0."""
-    calls = []
-
-    def spy(rows):
-        rows = list(rows)
-        calls.append((rows, _echelon(rows)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(binary, "_echelon", spy)
     pairs = 0
     for code in _rank_roster():
-        n, rows, ones = code.n, _quotient_rows(code), (1 << code.n) - 1
-        calls.clear()
-        _walk_parts(rows, n, True)
-        # the first elimination of words whose low n bits are the rows' cosets
-        basis = next(b for r, b in calls if [v & ones for v in r] == [_canon(x, n) for x in rows])
-        assert len(basis) == len(rows)
-        for pivot, (_, v) in basis.items():
-            f, e = (v >> n, v & ones) if pivot >= n else (0, v)
+        n = code.n
+        for f, e in _unpacked_pairs(_quotient_rows(code), n):
             assert _canon(e ^ _reverse(e, n), n) == f
-            pairs += pivot >= n
+            pairs += f != 0
     assert pairs
 
 

@@ -241,10 +241,11 @@ def test_chi_on_untabled_fields_reads_squares_and_their_multiples():
 
 
 def test_only_extension_fields_keep_log_tables():
-    for q in (3, 7, 251, 65521):
-        assert field_create(q)._exp is None
+    for f in (*map(field_create, (3, 7, 251, 65521)), field_create(5, 7)):
+        assert f._exp is None and f._zech is None, f
     for p, m in ((2, 4), (3, 2), (5, 3), (3, 6)):
-        assert field_create(p, m)._exp is not None
+        f = field_create(p, m)
+        assert f._exp is not None and len(f._zech) == f.q - 1, f
 
 
 def test_character_errors():
@@ -401,6 +402,25 @@ def _ref_add(p, m, a, b, sign=1):
         out += (a % p + sign * (b % p)) % p * mult
         a, b, mult = a // p, b // p, mult * p
     return out
+
+
+# every tabled field up to q = 125, the characteristic-2 ones included
+ZECH_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11) for m in range(2, 7) if p**m <= 125]
+
+
+@pytest.mark.parametrize("p, m", ZECH_FIELDS, ids=[f"GF({p}^{m})" for p, m in ZECH_FIELDS])
+def test_zech_addition_on_every_pair(p, m):
+    """add, sub and neg over the Zech table against the digit reference
+    on all q^2 pairs; zech holds -1 only at log(-1), where b = -a."""
+    f = field_create(p, m)
+    for a in range(f.q):
+        assert f.neg(a) == _ref_add(p, m, 0, a, -1)
+        for b in range(f.q):
+            assert f.add(a, b) == _ref_add(p, m, a, b), (a, b)
+            assert f.sub(a, b) == _ref_add(p, m, a, b, -1), (a, b)
+    # -1 has digits (p - 1, 0, .., 0), so it is index p - 1, and 1 in GF(2^m)
+    assert f.neg(1) == p - 1
+    assert [t for t, z in enumerate(f._zech) if z < 0] == [f._log[p - 1]]
 
 
 def _check_axioms(f, a, b, c, e):

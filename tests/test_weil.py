@@ -4,10 +4,11 @@ import pytest
 
 from helpers import naive_curve_points
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
-from shadowcodes.field import field_create, field_of_order
+from shadowcodes.field import TABLE_LIMIT, field_create, field_of_order
 from shadowcodes.poly import Poly, x_minus
 from shadowcodes.shadow import construct_deg2
 from shadowcodes.weil import (
+    COUNT_BUDGET,
     check_corollary,
     count_zeros,
     curve_spec,
@@ -107,6 +108,8 @@ def test_ben_or_runs_once_per_polynomial(monkeypatch):
 
 
 def test_count_budget():
+    # every field within the budget has chi as a string, which the count reads
+    assert COUNT_BUDGET <= TABLE_LIMIT
     big = field_create(16411)
     spec = curve_spec(big, 1, [Poly.x(big)])
     with pytest.raises(BudgetExceeded):
