@@ -32,6 +32,10 @@ from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
 LOW_ROWS = 14  # rows per transform block: 2^14 lanes in one packed int
+# plan blocks per pooled worker: on a 2-CPU host a 65-block scan ran
+# faster serial than on two workers, while 129 and 257 blocks ran faster
+# pooled
+POOL_BLOCKS = 64
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -274,7 +278,8 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     quotient by 1 when the code holds 1, and of one coset per orbit of
     the coordinate reversal when the code holds that too.  The scan,
     serial or pooled, walks the parts of _walk_parts; the pool cuts them
-    into spans, at most one process per CPU this process may use."""
+    into spans, at most one process per CPU this process may use and
+    one per POOL_BLOCKS plan blocks."""
     k, n = code.k, code.n
     if workers < 1:
         raise BadParameters(f"need workers >= 1, got {workers}")
@@ -295,10 +300,13 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     else:
         rows, fold = code.rows, False
     parts = _walk_parts(rows, n, fold)
-    # one span per usable CPU at most: the pool may fork all workers at once
+    blocks = sum(hi - lo for _, lo, hi in parts)
+    # one span per usable CPU at most: the pool may fork all workers at
+    # once; and one worker per POOL_BLOCKS plan blocks, below which the
+    # fork costs more than it saves
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, cpus)
-    if workers <= 1 or len(rows) < 18:
+    workers = min(workers, cpus, blocks // POOL_BLOCKS)
+    if workers <= 1:
         best = None  # each part starts from the best weight of the parts before it
         for part, lo, hi in parts:
             best = _min_weight(part, n, lo, hi, fold, best)
@@ -306,7 +314,7 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
     # imported here: the pool machinery is a large share of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-sum(hi - lo for _, lo, hi in parts) // workers)
+    chunk = -(-blocks // workers)
     spans = [(part, i, min(i + chunk, hi)) for part, lo, hi in parts for i in range(lo, hi, chunk)]
     with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
         futs = [pool.submit(_min_weight, part, n, lo, hi, fold) for part, lo, hi in spans]

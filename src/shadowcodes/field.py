@@ -17,9 +17,9 @@ mod p directly; larger extension fields fall back to direct
 polynomial arithmetic, which is slower but keeps every operation
 correct at any size.  Each operation is one method holding all three
 cases: mul, pow (any integer exponent, reduced mod q - 1), inv as
-pow(a, -1), add as exp[log a + zech[log b - log a]], sub as
-add(a, neg b), and neg as a shift of the log by (q - 1)/2 in odd
-characteristic; past the tables add, sub and neg are one digit pass.
+pow(a, -1), add as exp[log a + zech[log b - log a]], and neg as a
+shift of the log by (q - 1)/2 in odd characteristic; past the tables
+add and neg are one digit pass.  A difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
 Every odd field has one quadratic character chi, which the shadow rows
@@ -180,13 +180,6 @@ class Field:
             b //= p
             mult *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self._zech is None:
-            return self._add_digits(a, b, -1)
-        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         """-a; in characteristic 2 every element is its own negative, and

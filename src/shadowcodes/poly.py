@@ -106,27 +106,22 @@ class Poly:
         f = self.field
         return Poly(f, (f.mul(c, ci) for ci in self.coeffs))
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def __mod__(self, other: "Poly") -> "Poly":
+        """Remainder of long division by other; each step adds c * other
+        with c = top * (-1 / lead), so the negation is taken once."""
         self._check_field(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
         f = self.field
+        g, d = other.coeffs, other.degree
         rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(f), self
-        quo = [0] * (dq + 1)
-        inv_lead = f.inv(other.coeffs[-1])
-        for i in range(dq, -1, -1):
-            c = f.mul(rem[i + other.degree], inv_lead)
-            quo[i] = c
+        neg_inv_lead = f.neg(f.inv(g[-1]))
+        for i in range(len(rem) - 1 - d, -1, -1):
+            c = f.mul(rem[i + d], neg_inv_lead)
             if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] = f.sub(rem[i + j], f.mul(c, oc))
-        return Poly(f, quo), Poly(f, rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+                for j, gj in enumerate(g):
+                    rem[i + j] = f.add(rem[i + j], f.mul(c, gj))
+        return Poly(f, rem)
 
     def __call__(self, point: int) -> int:
         # Horner from the leading coefficient, so a linear costs one
@@ -136,11 +131,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, point), c) if acc else c
         return acc
-
-    def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
 
     # -- identity -----------------------------------------------------------
 
@@ -167,11 +157,12 @@ def x_minus(field: "Field", lam: int) -> Poly:
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor."""
+    """A greatest common divisor: the last nonzero Euclid remainder, not
+    made monic, since callers read only its degree."""
     f._check_field(g)
     while not g.is_zero:
         f, g = g, f % g
-    return f.monic()
+    return f
 
 
 def powmod(f: Poly, e: int, modulus: Poly) -> Poly:

@@ -212,7 +212,7 @@ def _gathered_row(f: Poly) -> str:
         return field.translate(chi, f.coeffs[0])
     c, b = f.coeffs[:2]
     half_b = field.mul(b, field.inv(2))
-    shift = field.sub(c, field.mul(half_b, half_b))
+    shift = field.add(c, field.neg(field.mul(half_b, half_b)))
     return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)
 
 

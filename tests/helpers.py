@@ -146,6 +146,26 @@ def surd_value(a, b, q: int):
         )
 
 
+def ref_divmod(f, g):
+    """(quotient, remainder) of f by a nonzero g, by schoolbook division
+    on coefficient lists held high degree first: each step divides the
+    top of the remainder by the lead of g, subtracts that multiple of g
+    as add(., neg(.)), and drops the cancelled top."""
+    from shadowcodes.poly import Poly
+
+    field = f.field
+    num = list(reversed(f.coeffs))
+    den = list(reversed(g.coeffs))
+    quo = []
+    while len(num) >= len(den):
+        c = field.mul(num[0], field.inv(den[0]))
+        quo.append(c)
+        for j, d in enumerate(den):
+            num[j] = field.add(num[j], field.neg(field.mul(c, d)))
+        assert num.pop(0) == 0
+    return Poly(field, reversed(quo)), Poly(field, reversed(num))
+
+
 def oracle_irreducible(f) -> bool:
     """Degree <= 4 irreducibility by root scans and quadratic division,
     with no Frobenius computation anywhere."""

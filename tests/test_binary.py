@@ -139,7 +139,9 @@ def test_walsh_kernel_matches_naive_oracles(width, k, extra, seed):
 @given(n=st.integers(18, 40), seed=st.integers(0, 2**32))
 def test_parallel_walk_matches_naive_oracle(n, seed):
     code = random_linear_code(n, 18, seed)
-    assert exact_min_distance(code, workers=2) == naive_min_distance(code.rows, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "POOL_BLOCKS", 1)  # pool the 16-block walk
+        assert exact_min_distance(code, workers=2) == naive_min_distance(code.rows, n)
 
 
 def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
@@ -520,9 +522,10 @@ def test_dimension_budget_enforced():
         weight_distribution(BinaryCode(rows25, 25))
 
 
-def test_parallel_walk_agrees_with_serial():
+def test_parallel_walk_agrees_with_serial(monkeypatch):
     """A process pool over the plain walk, and over the orbit parts of a
     deg1 code."""
+    monkeypatch.setattr(binary, "POOL_BLOCKS", 1)  # pool walks of 16 and 9 blocks
     for code in (random_linear_code(24, 18, 2), construct_deg1_nk(341, 19).generator()):
         assert exact_min_distance(code, workers=2) == exact_min_distance(code)
 
@@ -550,9 +553,11 @@ class _InlineExecutor:
         return fut
 
 
-def _patch_cpus(monkeypatch, count, affinity):
+def _patch_cpus(monkeypatch, count, affinity, pool_blocks=1):
     """Run pools inline on a host of count CPUs, of which this process
-    may use affinity; with affinity None, os has no sched_getaffinity."""
+    may use affinity, with one worker per pool_blocks plan blocks; with
+    affinity None, os has no sched_getaffinity."""
+    monkeypatch.setattr(binary, "POOL_BLOCKS", pool_blocks)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     monkeypatch.setattr(_InlineExecutor, "submits", [])
@@ -607,12 +612,39 @@ def test_folded_worker_pool_splits_the_quotient(monkeypatch, count, affinity):
     ones = (1 << 40) - 1
     code = BinaryCode((ones, ones ^ 1) + random_linear_code(40, 17, 5).rows, 40)
     _assert_pool_capped(monkeypatch, code, count, affinity)
-    # at dimension 18 the 17 walked rows fall below the cut-off: serial
+    # at dimension 18 the 17 walked rows make 8 plan blocks, fewer than
+    # one worker's share: serial
+    monkeypatch.setattr(binary, "POOL_BLOCKS", 9)
     code = BinaryCode((ones,) + random_linear_code(40, 17, 5).rows, 40)
     submits = len(_InlineExecutor.submits)
     full = _min_weight(code.rows, 40, 0, 1 << (18 - LOW_ROWS))
     assert exact_min_distance(code, workers=10**6) == full
     assert len(_InlineExecutor.submits) == submits
+
+
+@pytest.mark.parametrize("pool_blocks, sizes", [(4, [4]), (5, [3]), (8, [2]), (16, []), (17, [])])
+def test_worker_pool_takes_one_worker_per_pool_blocks(monkeypatch, pool_blocks, sizes):
+    """The 16-block plain walk of a dimension-18 code gets 16 // pool_blocks
+    workers, however many CPUs and workers there are; one worker is the
+    serial scan."""
+    code = random_linear_code(40, 18, 5)
+    _patch_cpus(monkeypatch, 10**4, set(range(10**4)), pool_blocks)
+    assert exact_min_distance(code, workers=10**6) == _min_weight(code.rows, 40, 0, 16)
+    assert _InlineExecutor.sizes == sizes
+
+
+def test_module_cut_off_keeps_short_walks_serial(monkeypatch):
+    """With the module's own POOL_BLOCKS, a plain walk of POOL_BLOCKS
+    blocks stays serial on a 2-CPU host, and one of 2 * POOL_BLOCKS
+    blocks takes both CPUs."""
+    k = LOW_ROWS + binary.POOL_BLOCKS.bit_length() - 1
+    for dim, sizes in ((k, []), (k + 1, [2])):
+        code = random_linear_code(40, dim, 5)
+        assert gf2_rank(((1 << 40) - 1,) + code.rows) == dim + 1  # 1 is not in the code
+        _patch_cpus(monkeypatch, 2, {0, 1}, binary.POOL_BLOCKS)
+        full = _min_weight(code.rows, 40, 0, 1 << (dim - LOW_ROWS))
+        assert exact_min_distance(code, workers=2) == full
+        assert _InlineExecutor.sizes == sizes
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 10**4])

@@ -1,6 +1,8 @@
-"""Source rules checked on the syntax tree of the package."""
+"""Source rules checked on the syntax tree of the package, and the
+benchmark's lookups into it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from shadowcodes import errors
 
 PACKAGE = Path(errors.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _raised_name(node: ast.Raise) -> str | None:
@@ -78,7 +81,7 @@ def _readers() -> list[Path]:
     """The files whose reads keep a name alive: every package module but
     __init__.py, whose re-exports read nothing, and every non-test
     benchmark file."""
-    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    bench = sorted(BENCH.glob("*.py"))
     return [p for p in MODULES if p.name != "__init__.py"] + [
         p for p in bench if not p.name.startswith("test_")
     ]
@@ -138,3 +141,36 @@ def test_every_class_member_is_read():
         label for label, name, node in defined if not readers.get(name, set()) - {id(node)}
     ]
     assert not unread, unread
+
+
+def test_every_traced_target_resolves():
+    """A traced benchmark run rebinds each target by name, so a package
+    function renamed or removed under it would fail only there."""
+    (targets,) = [
+        node.value for node in _parse(BENCH / "spans.py").body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    targets = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert targets
+    missing = [
+        f"{mod}.{func}" for mod, func in targets
+        if not hasattr(importlib.import_module(f"shadowcodes.{mod}"), func)
+    ]
+    assert not missing, missing
+
+
+def test_every_benchmark_import_resolves():
+    """Each name a benchmark file imports from the package exists."""
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "shadowcodes"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{name}: from {module} import {attr}" for name, module, attr in imports
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert not missing, missing
