@@ -22,6 +22,11 @@ shift of the log by (q - 1)/2 in odd characteristic; past the tables
 add and neg are one digit pass.  A difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
+horner evaluates a coefficient tuple at many points with the tables
+bound once: mod p in a prime field, on logs and Zech logarithms in a
+tabled one, and through mul and add past the tables.  It is the
+package's one Horner evaluation; a Poly called at one point uses it.
+
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
 and '2' at a = 0.  Up to q = 2**16 it is a string built once from the
@@ -241,6 +246,64 @@ class Field:
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
         return self.index(self._mul_digits(self.digits(a), self.digits(b)))
+
+    def horner(self, coeffs, points) -> list[int]:
+        """The polynomial with coefficients coeffs (low degree first) at
+        every point, by Horner's rule from the leading coefficient.
+
+        A prime field runs acc = (acc * x + c) % p.  A tabled extension
+        field keeps acc as its log la: times x is la + log x, and plus c
+        is la + zech[log c - la], each reduced once by q - 1, with -1
+        marking 0; the point 0 reads coeffs[0].  An untabled field calls
+        mul and add per step."""
+        if not coeffs:
+            return [0] * len(points)
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        if self.m == 1:
+            p = self.p
+            out = []
+            for x in points:
+                acc = top
+                for c in rest:
+                    acc = (acc * x + c) % p
+                out.append(acc)
+            return out
+        if self._zech is None:
+            mul, add = self.mul, self.add
+            out = []
+            for x in points:
+                acc = top
+                for c in rest:
+                    acc = add(mul(acc, x), c)
+                out.append(acc)
+            return out
+        exp, log, zech, n = self._exp, self._log, self._zech, self.q - 1
+        logs = [log[c] if c else -1 for c in reversed(coeffs)]
+        c0 = coeffs[0]
+        out = []
+        for x in points:
+            if x == 0:
+                out.append(c0)
+                continue
+            lx = log[x]
+            la = -1
+            for lc in logs:
+                if la < 0:
+                    la = lc
+                    continue
+                la += lx
+                if la >= n:
+                    la -= n
+                if lc >= 0:
+                    z = zech[lc - la]
+                    if z < 0:
+                        la = -1
+                    else:
+                        la += z
+                        if la >= n:
+                            la -= n
+            out.append(exp[la] if la >= 0 else 0)
+        return out
 
     def inv(self, a: int) -> int:
         return self.pow(a, -1)

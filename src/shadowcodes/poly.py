@@ -124,13 +124,7 @@ class Poly:
         return Poly(f, rem)
 
     def __call__(self, point: int) -> int:
-        # Horner from the leading coefficient, so a linear costs one
-        # multiply and one add
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, point), c) if acc else c
-        return acc
+        return self.field.horner(self.coeffs, (point,))[0]
 
     # -- identity -----------------------------------------------------------
 
@@ -154,6 +148,25 @@ class Poly:
 def x_minus(field: "Field", lam: int) -> Poly:
     """The monic linear polynomial with root lam."""
     return Poly(field, (field.neg(lam), 1))
+
+
+def chi_row(f: Poly) -> str:
+    """chi of f at every element of GF(q), odd q: a string of length q.
+
+    A monic x + c is chi translated by c, and a monic x^2 + bx + c =
+    (x + b/2)^2 + c - (b/2)^2 is chi translated by c - (b/2)^2, read at
+    the squares, then translated by b/2.  Every other f is one horner
+    pass over the field."""
+    field = f.field
+    chi = field.chi_string()
+    if not (f.is_monic and 1 <= f.degree <= 2):
+        return "".join([chi[v] for v in field.horner(f.coeffs, range(field.q))])
+    if f.degree == 1:
+        return field.translate(chi, f.coeffs[0])
+    c, b = f.coeffs[:2]
+    half_b = field.mul(b, field.inv(2))
+    shift = field.add(c, field.neg(field.mul(half_b, half_b)))
+    return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)
 
 
 def gcd(f: Poly, g: Poly) -> Poly:

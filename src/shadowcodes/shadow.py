@@ -55,6 +55,7 @@ from .poly import (
     Poly,
     all_monic_irreducibles,
     basic_polys,
+    chi_row,
     enumerate_monic_irreducibles,
     poly_from_text,
     poly_to_text,
@@ -178,11 +179,9 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
     Bit j is the parity at the j-th evaluation point, read from the
     field's quadratic-character string.  A constant reads one character.
     A monic of degree 1 or 2 over E = range(|E|) with 2|E| >= q gathers
-    its row from chi_string() and keeps the first |E| characters: x + c
-    is chi translated by c, and x^2 + bx + c = (x + b/2)^2 + c - (b/2)^2
-    is chi translated by c - (b/2)^2, read at the squares, then
-    translated by b/2.  Every other f, and every f over any other E, is
-    evaluated point by point with Horner."""
+    its row with poly.chi_row and keeps the first |E| characters.  Every
+    other f, and every f over any other E, is evaluated at the points
+    by one Field.horner pass."""
     if f.field is not ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
     field, points = ev.field, ev.points
@@ -194,26 +193,14 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
         and 2 * len(points) >= field.q
         and points[-1] == len(points) - 1
     ):
-        row = _gathered_row(f)[: len(points)]
+        row = chi_row(f)[: len(points)]
     else:
         chi = field.chi
-        row = "".join([chi[f(beta)] for beta in points])
+        row = "".join([chi[v] for v in field.horner(f.coeffs, points)])
     if "2" in row:
         beta = points[row.index("2")]
         raise VanishesOnE(f"{f!r} vanishes at element {beta} of the evaluation set", beta)
     return int(row[::-1], 2)
-
-
-def _gathered_row(f: Poly) -> str:
-    """chi read at f(a) for every a in the field, f monic of degree 1 or 2."""
-    field = f.field
-    chi = field.chi_string()
-    if f.degree == 1:
-        return field.translate(chi, f.coeffs[0])
-    c, b = f.coeffs[:2]
-    half_b = field.mul(b, field.inv(2))
-    shift = field.add(c, field.neg(field.mul(half_b, half_b)))
-    return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)
 
 
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:

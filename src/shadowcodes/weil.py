@@ -1,4 +1,4 @@
-"""Brute-force point counts on hyperelliptic-shape curves.
+"""Point counts on hyperelliptic-shape curves, read off character rows.
 
 For squarefree A(x) = gamma P_1(x) .. P_r(x) over GF(q), q odd, the
 curve y^2 = A(x) has q + O(sqrt(q)) affine points: each x contributes
@@ -6,6 +6,14 @@ curve y^2 = A(x) has q + O(sqrt(q)) affine points: each x contributes
 otherwise.  The classical bound puts |count - q| within
 (deg A - 1) sqrt(q), which these oracles check on counted points by
 exact integer comparisons (never through floats).
+
+A count reads every x at once from the chi rows of the factors
+(poly.chi_row, the rows shadow codewords are built from): chi is
+multiplicative, so the non-square bits of A are the XOR of the
+factors' non-square bits, flipped when gamma is a non-square, and its
+roots are the OR of their zero bits.  The random curves take a drawn
+cubic or quadratic as irreducible when its row has no zero, since a
+polynomial of degree 2 or 3 is irreducible exactly when it has no root.
 """
 
 from __future__ import annotations
@@ -15,14 +23,16 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from .field import Field
-from .poly import Poly, basic_polys, is_irreducible
+from .poly import Poly, basic_polys, chi_row
 
 COUNT_BUDGET = 1 << 14
-CURVE_MAX_DEGREE = 3  # largest factor degree random_curve_spec draws
+# largest factor degree random_curve_spec draws; its root test for
+# irreducibility holds up to degree 3 only
+CURVE_MAX_DEGREE = 3
 CURVE_MAX_FACTORS = 5  # most distinct factors random_curve_spec draws
-# points over x by chi of A(x): two at a nonzero square, none at a
-# non-square, one at a root
-_POINTS = {"0": 2, "1": 0, "2": 1}
+# a chi row as the bits of its non-squares, and of its zeros
+_NON_SQUARE_BITS = str.maketrans("012", "010")
+_ZERO_BITS = str.maketrans("012", "001")
 
 
 @dataclass(frozen=True)
@@ -52,20 +62,24 @@ def curve_spec(field: Field, gamma: int, factors) -> CurveSpec:
 
 
 def count_zeros(spec: CurveSpec) -> int:
-    """Number of affine (x, y) with y^2 = gamma prod(P_i(x))."""
+    """Number of affine (x, y) with y^2 = gamma prod(P_i(x)): with N the
+    x where A(x) is a non-square and Z its roots, 2q - |Z| - 2|N \\ Z|."""
     field = spec.field
-    if field.q > COUNT_BUDGET:
-        raise BudgetExceeded(f"q = {field.q} exceeds the scan budget {COUNT_BUDGET}")
-    chi = field.chi  # the string, as COUNT_BUDGET <= TABLE_LIMIT
-    total = 0
-    for x in range(field.q):
-        v = spec.gamma
-        for f in spec.factors:
-            v = field.mul(v, f(x))
-            if v == 0:
-                break
-        total += _POINTS[chi[v]]
-    return total
+    q = field.q
+    _check_budget(q)
+    non_squares = zeros = 0
+    for f in spec.factors:
+        row = chi_row(f)
+        non_squares ^= int(row.translate(_NON_SQUARE_BITS), 2)
+        zeros |= int(row.translate(_ZERO_BITS), 2)
+    if field.chi[spec.gamma] == "1":
+        non_squares ^= (1 << q) - 1
+    return 2 * q - zeros.bit_count() - 2 * (non_squares & ~zeros).bit_count()
+
+
+def _check_budget(q: int) -> None:
+    if q > COUNT_BUDGET:
+        raise BudgetExceeded(f"q = {q} exceeds the scan budget {COUNT_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +101,15 @@ def check_corollary(spec: CurveSpec) -> CorollaryReport:
 
 def random_curve_spec(field: Field, rng: random.Random) -> CurveSpec:
     """Seeded random squarefree curve: rejection-sample random monic
-    polynomials until enough distinct irreducibles turn up."""
+    polynomials until enough distinct irreducibles turn up.  A draw of
+    degree 2 or 3 is irreducible iff its chi row has no zero."""
+    _check_budget(field.q)
     r = rng.randint(1, CURVE_MAX_FACTORS)
     chosen: list[Poly] = []
     while len(chosen) < r:
         d = rng.randint(1, CURVE_MAX_DEGREE)
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
-        if f not in chosen and is_irreducible(f):
+        if f not in chosen and (d == 1 or "2" not in chi_row(f)):
             chosen.append(f)
     gamma = rng.randrange(1, field.q)
     return CurveSpec(field, gamma, tuple(chosen))

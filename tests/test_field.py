@@ -459,3 +459,44 @@ def test_untabled_field_axioms_against_reference(abc, e):
     f = field_create(5, 7)  # q = 78125, above the table limit
     assert f._exp is None
     _check_axioms(f, *abc, e)
+
+
+def _ref_horner(f, coeffs, x):
+    """coeffs at x by Horner's rule on ref_ext_mul and the digit add."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = _ref_add(f.p, f.m, ref_ext_mul(f.p, f.m, f.modulus, acc, x), c)
+    return acc
+
+
+# a prime field, tabled fields of degree 2 and 5, and the untabled GF(5^7)
+HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (3, 5), (5, 7)]
+HORNER_IDS = [f"GF({p}^{m})" for p, m in HORNER_FIELDS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm=st.sampled_from(HORNER_FIELDS), data=st.data())
+def test_horner_against_reference(pm, data):
+    """Field.horner on drawn coefficient tuples, trailing zeros and the
+    empty tuple included, at drawn points with 0 drawn often."""
+    f = field_create(*pm)
+    elem = st.integers(0, f.q - 1)
+    coeffs = tuple(data.draw(st.lists(elem, max_size=8), label="coeffs"))
+    points = data.draw(st.lists(st.one_of(st.just(0), elem), max_size=6), label="points")
+    assert f.horner(coeffs, points) == [_ref_horner(f, coeffs, x) for x in points]
+
+
+@pytest.mark.parametrize("p, m", HORNER_FIELDS, ids=HORNER_IDS)
+def test_horner_edge_cases(p, m):
+    """The zero polynomial, constants, the point 0, and sums that cancel
+    to 0 midway (x - a, and x^2 - ax + 5, at x = a)."""
+    f = field_create(p, m)
+    points = [0, 1, 2, f.q - 1]
+    assert f.horner((), points) == [0] * 4
+    for c in (1, 2, f.q - 1):
+        assert f.horner((c,), points) == [c] * 4
+    for a in (1, 2, f.q - 1):
+        assert f.horner((f.neg(a), 1), [a]) == [0]
+        cs = (5, f.neg(a), 1)
+        assert f.horner(cs, [0, a]) == [5, _ref_horner(f, cs, a)] == [5, 5]
+    assert f.horner((3, 2, 0, 1), [0]) == [3]

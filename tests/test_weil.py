@@ -1,14 +1,18 @@
 import random
+from itertools import product
 
 import pytest
 
 from helpers import naive_curve_points
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import TABLE_LIMIT, field_create, field_of_order
-from shadowcodes.poly import Poly, x_minus
+from shadowcodes.poly import Poly, chi_row, enumerate_monic_irreducibles, is_irreducible, x_minus
 from shadowcodes.shadow import construct_deg2
 from shadowcodes.weil import (
     COUNT_BUDGET,
+    CURVE_MAX_DEGREE,
+    CURVE_MAX_FACTORS,
+    CurveSpec,
     check_corollary,
     count_zeros,
     curve_spec,
@@ -79,9 +83,9 @@ def test_random_curve_spec_is_seeded_and_valid():
 
 def test_ben_or_runs_once_per_polynomial(monkeypatch):
     """No builder hands a polynomial that already passed the Ben-Or
-    irreducibility test to that test again.  Counted per polynomial object: a random curve
-    that draws a value another curve drew has made a new draw, and that
-    draw is tested once."""
+    irreducibility test to that test again, counted per polynomial
+    object.  The random curves test their draws by roots, so verify weil
+    runs Ben-Or once, on its fixed GF(3) case."""
     from shadowcodes import poly, shadow, verify, weil
 
     tested = {}
@@ -99,7 +103,7 @@ def test_ben_or_runs_once_per_polynomial(monkeypatch):
             monkeypatch.setattr(module, "is_irreducible", counting)
     assert verify.verify_weil(27, 30)["ok"]
     weil_tests = len(tested)
-    assert weil_tests > 0
+    assert weil_tests == 1 and repeats == []
     # the quadratics come from the closed form, which runs no Ben-Or test
     code = construct_deg2(field_of_order(49), 4, seed=1729)
     assert len(tested) == weil_tests and repeats == []
@@ -114,6 +118,10 @@ def test_count_budget():
     spec = curve_spec(big, 1, [Poly.x(big)])
     with pytest.raises(BudgetExceeded):
         count_zeros(spec)
+    # a draw reads a q-length row, so it is refused at the same size
+    with pytest.raises(BudgetExceeded):
+        random_curve_spec(big, random.Random(1))
+    assert random_curve_spec(field_of_order(16381), random.Random(1)).field.q == 16381
 
 
 def test_curve_spec_validation():
@@ -133,3 +141,77 @@ def test_curve_spec_validation():
         curve_spec(F7, 1, [Poly.x(F3)])
     with pytest.raises(BadParameters):
         curve_spec(F7, 1, [Poly.constant(F7, 3)])
+
+
+def _ben_or_curve_spec(field, rng):
+    """random_curve_spec's draws, with each accepted by Ben-Or's test."""
+    r = rng.randint(1, CURVE_MAX_FACTORS)
+    chosen = []
+    while len(chosen) < r:
+        d = rng.randint(1, CURVE_MAX_DEGREE)
+        f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+        if f not in chosen and is_irreducible(f):
+            chosen.append(f)
+    return CurveSpec(field, rng.randrange(1, field.q), tuple(chosen))
+
+
+@pytest.mark.parametrize("seed", [1729, 7])
+def test_verify_weil_draws_and_counts_against_ben_or_and_pairing(monkeypatch, seed):
+    """A green verify weil report holds no counts, so its 200 draws are
+    replayed here: each spec is the one that Ben-Or acceptance draws from
+    the same rng, and each count pairs every x with every y."""
+    from shadowcodes import verify
+
+    drawn = []
+
+    def recording(field, rng):
+        drawn.append(random_curve_spec(field, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_curve_spec", recording)
+    assert verify.verify_weil(seed=seed)["ok"]
+    assert len(drawn) == 200
+    rng = random.Random(seed)
+    for spec in drawn:
+        assert spec == _ben_or_curve_spec(spec.field, rng)
+        assert count_zeros(spec) == naive_curve_points(spec), spec
+
+
+def test_count_with_non_square_gamma():
+    """Every non-square gamma flips the square bits; two factors that are
+    both non-squares at an x make a square there."""
+    rng = random.Random(11)
+    for q in (7, 9, 25, 27):
+        field = field_of_order(q)
+        gammas = [g for g in range(1, q) if field.chi[g] == "1"]
+        for _ in range(6):
+            factors = random_curve_spec(field, rng).factors
+            for gamma in gammas:
+                spec = curve_spec(field, gamma, factors)
+                assert count_zeros(spec) == naive_curve_points(spec), spec
+    # y^2 = 3 x (x - 1) over GF(7), 3 a non-square: two roots, and A(x)
+    # a nonzero square at x = 3, 4, 5 only; at x = 6 both factors are
+    # non-squares, so their product is a square and 3 times it is not
+    spec = curve_spec(F7, 3, [Poly.x(F7), x_minus(F7, 1)])
+    assert count_zeros(spec) == naive_curve_points(spec) == 8
+
+
+def test_count_with_a_quartic_factor():
+    """A factor of degree 4 takes the Horner branch of chi_row."""
+    for field in (F7, F9, field_of_order(25)):
+        quartic = enumerate_monic_irreducibles(field, 4, 1)[0]
+        for gamma in range(1, field.q):
+            for factors in ([quartic], [quartic, Poly.x(field), x_minus(field, 1)]):
+                spec = curve_spec(field, gamma, factors)
+                assert count_zeros(spec) == naive_curve_points(spec), spec
+
+
+@pytest.mark.parametrize("q", [3, 9, 25])
+def test_root_free_is_irreducible_for_degree_two_and_three(q):
+    """The draws' root test against Ben-Or on every monic quadratic and
+    cubic."""
+    field = field_of_order(q)
+    for d in (2, 3):
+        for cs in product(range(q), repeat=d):
+            f = Poly(field, cs + (1,))
+            assert ("2" not in chi_row(f)) == is_irreducible(f), f
