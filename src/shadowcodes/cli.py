@@ -125,16 +125,51 @@ _HELP = {"q": "field order", "e_size": "evaluation set size", "n": "code length"
          "sample": "trials for a sampled upper bound"}
 
 
+# stands in for a top-level int list in the indented dump, as "\u0000"
+_PLACEHOLDER = "\0"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
+def _json_pieces(obj) -> list[str]:
+    """The text of json.dumps(obj, indent=2, default=str) + "\\n", in
+    pieces that are written one after another and never joined.
+
+    An indent selects the pure-Python encoder, so each non-empty
+    top-level list of exact ints (a descriptor's E) is dumped by the C
+    encoder, one item per line, and spliced in where a placeholder stood
+    in the indented dump of the rest.  A placeholder is found by its
+    key's line, a newline, two spaces and the key: in an indented dump
+    only a top-level key's line starts so, and no string holds a raw
+    newline.  A dict with a key other than a str keeps the plain dump,
+    since the key 1 and the key "1" print alike."""
+    if not isinstance(obj, dict) or set(map(type, obj)) - {str}:
+        return [json.dumps(obj, indent=2, default=str), "\n"]
+    # an empty list keeps the plain "[]"
+    ints = {key: value for key, value in obj.items()
+            if type(value) is list and set(map(type, value)) == {int}}
+    text = json.dumps({key: _PLACEHOLDER if key in ints else value
+                       for key, value in obj.items()}, indent=2, default=str)
+    pieces, pos = [], 0
+    for key, value in ints.items():
+        line = f"\n  {json.dumps(key)}: {_PLACEHOLDER_JSON}"
+        end = text.index(line, pos) + len(line)
+        items = json.dumps(value, separators=(",\n    ", ": "))
+        pieces += (text[pos:end - len(_PLACEHOLDER_JSON)], "[\n    ", items[1:-1], "\n  ]")
+        pos = end
+    pieces += (text[pos:], "\n")
+    return pieces
+
+
 def _emit(obj, out: str | None) -> None:
-    _write(json.dumps(obj, indent=2, default=str) + "\n", out)
+    _write(_json_pieces(obj), out)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _config(args: argparse.Namespace, keys) -> dict:
@@ -191,7 +226,7 @@ def _cmd_figure(args) -> int:
         cfg["exact_cap"] = FIG3_EXACT_CAP
     rows = rows_of(args)
     text = rows_to_json(rows, cfg) if args.format == "json" else rows_to_csv(rows, cfg)
-    _write(text, args.out)
+    _write((text,), args.out)
     return 0
 
 

@@ -36,6 +36,7 @@ from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
     BadDescriptor,
     BadParameters,
+    BudgetExceeded,
     EvaluationSetIsFullField,
     ExhaustedSupply,
     EvenCharacteristic,
@@ -61,6 +62,15 @@ from .poly import (
     poly_to_text,
     x_minus,
 )
+
+# the most points an evaluation set, or rows a degree <= 1 basic set, may
+# have: a construct costs about 150 bytes a point, so 2**22 stays near 0.6 GB
+LENGTH_BUDGET = 1 << 22
+
+
+def _within_budget(what: str, length: int) -> None:
+    if length > LENGTH_BUDGET:
+        raise BudgetExceeded(f"{what} = {length} exceeds the length budget {LENGTH_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +155,14 @@ def evaluation_set(field: Field, points) -> EvaluationSet:
 
 
 def full_evaluation_set(field: Field) -> EvaluationSet:
+    _within_budget("|E| = q", field.q)
     return evaluation_set(field, range(field.q))
 
 
 def first_evaluation_set(field: Field, size: int) -> EvaluationSet:
     if not 1 <= size <= field.q:
         raise BadParameters(f"size must be in 1..{field.q}")
+    _within_budget("|E|", size)
     return evaluation_set(field, range(size))
 
 
@@ -208,6 +220,7 @@ def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
     constant.  |B| = q - |E| + 1 and the total degree is q - |E|."""
     if field is not ev.field:
         raise FieldMismatch("evaluation set was built over a different field")
+    _within_budget("|B| = q - |E| + 1", field.q - len(ev.points) + 1)
     marks = bytearray(b"\1") * field.q  # one byte per element, 1 outside E
     for beta in ev.points:
         marks[beta] = 0

@@ -4,16 +4,18 @@ import io
 import itertools
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowcodes import __version__
-from shadowcodes.cli import build_parser, main
+from shadowcodes.cli import _PLACEHOLDER, _PLACEHOLDER_JSON, _json_pieces, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,33 @@ def test_dmin_three_points_over_a_huge_prime_field(tmp_path, capsys):
     report = json.loads(out)
     assert (report["n"], report["k"]) == (3, 1)
     assert report["dmin"] == row.bit_count()
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deg2", "--q", "1000000007", "--k", "1"),
+        ("deg1", "--q", "1000000007", "--e-size", "3"),
+        ("deg1", "--q", "1000000007", "--e-size", "999999990"),
+    ],
+    ids=["deg2_whole_field", "deg1_rows", "deg1_points"],
+)
+def test_construct_past_the_length_budget_exits_two(argv):
+    """Each would list about 10^9 points or linears; the length budget
+    refuses it before anything is built.  The child's address space is
+    capped at 1 GiB, so a regression fails fast instead of filling memory."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowcodes.cli", "construct", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error:") and "length budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
@@ -390,6 +419,77 @@ def test_bounds_missing_arguments(capsys):
         main(["bounds", "gv", "--n", "16"])
     assert exc.value.code == 2
     assert "--k" in capsys.readouterr().err
+
+
+# strings that an indented dump escapes, or that spell the placeholder
+TRICKY_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["\0", '"', "\\", "a\0b", _PLACEHOLDER, _PLACEHOLDER_JSON,
+                     f'\n  "E": {_PLACEHOLDER_JSON}', "E"]),
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), TRICKY_TEXT,
+    st.floats(allow_nan=False), st.fractions(),
+)
+TOP_VALUES = st.one_of(
+    st.lists(st.integers(-(2**70), 2**70), max_size=4),  # empty, one item, signs, > 2^64
+    st.lists(st.booleans(), max_size=3),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+    st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(TRICKY_TEXT, inner, max_size=3)),
+        max_leaves=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.one_of(
+    st.dictionaries(TRICKY_TEXT, TOP_VALUES, max_size=6),
+    st.dictionaries(st.one_of(st.integers(), TRICKY_TEXT), TOP_VALUES, max_size=3),
+    TOP_VALUES,
+))
+def test_json_pieces_join_to_the_indented_dump(obj):
+    assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2, default=str) + "\n"
+
+
+def test_json_pieces_splice_past_an_equal_string_value():
+    """A string equal to the placeholder comes first, at the top level and
+    nested, and E's items are one piece from the C encoder: a writer that
+    never splices would pass the property above."""
+    obj = {"a": _PLACEHOLDER, "E": [3, -1, 2**70], "b": {"E": _PLACEHOLDER}, "F": [7],
+           "c": [], "d": Fraction(1, 3)}
+    pieces = _json_pieces(obj)
+    assert "".join(pieces) == json.dumps(obj, indent=2, default=str) + "\n"
+    assert "3,\n    -1,\n    1180591620717411303424" in pieces  # E, from the C encoder
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "deg1", "--q", "65537", "--e-size", "65535"),
+        ("construct", "deg1", "--n", "28", "--k", "4"),
+        ("construct", "deg2", "--q", "49", "--k", "3", "--seed", "5"),
+        ("dmin", "{code}"),
+        ("dmin", "{code}", "--sample", "50", "--seed", "3"),
+        ("verify", "theorem7", "--m", "2"),
+        ("verify", "weil"),
+        ("bounds", "gv", "--n", "16", "--k", "6"),
+        ("bounds", "k0", "--n", "113"),
+        ("concat", "--m", "2", "--N", "4", "--K", "2", "--matrix"),
+    ],
+    ids=" ".join,
+)
+def test_json_output_keeps_the_indented_layout(tmp_path, capsys, argv):
+    """Every JSON leaf prints json.dumps(..., indent=2) text, one list item
+    a line, and --out writes the same bytes."""
+    code_path = tmp_path / "code.json"
+    assert main(["construct", "deg1", "--n", "28", "--k", "4", "--out", str(code_path)]) == 0
+    argv = [a.format(code=code_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    out_path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(

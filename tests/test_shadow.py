@@ -10,6 +10,7 @@ from shadowcodes.binary import exact_min_distance, weight_distribution
 from shadowcodes.errors import (
     BadDescriptor,
     BadParameters,
+    BudgetExceeded,
     EvaluationSetIsFullField,
     EvenCharacteristic,
     ExhaustedSupply,
@@ -20,6 +21,7 @@ from shadowcodes.errors import (
 )
 from shadowcodes.field import field_create, field_of_order, find_odd_prime_power
 from shadowcodes.poly import Poly, x_minus
+from shadowcodes import shadow
 from shadowcodes.shadow import (
     Surd,
     basic_set,
@@ -291,6 +293,31 @@ def test_build_B1_shape():
         build_B1(F7, full_evaluation_set(F7))
     with pytest.raises(FieldMismatch):
         build_B1(F9, ev)
+
+
+def test_length_budget_bounds_points_and_rows(monkeypatch):
+    """At a budget of 5 over GF(7): an E of 5 points and a B1 of 5 rows
+    (|E| = 3) are built, one more of either is refused before it is."""
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 5)
+    assert len(build_B1(F7, first_evaluation_set(F7, 3)).polys) == 5
+    assert first_evaluation_set(F7, 5).points == tuple(range(5))
+    with pytest.raises(BudgetExceeded, match="length budget 5"):
+        first_evaluation_set(F7, 6)
+    with pytest.raises(BudgetExceeded):
+        full_evaluation_set(F7)
+    with pytest.raises(BudgetExceeded):
+        build_B1(F7, first_evaluation_set(F7, 2))  # 6 rows
+    with pytest.raises(BudgetExceeded):
+        construct_deg2(F7, 1)
+
+
+def test_length_budget_is_on_lengths_not_the_field():
+    """A 3-point E over a field of order past the budget still builds;
+    its B1 would have about 2^31 rows and is refused."""
+    big = field_create(2**31 - 1)
+    assert first_evaluation_set(big, 3).points == (0, 1, 2)
+    with pytest.raises(BudgetExceeded):
+        construct_deg1(big, 3)
 
 
 def test_build_B2_lex_and_seeded():
