@@ -125,6 +125,21 @@ def _column_bits(row: int, n: int) -> bytes:
     return format(row, f"0{n}b").encode()[::-1].translate(_BITS)
 
 
+def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
+    """(shift, mask) of each butterfly stage s < b of 2^b packed lanes of
+    the given width, s ascending: stage s pairs lane i with lane i + 2^s,
+    shifting by 2^s lanes, and its mask holds the value bits of the lanes
+    i.  The top stage's mask is the low half, and each stage's mask XOR
+    itself shifted by half its run of lanes gives the stage's below it."""
+    stages = []
+    mask = (1 << (bits << b >> 1)) - 1
+    for s in reversed(range(b)):
+        shift = bits << s
+        stages.append((shift, mask & values))
+        mask ^= mask << (shift >> 1)
+    return stages[::-1]
+
+
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None):
     """Packed lanes, one int per Gray index h in [lo, hi) of the high rows
     (default: all of them), laid out as _lane_format(n, b) for the low
@@ -138,11 +153,19 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
     (-1)^(c_j + u.p_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
     so each butterfly is one add and one subtract over all lanes; the
     guard bit absorbs the add's carry and the subtract's borrow, and
-    masking it off leaves 2(n - w) exact, as it lies in 0..2n."""
+    masking it off leaves 2(n - w) exact, as it lies in 0..2n.
+
+    Every lane of the histogram starts at 2^(bits - 1) + count(p), its
+    guard bit set, and each column of c takes 2 off its pattern's lane,
+    so no lane falls below 2^(bits - 1) - count(p) > 0 and none needs a
+    modulo; 2n < 2^(bits - 1) keeps each below 2^bits.  The stage masks
+    hold value bits only, so a stage reads guard-free halves and leaves
+    its junk guard bits to the next stage's mask; the block clears them
+    once, as it is yielded."""
     b = min(LOW_ROWS, len(rows))
     low, high = rows[:b], rows[b:]
     code, bits, ones = _lane_format(n, b)
-    size, wrap = bits // 8, 1 << (bits - 1)
+    wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
     values = guards - ones
     # pats[j] is column j's low-row pattern, laid down as byte planes of 8 rows
@@ -155,17 +178,11 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
     pats = array("H", planes)
     if sys.byteorder == "big":
         pats.byteswap()
-    base = array(code, bytes(size << b))
+    base = array(code, [wrap]) * (1 << b)
     for p, count in Counter(pats).items():
-        base[p] = count
+        base[p] += count
     base[0] += n
-    # stage s pairs lane i with lane i + 2^s, shifting by 2^s lanes; its
-    # mask holds the lanes i
-    stages = []
-    for s in range(b):
-        run = size << s
-        mask = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (b - 1 - s)), "little")
-        stages.append((8 * run, mask))
+    stages = _stage_masks(bits, b, values)
     g = lo ^ (lo >> 1)
     cw = 0
     for j, row in enumerate(high):
@@ -175,16 +192,16 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
         if h > lo:
             cw ^= high[(h & -h).bit_length() - 1]
         lanes = base[:]
-        for p, count in Counter(compress(pats, _column_bits(cw, n))).items():
-            lanes[p] = (lanes[p] - 2 * count) % wrap
+        for p in compress(pats, _column_bits(cw, n)):
+            lanes[p] -= 2
         if sys.byteorder == "big":
             lanes.byteswap()
         v = int.from_bytes(lanes, "little")
         for shift, mask in stages:
             x = v & mask
             y = (v >> shift) & mask
-            v = ((x + y) | (((x | guards) - y) << shift)) & values
-        yield v
+            v = (x + y) | (((x | guards) - y) << shift)
+        yield v & values
 
 
 def _min_weight(
@@ -335,11 +352,17 @@ def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
         for row in code.rows[i : i + 8]:
             table += [t ^ row for t in table]
         tables.append(table)
-    rng = random.Random(seed)
-    top = 1 << code.k
+    # randrange(1, 2^k) on CPython 3.10-3.13 is 1 + _randbelow(2^k - 1),
+    # whose _randbelow_with_getrandbits redraws getrandbits(k) while it
+    # is 2^k - 1: the same draws, without its Python-level call chain
+    getrandbits = random.Random(seed).getrandbits
+    k, last = code.k, (1 << code.k) - 1
     best = code.n + 1
     for _ in range(trials):
-        m = rng.randrange(1, top)
+        m = getrandbits(k)
+        while m == last:
+            m = getrandbits(k)
+        m += 1
         cw = 0
         for table in tables:
             cw ^= table[m & 255]

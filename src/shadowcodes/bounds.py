@@ -351,4 +351,4 @@ def rows_to_csv(rows, config: dict | None = None) -> str:
 
 def rows_to_json(rows, config: dict | None = None) -> str:
     dicts = [vars(r) if isinstance(r, BoundPoint) else r for r in rows]
-    return json.dumps({"config": config or {}, "rows": dicts}, indent=2)
+    return json.dumps({"config": config or {}, "rows": dicts}, indent=2) + "\n"

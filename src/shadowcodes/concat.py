@@ -32,6 +32,7 @@ from fractions import Fraction
 from .binary import BinaryCode
 from .errors import BadParameters, BudgetExceeded, LengthMismatch
 from .field import TABLE_LIMIT, Field, field_create
+from .shadow import _within_budget
 
 
 @functools.cache
@@ -106,7 +107,10 @@ def rm1_encode(m: int, v: int) -> int:
 
 
 def concat_generator(spec: ConcatSpec) -> BinaryCode:
-    """Generator matrix, one row per outer polynomial theta(2^b) x^i."""
+    """Generator matrix, one row per outer polynomial theta(2^b) x^i.
+    Its length N 2^m is checked against the length budget first: at
+    m = 15 a row would join 2^31 bit characters."""
+    _within_budget("length N*2^m", spec.n)
     m, field = spec.m, spec.field
     theta, inverse = theta_table(m), _theta_inverse(m)
     block_bits = f"0{1 << m}b"

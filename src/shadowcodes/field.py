@@ -228,7 +228,9 @@ class Field:
             v = self.index(dv)
             exp[i] = v
             log[v] = i
-            dv = self._mul_digits(dv, da)
+            # the sparse primitive element runs the outer loop, which
+            # skips its zero digits
+            dv = self._mul_digits(da, dv)
         exp[q - 1 :] = exp[: q - 1]
         # 1 + v differs from v in digit 0 alone, which wraps from p - 1
         # to 0 without a carry

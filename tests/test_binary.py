@@ -5,7 +5,7 @@ from collections import Counter
 from concurrent.futures import Future
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import naive_min_distance, naive_span, naive_weight_hist
 from shadowcodes import binary
@@ -121,18 +121,62 @@ def _block_weights(rows, n, lo, hi):
 def test_walsh_kernel_matches_naive_oracles(width, k, extra, seed):
     # a narrow low-row block puts k below, at and above its width, so
     # that codes small enough for the oracles still span many blocks
-    code = random_linear_code(k + extra, k, seed)
+    _check_kernel(random_linear_code(k + extra, k, seed), width)
+
+
+def _check_kernel(code: BinaryCode, width: int) -> None:
+    """exact_min_distance, weight_distribution and the blocks of every
+    two-span cut against the naive oracles, at LOW_ROWS = width."""
     hist = naive_weight_hist(code.rows, code.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         assert weight_distribution(code) == hist
         # two workers' spans, cut at any high Gray index, cover each message once
-        blocks = 1 << max(k - width, 0)
+        blocks = 1 << max(code.k - width, 0)
         for cut in range(1, blocks):
             counts = _block_weights(code.rows, code.n, 0, cut)
             counts += _block_weights(code.rows, code.n, cut, blocks)
             assert [counts[w] for w in range(code.n + 1)] == hist
+
+
+def _repeated_columns(k: int, copies: dict[int, int], seed: int) -> BinaryCode:
+    """The code whose columns are the k unit columns, which give it rank
+    k, and copies[p] copies of each column pattern p, shuffled."""
+    columns = [1 << i for i in range(k)]
+    for pattern, count in copies.items():
+        columns += [pattern] * count
+    random.Random(seed).shuffle(columns)
+    rows = [sum((col >> i & 1) << j for j, col in enumerate(columns)) for i in range(k)]
+    return BinaryCode(rows, len(columns))
+
+
+@st.composite
+def _heavy_column_codes(draw):
+    """Codes whose low-row patterns repeat past 127 and 255 times: a few
+    column patterns, the all-zero one among them, copied 130-300 times."""
+    k = draw(st.integers(1, 7))
+    patterns = draw(st.sets(st.integers(1, 2**k - 1), max_size=3)) | {0}
+    copies = {p: draw(st.integers(130, 300)) for p in patterns}
+    return _repeated_columns(k, copies, draw(st.integers(0, 2**32)))
+
+
+# k = 3 with every pattern copied 2100 times: n >= 2^14, so 32-bit lanes
+_WIDE_CODE = _repeated_columns(3, dict.fromkeys(range(8), 2100), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.integers(1, 4), code=_heavy_column_codes())
+@example(width=2, code=_WIDE_CODE)
+def test_walsh_kernel_on_heavily_repeated_columns(width, code):
+    """A lane's count can pass the byte range and the guard bias must
+    keep every lane positive; each hit takes 2 off a lane whose pattern
+    the high codeword selects, as many times as its columns repeat."""
+    _check_kernel(code, width)
+
+
+def test_wide_code_takes_32_bit_lanes():
+    assert _WIDE_CODE.n >= 1 << 14 and _lane_format(_WIDE_CODE.n, 2)[0] == "I"
 
 
 @settings(max_examples=2, deadline=None)
@@ -483,12 +527,15 @@ def test_sampled_is_deterministic_in_seed():
 def test_sampled_bound_encodes_the_same_draws():
     """The byte tables give each drawn message its codeword: the bound is
     the least weight over the same randrange draws, encoded row by row,
-    with k below, at and past a multiple of 8."""
-    for k in (3, 8, 9, 17):
+    with k below, at and past a multiple of 8, at several seeds.  At
+    k = 1 half of the getrandbits draws are redrawn, so a sampler that
+    skips the redraw falls out of step with randrange."""
+    for k in (1, 2, 3, 8, 9, 17, 22, 28):
         code = random_linear_code(40, k, k)
-        rng = random.Random(5)
-        want = min(code.encode(rng.randrange(1, 1 << k)).bit_count() for _ in range(300))
-        assert sampled_min_distance_upper(code, trials=300, seed=5) == want
+        for seed in (5, 6, 1729):
+            rng = random.Random(seed)
+            want = min(code.encode(rng.randrange(1, 1 << k)).bit_count() for _ in range(300))
+            assert sampled_min_distance_upper(code, trials=300, seed=seed) == want, (k, seed)
 
 
 def test_sampled_needs_a_trial():

@@ -187,10 +187,24 @@ def _cap_address_space():
 )
 def test_construct_past_the_length_budget_exits_two(argv):
     """Each would list about 10^9 points or linears; the length budget
-    refuses it before anything is built.  The child's address space is
-    capped at 1 GiB, so a regression fails fast instead of filling memory."""
+    refuses it before anything is built."""
+    _assert_capped_refusal("construct", *argv)
+
+
+def test_concat_matrix_past_the_length_budget_exits_two(capsys):
+    """Rows of N 2^m = 2^31 - 2^15 bits are refused before any is built;
+    the parameters alone still print."""
+    _assert_capped_refusal("concat", "--m", "15", "--N", "65535", "--K", "1", "--matrix")
+    code, out, _ = run_cli(capsys, "concat", "--m", "15", "--N", "65535", "--K", "1")
+    assert code == 0 and json.loads(out)["n"] == 65535 << 15
+
+
+def _assert_capped_refusal(*argv):
+    """The CLI exits 2 with an error line naming the length budget.  The
+    child's address space is capped at 1 GiB, so a regression fails fast
+    instead of filling memory."""
     proc = subprocess.run(
-        [sys.executable, "-m", "shadowcodes.cli", "construct", *argv],
+        [sys.executable, "-m", "shadowcodes.cli", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
@@ -475,6 +489,9 @@ def test_json_pieces_splice_past_an_equal_string_value():
         ("bounds", "gv", "--n", "16", "--k", "6"),
         ("bounds", "k0", "--n", "113"),
         ("concat", "--m", "2", "--N", "4", "--K", "2", "--matrix"),
+        ("figure", "fig1", "--format", "json"),
+        ("figure", "fig3", "--n", "64", "--format", "json"),
+        ("figure", "fig4", "--format", "json"),
     ],
     ids=" ".join,
 )

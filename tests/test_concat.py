@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import naive_min_distance, ref_concat_rows
+from shadowcodes import shadow
 from shadowcodes.binary import exact_min_distance
 from shadowcodes.concat import (
     _theta_inverse,
@@ -50,6 +51,19 @@ def test_theorem7_builds_one_theta_table():
     theta_table.cache_clear()
     assert verify_theorem7(4)["ok"]
     assert theta_table.cache_info().misses == 1
+
+
+def test_generator_length_budget(monkeypatch):
+    """The budget reads N 2^m before any row is built: at a budget of 16,
+    (m, N) = (2, 4) builds and (3, 3) is refused, as is verify theorem7
+    at m = 12, whose K = 1 code is 2^24 long."""
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 16)
+    assert concat_generator(concat_spec(2, 4, 2)).n == 16
+    with pytest.raises(BudgetExceeded, match="length budget"):
+        concat_generator(concat_spec(3, 3, 1))
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded, match="length budget"):
+        verify_theorem7(12)
 
 
 def test_rs_minimum_symbol_weight_exhaustive():

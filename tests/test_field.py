@@ -248,6 +248,19 @@ def test_only_extension_fields_keep_log_tables():
         assert f._exp is not None and len(f._zech) == f.q - 1, f
 
 
+@pytest.mark.parametrize("p, m", [(2, 8), (3, 5), (5, 3)])
+def test_exp_table_steps_by_the_primitive_element(p, m):
+    """exp[i] is g^i, each entry the reference product of the one before
+    and g, and the table's second half repeats its first."""
+    f = field_create(p, m)
+    g, v = f.primitive_element(), 1
+    for i in range(f.q - 1):
+        assert f._exp[i] == f._exp[i + f.q - 1] == v, (p, m, i)
+        assert f._log[v] == i
+        v = ref_ext_mul(p, m, f.modulus, v, g)
+    assert v == 1
+
+
 def test_character_errors():
     f7 = field_create(7)
     with pytest.raises(ZeroArgument):
