@@ -15,9 +15,6 @@ and the rate/relative-distance tables behind the comparison figures.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
@@ -332,23 +329,3 @@ def fig4_rows(a: float = 0.49, m_min: int = 2, m_max: int = 10):
         )
     return rows
 
-
-# -- serialization ---------------------------------------------------------
-
-
-def rows_to_csv(rows, config: dict | None = None) -> str:
-    """CSV text with the generating parameters echoed as # comments."""
-    buf = io.StringIO()
-    if config:
-        for key in sorted(config):
-            buf.write(f"# {key}={config[key]}\n")
-    dicts = [vars(r) if isinstance(r, BoundPoint) else r for r in rows]
-    writer = csv.DictWriter(buf, fieldnames=list(dicts[0]))
-    writer.writeheader()
-    writer.writerows(dicts)
-    return buf.getvalue()
-
-
-def rows_to_json(rows, config: dict | None = None) -> str:
-    dicts = [vars(r) if isinstance(r, BoundPoint) else r for r in rows]
-    return json.dumps({"config": config or {}, "rows": dicts}, indent=2) + "\n"

@@ -63,8 +63,9 @@ from .poly import (
     x_minus,
 )
 
-# the most points an evaluation set, or rows a degree <= 1 basic set, may
-# have: a construct costs about 150 bytes a point, so 2**22 stays near 0.6 GB
+# the most points an evaluation set, rows a degree <= 1 basic set, or
+# quadratics a seeded degree 2 draw lists may have: a construct costs
+# about 150 bytes a point, so 2**22 stays near 0.6 GB
 LENGTH_BUDGET = 1 << 22
 
 
@@ -243,6 +244,7 @@ def build_B2(field: Field, k: int, seed: int | None = None) -> BasicSet:
     if seed is None:
         polys = enumerate_monic_irreducibles(field, 2, k)
     else:
+        _within_budget("irreducible quadratics q(q-1)/2", field.q * (field.q - 1) // 2)
         supply = all_monic_irreducibles(field, 2)
         if k > len(supply):
             raise ExhaustedSupply(

@@ -219,7 +219,7 @@ def verify_theorem6(n_max: int = 100000) -> dict:
     }
 
 
-def verify_theorem7(m: int = 2, workers: int = 1) -> dict:
+def verify_theorem7(m: int = 2) -> dict:
     """Enumerated minimum distances of the concatenated codes against
     (N - K + 1) 2^(m-1), and the exact rate identity, for every K whose
     dimension fits the enumeration cap."""
@@ -239,7 +239,7 @@ def verify_theorem7(m: int = 2, workers: int = 1) -> dict:
             skipped.append(big_k)
             continue
         code = concat_generator(spec)
-        dmin = exact_min_distance(code, workers=workers)
+        dmin = exact_min_distance(code)
         checks += 1
         if dmin < params.dmin_lb:
             failures.append(

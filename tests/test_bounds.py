@@ -1,6 +1,3 @@
-import csv
-import io
-import json
 import math
 import random
 from fractions import Fraction
@@ -14,9 +11,7 @@ from shadowcodes.bounds import (
     DG_M_MAX,
     FIG3_EXACT_CAP,
     FIG4_M_MAX,
-    FIG_FIELDNAMES,
     K0_N_MAX,
-    BoundPoint,
     deltacon,
     deltash_family,
     dg_params,
@@ -27,8 +22,6 @@ from shadowcodes.bounds import (
     gv_min_distance,
     k0,
     rm2_dim,
-    rows_to_csv,
-    rows_to_json,
     s_cubic,
     section6_margins,
     shadow_lb_deg1,
@@ -366,35 +359,3 @@ def test_fig4_rows_concat_dominates():
     with pytest.raises(BadParameters):
         fig4_rows(m_max=FIG4_M_MAX + 1)
 
-
-# --------------------------------------------------------- serialization
-
-def test_rows_to_csv_round_trip():
-    rows = fig4_rows()
-    text = rows_to_csv(rows, config={"figure": "fig4", "a": 0.49})
-    lines = text.splitlines()
-    assert lines[0] == "# a=0.49"
-    assert lines[1] == "# figure=fig4"
-    assert lines[2] == ",".join(FIG_FIELDNAMES)
-    body = [ln for ln in lines if not ln.startswith("#")]
-    parsed = list(csv.DictReader(io.StringIO("\n".join(body))))
-    assert len(parsed) == len(rows)
-    assert parsed[0]["scheme"] == rows[0].scheme
-    assert float(parsed[0]["delta"]) == pytest.approx(rows[0].delta)
-
-
-def test_rows_to_csv_plain_dicts():
-    rows = fig1_rows(10, 100, 5)
-    text = rows_to_csv(rows)
-    parsed = list(csv.DictReader(io.StringIO(text)))
-    assert len(parsed) == len(rows)
-    assert set(parsed[0]) == {"n", "k0", "approx"}
-
-
-def test_rows_to_json_round_trip():
-    rows = fig4_rows()
-    obj = json.loads(rows_to_json(rows, config={"figure": "fig4"}))
-    assert obj["config"] == {"figure": "fig4"}
-    assert len(obj["rows"]) == len(rows)
-    assert obj["rows"][0]["scheme"] == rows[0].scheme
-    assert BoundPoint(**obj["rows"][0]) == rows[0]

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowcodes import __version__
-from shadowcodes.cli import _PLACEHOLDER, _PLACEHOLDER_JSON, _json_pieces, build_parser, main
+from shadowcodes.bounds import FIG_FIELDNAMES, BoundPoint, fig1_rows, fig4_rows
+from shadowcodes.cli import (
+    _PLACEHOLDER,
+    _PLACEHOLDER_JSON,
+    _json_pieces,
+    build_parser,
+    main,
+    rows_to_csv,
+)
 
 
 def run_cli(capsys, *argv):
@@ -182,12 +191,14 @@ def _cap_address_space():
         ("deg2", "--q", "1000000007", "--k", "1"),
         ("deg1", "--q", "1000000007", "--e-size", "3"),
         ("deg1", "--q", "1000000007", "--e-size", "999999990"),
+        ("deg2", "--q", "65521", "--k", "1", "--seed", "1"),
     ],
-    ids=["deg2_whole_field", "deg1_rows", "deg1_points"],
+    ids=["deg2_whole_field", "deg1_rows", "deg1_points", "deg2_seeded_supply"],
 )
 def test_construct_past_the_length_budget_exits_two(argv):
-    """Each would list about 10^9 points or linears; the length budget
-    refuses it before anything is built."""
+    """Each would list about 10^9 points or linears, or a seeded draw
+    about 2^31 quadratics; the length budget refuses it before anything
+    is built."""
     _assert_capped_refusal("construct", *argv)
 
 
@@ -249,7 +260,6 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("bounds", "dg", "--m", "20000", "--d", "1"),
         ("dmin", "{tmp}/code.json", "--workers", "0"),
         ("dmin", "{tmp}/code.json", "--sample", "5", "--workers", "0"),
-        ("verify", "theorem7", "--workers", "-1"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
@@ -258,8 +268,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
          "shadow1_floor_infinite", "dg_m_past_the_printable_cap", "dmin_workers_zero",
-         "dmin_sample_workers_zero",
-         "theorem7_workers_negative"],
+         "dmin_sample_workers_zero"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert main(["construct", "deg1", "--n", "28", "--k", "4",
@@ -509,6 +518,37 @@ def test_json_output_keeps_the_indented_layout(tmp_path, capsys, argv):
     assert out_path.read_bytes() == out.encode()
 
 
+def test_rows_to_csv_round_trip():
+    rows = [vars(r) for r in fig4_rows()]
+    text = rows_to_csv(rows, {"figure": "fig4", "a": 0.49})
+    lines = text.splitlines()
+    assert lines[0] == "# a=0.49"
+    assert lines[1] == "# figure=fig4"
+    assert lines[2] == ",".join(FIG_FIELDNAMES)
+    body = [ln for ln in lines if not ln.startswith("#")]
+    parsed = list(csv.DictReader(io.StringIO("\n".join(body))))
+    assert len(parsed) == len(rows)
+    assert parsed[0]["scheme"] == rows[0]["scheme"]
+    assert float(parsed[0]["delta"]) == pytest.approx(rows[0]["delta"])
+
+
+def test_rows_to_csv_plain_dicts():
+    rows = fig1_rows(10, 100, 5)
+    text = rows_to_csv(rows, {})
+    parsed = list(csv.DictReader(io.StringIO(text)))
+    assert len(parsed) == len(rows)
+    assert set(parsed[0]) == {"n", "k0", "approx"}
+
+
+def test_figure_json_round_trip(capsys):
+    code, out, _ = run_cli(capsys, "figure", "fig4", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["config"] == {"tool": f"shadowcodes {__version__}", "command": "figure",
+                             "figure": "fig4", "a": 0.49, "m_min": 2, "m_max": 10}
+    assert [BoundPoint(**row) for row in obj["rows"]] == fig4_rows()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -521,9 +561,10 @@ def test_json_output_keeps_the_indented_layout(tmp_path, capsys, argv):
         ("construct", "deg1", "--q", "9", "--e-size", "7", "--seed", "5"),
         ("figure", "--format", "json", "fig4"),
         ("verify", "theorem6", "--n", "50"),
+        ("verify", "theorem7", "--workers", "1"),
     ],
     ids=["fig1_a", "fig3_points", "section6_m", "theorem4_count", "k0_k", "deg2_e_size",
-         "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max"],
+         "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max", "theorem7_workers"],
 )
 def test_flags_of_another_leaf_exit_two(capsys, argv):
     """Each leaf takes only the flags it reads, after the leaf name, and

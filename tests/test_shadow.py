@@ -311,6 +311,18 @@ def test_length_budget_bounds_points_and_rows(monkeypatch):
         construct_deg2(F7, 1)
 
 
+def test_length_budget_bounds_the_seeded_quadratic_supply(monkeypatch):
+    """A seeded B2 lists all q(q-1)/2 monic irreducible quadratics, 21
+    over GF(7), before it draws: a budget of 21 draws, 20 refuses.  The
+    lex-first choice lists only k and is not bounded."""
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 21)
+    assert len(build_B2(F7, 3, seed=11).polys) == 3
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 20)
+    with pytest.raises(BudgetExceeded, match=r"q\(q-1\)/2 = 21 exceeds the length budget 20"):
+        build_B2(F7, 3, seed=11)
+    assert len(build_B2(F7, 3).polys) == 3
+
+
 def test_length_budget_is_on_lengths_not_the_field():
     """A 3-point E over a field of order past the budget still builds;
     its B1 would have about 2^31 rows and is refused."""

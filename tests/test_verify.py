@@ -94,7 +94,7 @@ CASES = {
     ),
     "theorem7_floor": (
         ("theorem7",), verify, "exact_min_distance",
-        lambda real: lambda code, workers=1: 1,
+        lambda real: lambda code: 1,
         {"m", "K", "dmin", "floor"}, None,
     ),
     "section6_margin": (
