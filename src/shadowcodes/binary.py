@@ -13,14 +13,13 @@ n - w, so the exact minimum-distance scan walks only the 2^(k-1)
 messages of a complement of {0, 1} and reads both weights off each.
 When the code also holds the reversal of each of its words, which the
 reversed rows adding no rank decides exactly, reversing the coordinates
-is a weight-preserving involution M of that quotient, and the scan,
-serial or pooled, walks about one coset per orbit {x, Mx}: near half
-the quotient.  The weight distribution always walks all 2^k codewords.
+is a weight-preserving involution M of that quotient, and the scan
+walks about one coset per orbit {x, Mx}: near half the quotient.  The
+weight distribution always walks all 2^k codewords.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 from array import array
@@ -32,10 +31,6 @@ from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
 LOW_ROWS = 14  # rows per transform block: 2^14 lanes in one packed int
-# plan blocks per pooled worker: on a 2-CPU host a 65-block scan ran
-# faster serial than on two workers, while 129 and 257 blocks ran faster
-# pooled
-POOL_BLOCKS = 64
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -290,16 +285,13 @@ def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[i
     return parts if sum(hi - lo for _, lo, hi in parts) < blocks else plain
 
 
-def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
+def exact_min_distance(code: BinaryCode) -> int:
     """Minimum nonzero codeword weight by full enumeration, of the
     quotient by 1 when the code holds 1, and of one coset per orbit of
-    the coordinate reversal when the code holds that too.  The scan,
-    serial or pooled, walks the parts of _walk_parts; the pool cuts them
-    into spans, at most one process per CPU this process may use and
-    one per POOL_BLOCKS plan blocks."""
+    the coordinate reversal when the code holds that too.  The scan
+    walks the parts of _walk_parts in turn, each starting from the best
+    weight of the parts before it."""
     k, n = code.k, code.n
-    if workers < 1:
-        raise BadParameters(f"need workers >= 1, got {workers}")
     if k == 0:
         raise BadParameters("the trivial code has no nonzero codeword")
     if k > ENUM_BUDGET_LOG2:
@@ -316,26 +308,10 @@ def exact_min_distance(code: BinaryCode, workers: int = 1) -> int:
             return n  # the code is {0, 1}
     else:
         rows, fold = code.rows, False
-    parts = _walk_parts(rows, n, fold)
-    blocks = sum(hi - lo for _, lo, hi in parts)
-    # one span per usable CPU at most: the pool may fork all workers at
-    # once; and one worker per POOL_BLOCKS plan blocks, below which the
-    # fork costs more than it saves
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, cpus, blocks // POOL_BLOCKS)
-    if workers <= 1:
-        best = None  # each part starts from the best weight of the parts before it
-        for part, lo, hi in parts:
-            best = _min_weight(part, n, lo, hi, fold, best)
-        return best
-    # imported here: the pool machinery is a large share of the package's import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = -(-blocks // workers)
-    spans = [(part, i, min(i + chunk, hi)) for part, lo, hi in parts for i in range(lo, hi, chunk)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-        futs = [pool.submit(_min_weight, part, n, lo, hi, fold) for part, lo, hi in spans]
-        return min(f.result() for f in futs)
+    best = None
+    for part, lo, hi in _walk_parts(rows, n, fold):
+        best = _min_weight(part, n, lo, hi, fold, best)
+    return best
 
 
 def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .binary import exact_min_distance, random_linear_code
 from .concat import concat_params, concat_spec
-from .errors import BadParameters, BadShape
+from .errors import BadParameters, BadShape, BudgetExceeded
 from .field import find_odd_prime_power
 from .shadow import construct_deg1_nk, deg1_floor, deg2_floor
 
@@ -33,6 +33,9 @@ FIG3_RANDOM_KS = (8, 12, 16)  # fig3's random codes, where k <= n; scanned exact
 # the float closed form of k0 stays within 1e-6 of the bisection up to
 # here; it drifts past that from about n = 2.5e9
 K0_N_MAX = 10**9
+# gv_min_distance keeps prefix sums of about n^2/2 bits, about 0.5 GB at
+# n = 2^16, so the length is capped there
+GV_N_MAX = 1 << 16
 FIG4_M_MAX = 511  # n = 4^m must fit a float
 # the largest even m whose DG length 2^m prints: Python refuses to turn
 # an int of more than 4300 digits into text by default
@@ -74,6 +77,8 @@ def gv_min_distance(n: int, k: int) -> int:
     A binary linear (n, k) code with that minimum distance exists."""
     if not 0 < k <= n:
         raise BadParameters(f"need 0 < k <= n, got k={k}, n={n}")
+    if n > GV_N_MAX:
+        raise BudgetExceeded(f"n = {n} exceeds the GV length budget {GV_N_MAX}")
     return 1 + bisect_left(_binomial_prefix_sums(n), 1 << (n - k))
 
 

@@ -119,12 +119,11 @@ QUANTITIES = {
                  "concatenated relative-distance floor"),
     "k0": ({"n": int}, lambda a: _k0_report(a.n), "dimension threshold root"),
 }
-DMIN_FLAGS = {"sample": 0, "seed": DEFAULT_SEED, "workers": 1}
+DMIN_FLAGS = {"sample": 0, "seed": DEFAULT_SEED}
 CONCAT_FLAGS = {"m": int, "N": int, "K": int}
 
 _HELP = {"q": "field order", "e_size": "evaluation set size", "n": "code length",
-         "k": "dimension", "a": "dimension exponent", "workers": "processes for the exact scan",
-         "sample": "trials for a sampled upper bound"}
+         "k": "dimension", "a": "dimension exponent", "sample": "trials for a sampled upper bound"}
 
 
 # stands in for a top-level int list in the indented dump, as "\u0000"
@@ -199,8 +198,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_dmin(args) -> int:
-    if args.workers < 1:  # checked for the sampled path too, which runs no pool
-        raise BadParameters(f"need workers >= 1, got {args.workers}")
     with open(args.descriptor) as fh:
         try:
             obj = json.load(fh)
@@ -209,7 +206,7 @@ def _cmd_dmin(args) -> int:
     code = from_descriptor(obj)
     gen = code.generator()
     report = {
-        "config": _config(args, ("descriptor", "workers")),
+        "config": _config(args, ("descriptor",)),
         "n": gen.n,
         "k": gen.k,
         "delta": code.delta.to_json(),
@@ -221,7 +218,7 @@ def _cmd_dmin(args) -> int:
         report["dmin_upper"] = sampled_min_distance_upper(gen, args.sample, args.seed)
     else:
         report["method"] = "exact"
-        report["dmin"] = exact_min_distance(gen, workers=args.workers)
+        report["dmin"] = exact_min_distance(gen)
         if code.delta_positive:
             report["floor"] = code.delta.ceil()
             report["floor_met"] = report["dmin"] >= report["floor"]

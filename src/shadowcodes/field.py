@@ -460,6 +460,13 @@ def field_create(p: int, m: int = 1, modulus=None) -> Field:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+    # primitivity factors q - 1, which trial division finishes up to
+    # TRIAL_DIVISION_MAX^2; a larger order is refused before the modulus
+    # search, whose cost grows with m, and 2^m bounds p^m from below
+    top = TRIAL_DIVISION_MAX**2
+    if m >= top.bit_length() or p**m > top:
+        raise BudgetExceeded(f"GF({p}^{m}) has more than {top} elements, past which trial"
+                             " division cannot factor q - 1")
     if m == 1:
         if modulus is not None:
             raise DegreeMismatch("prime fields take no modulus")

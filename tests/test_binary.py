@@ -1,8 +1,5 @@
-import concurrent.futures
-import os
 import random
 from collections import Counter
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -132,7 +129,8 @@ def _check_kernel(code: BinaryCode, width: int) -> None:
         mp.setattr(binary, "LOW_ROWS", width)
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         assert weight_distribution(code) == hist
-        # two workers' spans, cut at any high Gray index, cover each message once
+        # two spans [0, cut) and [cut, blocks), cut at any high Gray
+        # index, cover each message once, as the orbit parts' ranges must
         blocks = 1 << max(code.k - width, 0)
         for cut in range(1, blocks):
             counts = _block_weights(code.rows, code.n, 0, cut)
@@ -181,11 +179,12 @@ def test_wide_code_takes_32_bit_lanes():
 
 @settings(max_examples=2, deadline=None)
 @given(n=st.integers(18, 40), seed=st.integers(0, 2**32))
-def test_parallel_walk_matches_naive_oracle(n, seed):
+def test_16_block_walk_matches_naive_oracle(n, seed):
+    """The module's own LOW_ROWS, not a narrow test width, with 18 rows
+    walked in 16 blocks."""
+    assert 1 << (18 - LOW_ROWS) == 16
     code = random_linear_code(n, 18, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(binary, "POOL_BLOCKS", 1)  # pool the 16-block walk
-        assert exact_min_distance(code, workers=2) == naive_min_distance(code.rows, n)
+    assert exact_min_distance(code) == naive_min_distance(code.rows, n)
 
 
 def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
@@ -220,7 +219,8 @@ def test_quotient_walk_matches_naive_oracle(width, k, extra, seed, ones):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
         assert exact_min_distance(code) == d
-        # two folded spans, cut at any high Gray index, give the same minimum
+        # two folded spans [0, cut) and [cut, blocks), cut at any high
+        # Gray index, give the same minimum
         if holds and k > 1:
             rows = tuple(_independent_rows((ones_word,) + code.rows)[1:])
             blocks = 1 << max(k - 1 - width, 0)
@@ -567,152 +567,6 @@ def test_dimension_budget_enforced():
     rows25 = [1 << i for i in range(25)]
     with pytest.raises(DimensionTooLarge):
         weight_distribution(BinaryCode(rows25, 25))
-
-
-def test_parallel_walk_agrees_with_serial(monkeypatch):
-    """A process pool over the plain walk, and over the orbit parts of a
-    deg1 code."""
-    monkeypatch.setattr(binary, "POOL_BLOCKS", 1)  # pool walks of 16 and 9 blocks
-    for code in (random_linear_code(24, 18, 2), construct_deg1_nk(341, 19).generator()):
-        assert exact_min_distance(code, workers=2) == exact_min_distance(code)
-
-
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task at submit and
-    records its (rows, lo, hi)."""
-
-    sizes: list[int] = []
-    submits: list[tuple[tuple[int, ...], int, int]] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, rows, n, lo, hi, fold):
-        self.submits.append((rows, lo, hi))
-        fut = Future()
-        fut.set_result(fn(rows, n, lo, hi, fold))
-        return fut
-
-
-def _patch_cpus(monkeypatch, count, affinity, pool_blocks=1):
-    """Run pools inline on a host of count CPUs, of which this process
-    may use affinity, with one worker per pool_blocks plan blocks; with
-    affinity None, os has no sched_getaffinity."""
-    monkeypatch.setattr(binary, "POOL_BLOCKS", pool_blocks)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(_InlineExecutor, "sizes", [])
-    monkeypatch.setattr(_InlineExecutor, "submits", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-
-
-def _assert_pool_capped(monkeypatch, code, count, affinity):
-    """code walks 18 rows, cut into spans of its 2^(18 - LOW_ROWS) blocks,
-    on a host of count CPUs of which this process may use affinity."""
-    _patch_cpus(monkeypatch, count, affinity)
-    cpus = (count or 1) if affinity is None else len(affinity)
-    blocks = 1 << (18 - LOW_ROWS)
-    full = _min_weight(code.rows, code.n, 0, 1 << (code.k - LOW_ROWS))
-    assert exact_min_distance(code, workers=10**6) == full
-    if cpus == 1:
-        assert _InlineExecutor.sizes == [] and _InlineExecutor.submits == []
-    else:
-        assert _InlineExecutor.sizes == [min(blocks, cpus)]
-        assert len(_InlineExecutor.submits) == min(blocks, cpus)
-
-
-# (CPU count, usable CPUs): None for either is an os that cannot tell
-_HOSTS = [pytest.param(None, None, id="None"),
-          *(pytest.param(c, set(range(c)), id=str(c)) for c in (1, 2, 10**4))]
-
-
-@pytest.mark.parametrize("count, affinity", [
-    *_HOSTS,
-    pytest.param(4, {0}, id="1_of_4"),
-    pytest.param(4, {1, 3}, id="2_of_4"),
-    pytest.param(2, None, id="2_no_affinity"),
-])
-def test_worker_pool_is_capped_by_spans_and_cpus(monkeypatch, count, affinity):
-    """workers=10**6 gets one span per usable CPU and one process per
-    span; a process that may use one CPU, whatever the host's count, or
-    whose CPU count is unknown, takes the serial scan."""
-    code = random_linear_code(40, 18, 5)
-    assert gf2_rank(((1 << 40) - 1,) + code.rows) == 19  # 1 is not in the code
-    _assert_pool_capped(monkeypatch, code, count, affinity)
-
-
-@pytest.mark.parametrize("count, affinity", _HOSTS)
-def test_folded_worker_pool_splits_the_quotient(monkeypatch, count, affinity):
-    """A dimension-19 code holding 1 walks 18 rows, so its spans are cut
-    from 2^(18 - LOW_ROWS) blocks and still run in parallel.  Its rows 1
-    and 1 + e_0 put the weight-1 word e_0 outside the walked complement,
-    so only a span that folds finds it."""
-    ones = (1 << 40) - 1
-    code = BinaryCode((ones, ones ^ 1) + random_linear_code(40, 17, 5).rows, 40)
-    _assert_pool_capped(monkeypatch, code, count, affinity)
-    # at dimension 18 the 17 walked rows make 8 plan blocks, fewer than
-    # one worker's share: serial
-    monkeypatch.setattr(binary, "POOL_BLOCKS", 9)
-    code = BinaryCode((ones,) + random_linear_code(40, 17, 5).rows, 40)
-    submits = len(_InlineExecutor.submits)
-    full = _min_weight(code.rows, 40, 0, 1 << (18 - LOW_ROWS))
-    assert exact_min_distance(code, workers=10**6) == full
-    assert len(_InlineExecutor.submits) == submits
-
-
-@pytest.mark.parametrize("pool_blocks, sizes", [(4, [4]), (5, [3]), (8, [2]), (16, []), (17, [])])
-def test_worker_pool_takes_one_worker_per_pool_blocks(monkeypatch, pool_blocks, sizes):
-    """The 16-block plain walk of a dimension-18 code gets 16 // pool_blocks
-    workers, however many CPUs and workers there are; one worker is the
-    serial scan."""
-    code = random_linear_code(40, 18, 5)
-    _patch_cpus(monkeypatch, 10**4, set(range(10**4)), pool_blocks)
-    assert exact_min_distance(code, workers=10**6) == _min_weight(code.rows, 40, 0, 16)
-    assert _InlineExecutor.sizes == sizes
-
-
-def test_module_cut_off_keeps_short_walks_serial(monkeypatch):
-    """With the module's own POOL_BLOCKS, a plain walk of POOL_BLOCKS
-    blocks stays serial on a 2-CPU host, and one of 2 * POOL_BLOCKS
-    blocks takes both CPUs."""
-    k = LOW_ROWS + binary.POOL_BLOCKS.bit_length() - 1
-    for dim, sizes in ((k, []), (k + 1, [2])):
-        code = random_linear_code(40, dim, 5)
-        assert gf2_rank(((1 << 40) - 1,) + code.rows) == dim + 1  # 1 is not in the code
-        _patch_cpus(monkeypatch, 2, {0, 1}, binary.POOL_BLOCKS)
-        full = _min_weight(code.rows, 40, 0, 1 << (dim - LOW_ROWS))
-        assert exact_min_distance(code, workers=2) == full
-        assert _InlineExecutor.sizes == sizes
-
-
-@pytest.mark.parametrize("cpus", [2, 3, 10**4])
-@pytest.mark.parametrize("n, k, blocks", [(341, 19, 9), (1000, 20, 17)])
-def test_worker_pool_deals_out_the_walk_parts(monkeypatch, cpus, n, k, blocks):
-    """The pool walks the serial scan's orbit parts: each span lies in one
-    part, and the spans cover each part's blocks once, 9 and 17 of the
-    plain walk's 16 and 32."""
-    code = construct_deg1_nk(n, k).generator()
-    _patch_cpus(monkeypatch, cpus, set(range(cpus)))
-    serial = exact_min_distance(code)
-    assert _InlineExecutor.submits == []
-    assert exact_min_distance(code, workers=10**6) == serial
-    spans = _InlineExecutor.submits
-    parts = _walk_parts(_quotient_rows(code), n, True)
-    assert _InlineExecutor.sizes == [min(cpus, len(spans))]
-    for rows, lo, hi in spans:
-        assert any(rows == part and a <= lo < hi <= b for part, a, b in parts)
-    walked = Counter((rows, h) for rows, lo, hi in spans for h in range(lo, hi))
-    assert walked == Counter((part, h) for part, a, b in parts for h in range(a, b))
-    assert sum(hi - lo for _, lo, hi in spans) == blocks
 
 
 def test_hex_round_trip():

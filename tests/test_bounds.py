@@ -11,6 +11,7 @@ from shadowcodes.bounds import (
     DG_M_MAX,
     FIG3_EXACT_CAP,
     FIG4_M_MAX,
+    GV_N_MAX,
     K0_N_MAX,
     deltacon,
     deltash_family,
@@ -27,7 +28,7 @@ from shadowcodes.bounds import (
     shadow_lb_deg1,
     shadow_lb_deg2,
 )
-from shadowcodes.errors import BadParameters, BadShape
+from shadowcodes.errors import BadParameters, BadShape, BudgetExceeded
 from shadowcodes.field import find_odd_prime_power
 from shadowcodes.shadow import Surd, construct_deg1_nk
 
@@ -87,6 +88,8 @@ def test_gv_edges_and_monotonicity():
         gv_min_distance(10, 0)
     with pytest.raises(BadParameters):
         gv_min_distance(10, 11)
+    with pytest.raises(BudgetExceeded):
+        gv_min_distance(GV_N_MAX + 1, 10)
 
 
 def test_gv_column_matches_per_k_definition():

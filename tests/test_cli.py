@@ -134,23 +134,23 @@ def test_dmin_descriptor_with_mistyped_field_or_kind_exits_two(
 
 def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
     """Trial division stops at its bound, so a prime characteristic of
-    61 bits is refused where it used to divide for minutes."""
+    61 bits is refused where it used to divide for minutes; and GF(3^2000)
+    is refused by its order before a degree-2000 modulus search."""
     desc = tmp_path / "huge.json"
-    desc.write_text(json.dumps(
-        {"field": {"p": 2**61 - 1, "m": 3}, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
-        capture_output=True, text=True, timeout=20,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    for field in ({"p": 2**61 - 1, "m": 3}, {"p": 3, "m": 2000}):
+        desc.write_text(json.dumps({"field": field, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), field
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_dmin_over_a_40_bit_characteristic_squared_ends_cleanly(tmp_path):
-    """p = 999999999989 passes trial division, and GF(p^2)'s default
-    modulus comes from a lazy lexicographic walk: the scan ends with exit
-    0 or 2, never a MemoryError from listing range(p)."""
+    """p = 999999999989 passes trial division, and GF(p^2), past the order
+    whose q - 1 trial division factors, is refused before any modulus
+    search: exit 2, never a MemoryError from listing range(p)."""
     desc = tmp_path / "huge.json"
     desc.write_text(json.dumps(
         {"field": {"p": 999999999989, "m": 2}, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}
@@ -159,8 +159,8 @@ def test_dmin_over_a_40_bit_characteristic_squared_ends_cleanly(tmp_path):
         [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
         capture_output=True, text=True, timeout=20,
     )
-    assert proc.returncode in (0, 2)
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_dmin_three_points_over_a_huge_prime_field(tmp_path, capsys):
@@ -200,6 +200,11 @@ def test_construct_past_the_length_budget_exits_two(argv):
     about 2^31 quadratics; the length budget refuses it before anything
     is built."""
     _assert_capped_refusal("construct", *argv)
+
+
+def test_gv_past_its_length_budget_exits_two():
+    """The prefix sums of n = 200000 would keep about 2.5 GB of ints."""
+    _assert_capped_refusal("bounds", "gv", "--n", "200000", "--k", "10")
 
 
 def test_concat_matrix_past_the_length_budget_exits_two(capsys):
@@ -258,8 +263,6 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("bounds", "shadow1", "--n", "5", "--k", str(10**400)),
         ("bounds", "shadow1", "--n", "5", "--k", str(10**300)),
         ("bounds", "dg", "--m", "20000", "--d", "1"),
-        ("dmin", "{tmp}/code.json", "--workers", "0"),
-        ("dmin", "{tmp}/code.json", "--sample", "5", "--workers", "0"),
     ],
     ids=["fig3_n0", "fig4_empty_range", "dmin_directory", "out_directory",
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
@@ -267,8 +270,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "k0_n_too_large", "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
          "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
-         "shadow1_floor_infinite", "dg_m_past_the_printable_cap", "dmin_workers_zero",
-         "dmin_sample_workers_zero"],
+         "shadow1_floor_infinite", "dg_m_past_the_printable_cap"],
 )
 def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert main(["construct", "deg1", "--n", "28", "--k", "4",
@@ -562,20 +564,24 @@ def test_figure_json_round_trip(capsys):
         ("figure", "--format", "json", "fig4"),
         ("verify", "theorem6", "--n", "50"),
         ("verify", "theorem7", "--workers", "1"),
+        ("dmin", "code.json", "--workers", "0"),
+        ("dmin", "code.json", "--sample", "5", "--workers", "0"),
     ],
     ids=["fig1_a", "fig3_points", "section6_m", "theorem4_count", "k0_k", "deg2_e_size",
-         "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max", "theorem7_workers"],
+         "deg1_seed", "flag_before_leaf", "n_is_no_prefix_of_n_max", "theorem7_workers",
+         "dmin_workers_zero", "dmin_sample_workers_zero"],
 )
 def test_flags_of_another_leaf_exit_two(capsys, argv):
-    """Each leaf takes only the flags it reads, after the leaf name, and
-    the usage printed is that of the parser the words before the first
-    flag reach, not the root's."""
+    """Each leaf takes only the flags it reads, after the leaf name, so a
+    flag of another leaf or of none exits 2.  The usage printed is that
+    of the parser the words before the first flag reach, not the root's."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    path = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+    words = itertools.takewhile(lambda a: not a.startswith("--"), argv)
+    path = " ".join(w for w in words if not w.endswith(".json"))  # a descriptor is no parser
     assert err.startswith(f"usage: shadowcodes {path} ["), err
 
 
@@ -600,7 +606,6 @@ FUZZ_INTS = [*range(-2, 10), 16, 25, 27, 49]
 # and m = 9 1.2-1.6 s wall on a 2-CPU x86-64 host, so --m stops at 8; from
 # m = 16 on GF(2^(m+1)) is past the table limit and exits 2
 FUZZ_DRAWS = {
-    "workers": st.integers(-1, 2),
     "m": st.sampled_from([n for n in FUZZ_INTS if n != 9]),
 }
 

@@ -325,10 +325,13 @@ def test_composite_characteristic_is_rejected_at_its_least_factor():
 
 def test_trial_division_stops_at_its_bound():
     """A 61-bit prime has no factor up to TRIAL_DIVISION_MAX and a root
-    past it, so it is refused within a second; everything up to the
-    bound's square is still decided."""
+    past it, so it is refused within a second, and so is an extension
+    field past the bound's square, before its modulus search; everything
+    up to that square is still decided."""
     start = time.perf_counter()
-    for make in (lambda: field_create(2**61 - 1, 3), lambda: field_of_order(2**61 - 1)):
+    for make in (lambda: field_create(2**61 - 1, 3), lambda: field_of_order(2**61 - 1),
+                 lambda: field_create(3, 40), lambda: field_create(3, 2000),
+                 lambda: field_of_order(2**40)):
         with pytest.raises(BudgetExceeded):
             make()
     assert time.perf_counter() - start < 1.0

@@ -54,7 +54,7 @@ CASES = {
     ),
     "theorem4_distance_floor": (
         ("theorem4",), verify, "exact_min_distance",
-        lambda real: lambda gen, workers=1: 1,
+        lambda real: lambda gen: 1,
         THEOREM4_KEYS | {"dmin", "floor"}, "distance_floor",
     ),
     "theorem4_vacuous_floor_not_flagged": (
@@ -121,7 +121,7 @@ def test_failed_check_exits_one_with_its_entry(tmp_path, monkeypatch, case):
 def test_dmin_below_the_floor_exits_one(tmp_path, monkeypatch):
     desc, out = tmp_path / "code.json", tmp_path / "report.json"
     assert main(["construct", "deg1", "--n", "28", "--k", "4", "--out", str(desc)]) == 0
-    monkeypatch.setattr(cli, "exact_min_distance", lambda gen, workers=1: 1)
+    monkeypatch.setattr(cli, "exact_min_distance", lambda gen: 1)
     assert main(["dmin", str(desc), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["dmin"] == 1 and report["floor"] > 1
