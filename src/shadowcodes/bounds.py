@@ -17,9 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .binary import exact_min_distance, random_linear_code
 from .concat import concat_params, concat_spec
@@ -37,12 +36,13 @@ K0_N_MAX = 10**9
 # n = 2^16, so the length is capped there
 GV_N_MAX = 1 << 16
 FIG4_M_MAX = 511  # n = 4^m must fit a float
+# fig1's grid lists every point before it drops repeats: 2^16 points
+# over n = 10 .. 10^9 take about 2 s and 30 MB, where 10^9 points ran
+# out of a 1 GB address space
+FIG1_POINTS_MAX = 1 << 16
 # the largest even m whose DG length 2^m prints: Python refuses to turn
 # an int of more than 4300 digits into text by default
 DG_M_MAX = 14284
-# the section 6 grid: inner degrees m and outer-rate steps per m
-SECTION6_MS = range(2, 11)
-SECTION6_STEPS = 100
 
 
 # -- competitor parameter formulas ---------------------------------------
@@ -129,8 +129,7 @@ def s_cubic(n: float, k: float):
     return k**3 + (n - 6) * k**2 + (10 - 2 * n) * k + (2 * n - 5 - n * n)
 
 
-@dataclass(frozen=True)
-class CubicRecord:
+class CubicRecord(NamedTuple):
     n: int
     xi: float
     omega_sq: int
@@ -218,25 +217,10 @@ def deltash_family(n: int, a: float) -> float:
     return shadow_lb_deg1(n, max(k, 1)) / n
 
 
-def section6_margins():
-    """Concat floor (1 - R)/2 against the single-letter floor
-    (1 - R(m+1))/2 on an outer-rate grid; the first dominates strictly
-    away from R = 0."""
-    out = []
-    for m in SECTION6_MS:
-        for j in range(1, SECTION6_STEPS + 1):
-            r = Fraction(j, SECTION6_STEPS * (m + 1))  # outer rate in (0, 1/(m+1)]
-            lhs = (1 - r) / 2
-            rhs = (1 - r * (m + 1)) / 2
-            out.append((m, r, lhs, rhs))
-    return out
-
-
 # -- figure tables -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     scheme: str
     n: int
     k: float
@@ -245,7 +229,7 @@ class BoundPoint:
     kind: str  # lower_bound | exact | existence
 
 
-FIG_FIELDNAMES = [f.name for f in fields(BoundPoint)]
+FIG_FIELDNAMES = list(BoundPoint._fields)
 
 
 def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
@@ -254,6 +238,8 @@ def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
         raise BadParameters("need 3 <= n_min < n_max")
     if points < 1:
         raise BadParameters(f"need at least one point, got {points}")
+    if points > FIG1_POINTS_MAX:
+        raise BudgetExceeded(f"points = {points} exceeds the fig1 grid budget {FIG1_POINTS_MAX}")
     rows = []
     for n in sorted(set(log_grid(n_min, n_max, points))):
         rec = k0(n)

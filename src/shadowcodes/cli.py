@@ -23,7 +23,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .binary import exact_min_distance, sampled_min_distance_upper
@@ -233,7 +232,7 @@ def _cmd_figure(args) -> int:
     cfg = _config(args, ("figure", *flags))
     if args.figure == "fig3":  # its exact-scan cap is a constant, echoed too
         cfg["exact_cap"] = FIG3_EXACT_CAP
-    rows = [row if isinstance(row, dict) else vars(row) for row in rows_of(args)]
+    rows = [row if isinstance(row, dict) else row._asdict() for row in rows_of(args)]
     if args.format == "json":
         _emit({"config": cfg, "rows": rows}, args.out)
     else:
@@ -250,7 +249,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_concat(args) -> int:
     spec = concat_spec(args.m, args.N, args.K)
-    report = {"config": _config(args, ("m", "N", "K")), **asdict(concat_params(spec))}
+    report = {"config": _config(args, ("m", "N", "K")), **concat_params(spec)._asdict()}
     if args.matrix:
         gen = concat_generator(spec)
         report["G"] = [binary.row_to_hex(r, gen.n) for r in gen.rows]

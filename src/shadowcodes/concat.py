@@ -26,8 +26,8 @@ bits j 2^m .. (j+1) 2^m - 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .binary import BinaryCode
 from .errors import BadParameters, BudgetExceeded, LengthMismatch
@@ -59,8 +59,7 @@ def _theta_inverse(m: int) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-@dataclass(frozen=True)
-class ConcatSpec:
+class ConcatSpec(NamedTuple):
     m: int
     N: int
     K: int
@@ -124,8 +123,7 @@ def concat_generator(spec: ConcatSpec) -> BinaryCode:
     return BinaryCode(rows, spec.n)
 
 
-@dataclass(frozen=True)
-class ConcatParams:
+class ConcatParams(NamedTuple):
     n: int
     k: int
     dmin_lb: int

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from operator import eq
+from typing import NamedTuple
 
 from .binary import BinaryCode, gf2_rank, row_from_hex, row_to_hex
 from .errors import (
@@ -43,6 +43,7 @@ from .errors import (
     FieldMismatch,
     NonpositiveDelta,
     ParameterNotAdmissible,
+    ShadowcodesError,
     VanishesOnE,
 )
 from .field import (
@@ -74,8 +75,7 @@ def _within_budget(what: str, length: int) -> None:
         raise BudgetExceeded(f"{what} = {length} exceeds the length budget {LENGTH_BUDGET}")
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(NamedTuple):
     """Exact a + b*sqrt(q) with rational a, b (Fractions or ints) and
     integer q >= 0."""
 
@@ -134,8 +134,7 @@ def surd_from_json(obj: dict) -> Surd:
     )
 
 
-@dataclass(frozen=True)
-class EvaluationSet:
+class EvaluationSet(NamedTuple):
     field: Field
     points: tuple[int, ...]
 
@@ -167,8 +166,7 @@ def first_evaluation_set(field: Field, size: int) -> EvaluationSet:
     return evaluation_set(field, range(size))
 
 
-@dataclass(frozen=True)
-class BasicSet:
+class BasicSet(NamedTuple):
     """Generating polynomials: distinct monic irreducibles and at most
     one constant, which must be primitive."""
 
@@ -266,8 +264,7 @@ def _delta(e_size: int, q: int, d_b: int) -> Surd:
     return Surd(e_size - Fraction(q, 2), Fraction(1 - d_b, 2), q)
 
 
-@dataclass(frozen=True)
-class ShadowCode:
+class ShadowCode(NamedTuple):
     evaluation: EvaluationSet
     basic: BasicSet
     rows: tuple[int, ...]
@@ -379,15 +376,30 @@ def to_descriptor(code: ShadowCode) -> dict:
     }
 
 
+class _Malformed:
+    """Turns a stdlib error raised while a descriptor is read into
+    BadDescriptor.  A package error (a refused budget, a non-prime, a bad
+    E) is not an error of the text, and leaves as it was raised."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        read_errors = (AttributeError, KeyError, TypeError, ValueError)
+        if isinstance(exc, read_errors) and not isinstance(exc, ShadowcodesError):
+            raise BadDescriptor(f"malformed descriptor: {kind.__name__}: {exc}") from exc
+
+
 def from_descriptor(obj: dict) -> ShadowCode:
-    """Rebuild and re-derive a code, verifying the stored matrix."""
-    try:
+    """Rebuild and re-derive a code, verifying the stored matrix.  E is
+    held to the length budget, like every other evaluation set."""
+    with _Malformed():
         field = field_from_json(obj["field"])
-        ev = evaluation_set(field, obj["E"])
+        points = list(obj["E"])
+        _within_budget("|E|", len(points))
+        ev = evaluation_set(field, points)
         polys = [poly_from_text(field, s) for s in obj["B"]]
         stored = tuple(row_from_hex(s) for s in obj["G"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadDescriptor(f"malformed descriptor: {type(exc).__name__}: {exc}") from exc
     kind = obj.get("kind", "custom")
     if type(kind) is not str:
         raise BadDescriptor(f"descriptor kind must be a string, got {kind!r}")

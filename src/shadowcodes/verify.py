@@ -14,15 +14,7 @@ import random
 from fractions import Fraction
 
 from .binary import exact_min_distance, weight_distribution
-from .bounds import (
-    DEFAULT_SEED,
-    SECTION6_MS,
-    SECTION6_STEPS,
-    k0,
-    log_grid,
-    s_cubic,
-    section6_margins,
-)
+from .bounds import DEFAULT_SEED, k0, log_grid, s_cubic
 from .concat import concat_generator, concat_params, concat_spec
 from .errors import BadParameters, NonpositiveDelta
 from .field import field_create, field_of_order
@@ -41,6 +33,9 @@ WEIL_FIELD_ORDERS = (9, 25, 27, 49, 121)
 THEOREM4_ENUM_CAP = 16
 THEOREM7_ENUM_CAP = 20
 THEOREM6_GRID_POINTS = 50  # log-spaced lengths 3 .. n_max for the root check
+# the section 6 grid: inner degrees m and outer-rate steps per m
+SECTION6_MS = range(2, 11)
+SECTION6_STEPS = 100
 
 
 def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
@@ -206,7 +201,7 @@ def verify_theorem6(n_max: int = 100000) -> dict:
         checks += 2
         if gap > 1e-6:
             failures.append({"n": n, "bisection": rec.k0, "cardano": rec.k0_cardano})
-        if not rec.k0 > math.sqrt(n) + 0.5:
+        if Surd(Fraction(rec.k0) - Fraction(1, 2), -1, n).sign() <= 0:
             failures.append({"n": n, "k0": rec.k0, "approx": math.sqrt(n) + 0.5})
     return {
         "suite": "theorem6",
@@ -256,18 +251,22 @@ def verify_theorem7(m: int = 2) -> dict:
 
 
 def verify_section6() -> dict:
-    """The concatenated floor dominates the single-letter floor at
-    every outer rate on the grid, strictly away from zero rate."""
+    """The concatenated floor (1 - r)/2 dominates the single-letter
+    floor (1 - r(m + 1))/2 at every outer rate r = j/d in (0, 1/(m + 1)]
+    on the grid, d = steps (m + 1).  Times 2d that is d - j > d - j(m + 1),
+    decided on ints."""
     failures = []
-    checks = 0
-    for m, r, lhs, rhs in section6_margins():
-        checks += 1
-        if not lhs > rhs:
-            failures.append({"m": m, "r": str(r), "lhs": str(lhs), "rhs": str(rhs)})
+    for m in SECTION6_MS:
+        d = SECTION6_STEPS * (m + 1)
+        for j in range(1, SECTION6_STEPS + 1):
+            if not d - j > d - j * (m + 1):
+                r = Fraction(j, d)
+                lhs, rhs = (1 - r) / 2, (1 - r * (m + 1)) / 2
+                failures.append({"m": m, "r": str(r), "lhs": str(lhs), "rhs": str(rhs)})
     return {
         "suite": "section6",
         "params": {"ms": list(SECTION6_MS), "steps": SECTION6_STEPS},
-        "checks": checks,
+        "checks": len(SECTION6_MS) * SECTION6_STEPS,
         "failures": failures,
         "ok": not failures,
     }

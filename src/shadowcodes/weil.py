@@ -19,7 +19,7 @@ polynomial of degree 2 or 3 is irreducible exactly when it has no root.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from .field import Field
@@ -35,8 +35,7 @@ _NON_SQUARE_BITS = str.maketrans("012", "010")
 _ZERO_BITS = str.maketrans("012", "001")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """gamma times a product of >= 1 distinct monic irreducibles."""
 
     field: Field
@@ -82,8 +81,7 @@ def _check_budget(q: int) -> None:
         raise BudgetExceeded(f"q = {q} exceeds the scan budget {COUNT_BUDGET}")
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     count: int
     q: int
     degree: int

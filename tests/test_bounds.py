@@ -9,6 +9,7 @@ from shadowcodes.binary import exact_min_distance
 from shadowcodes.bounds import (
     DEFAULT_SEED,
     DG_M_MAX,
+    FIG1_POINTS_MAX,
     FIG3_EXACT_CAP,
     FIG4_M_MAX,
     GV_N_MAX,
@@ -24,7 +25,6 @@ from shadowcodes.bounds import (
     k0,
     rm2_dim,
     s_cubic,
-    section6_margins,
     shadow_lb_deg1,
     shadow_lb_deg2,
 )
@@ -235,15 +235,6 @@ def test_deltash_family():
         deltash_family(100, 0.51)
 
 
-def test_section6_margins_strict_and_exact():
-    rows = section6_margins()
-    assert len(rows) == 9 * 100
-    for m, r, lhs, rhs in rows:
-        assert lhs > rhs
-        assert lhs - rhs == r * m / 2  # exact fractions throughout
-        assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-
-
 # ---------------------------------------------------------------- tables
 
 def test_fig1_rows():
@@ -261,6 +252,10 @@ def test_fig1_rows():
             fig1_rows(10, 1000, points)
     with pytest.raises(BadParameters):
         fig1_rows(10, K0_N_MAX + 1, 3)
+    # the grid lists every point before it drops repeats
+    assert len(fig1_rows(10, 11, FIG1_POINTS_MAX)) == 2
+    with pytest.raises(BudgetExceeded, match="fig1 grid budget"):
+        fig1_rows(10, 11, FIG1_POINTS_MAX + 1)
 
 
 def test_fig3_rows_at_1024():

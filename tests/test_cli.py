@@ -137,7 +137,8 @@ def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
     61 bits is refused where it used to divide for minutes; and GF(3^2000)
     is refused by its order before a degree-2000 modulus search."""
     desc = tmp_path / "huge.json"
-    for field in ({"p": 2**61 - 1, "m": 3}, {"p": 3, "m": 2000}):
+    for field, named in (({"p": 2**61 - 1, "m": 3}, f"{2**61 - 1} has no factor up to"),
+                         ({"p": 3, "m": 2000}, "GF(3^2000) has more than")):
         desc.write_text(json.dumps({"field": field, "E": [0, 1, 2], "B": ["5,1"], "G": ["7"]}))
         proc = subprocess.run(
             [sys.executable, "-m", "shadowcodes.cli", "dmin", str(desc)],
@@ -145,6 +146,19 @@ def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (2, ""), field
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        # the refusal's own message, not relabelled as a malformed file
+        assert named in proc.stderr and "malformed" not in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call imports the whole package first, and its records
+    are NamedTuples: dataclasses, and the inspect it pulls in, stay out."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shadowcodes.cli;"
+         " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_dmin_over_a_40_bit_characteristic_squared_ends_cleanly(tmp_path):
@@ -257,6 +271,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("figure", "fig4", "--m-max", "512"),
         ("figure", "fig1", "--points", "0"),
         ("figure", "fig1", "--points", "-3"),
+        ("figure", "fig1", "--n-min", "10", "--n-max", "11", "--points", str((1 << 16) + 1)),
         ("bounds", "deltacon", "--n", "16", "--k", "-5"),
         ("bounds", "shadow1", "--n", str(10**400), "--k", "3"),
         ("bounds", "shadow2", "--n", str(10**400), "--k", "3"),
@@ -268,7 +283,8 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
          "theorem7_m_negative", "weil_count_negative", "weil_q_max_below_roster",
          "k0_n_too_large", "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
-         "fig1_no_points", "fig1_negative_points", "deltacon_k_negative",
+         "fig1_no_points", "fig1_negative_points", "fig1_points_past_the_budget",
+         "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
          "shadow1_floor_infinite", "dg_m_past_the_printable_cap"],
 )
@@ -521,7 +537,7 @@ def test_json_output_keeps_the_indented_layout(tmp_path, capsys, argv):
 
 
 def test_rows_to_csv_round_trip():
-    rows = [vars(r) for r in fig4_rows()]
+    rows = [r._asdict() for r in fig4_rows()]
     text = rows_to_csv(rows, {"figure": "fig4", "a": 0.49})
     lines = text.splitlines()
     assert lines[0] == "# a=0.49"

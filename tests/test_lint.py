@@ -118,7 +118,7 @@ def _members(cls: ast.ClassDef):
 
 
 def test_every_class_member_is_read():
-    """Each method, property and dataclass field of a package class is
+    """Each method, property and record field of a package class is
     read outside its own definition, by a package module or by the
     benchmark, as an attribute, a keyword argument or a string; dunders
     are called by the language and are exempt."""

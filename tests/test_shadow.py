@@ -16,6 +16,7 @@ from shadowcodes.errors import (
     ExhaustedSupply,
     FieldMismatch,
     NonpositiveDelta,
+    NotPrime,
     ParameterNotAdmissible,
     VanishesOnE,
 )
@@ -311,6 +312,19 @@ def test_length_budget_bounds_points_and_rows(monkeypatch):
         construct_deg2(F7, 1)
 
 
+def test_length_budget_bounds_a_descriptors_points(monkeypatch):
+    """A stored E is held to the same budget: at 5 the (5, 3) code over
+    GF(7) reads back, at 4 its E is refused before evaluation_set runs,
+    as BudgetExceeded and not as a malformed descriptor."""
+    obj = to_descriptor(construct_deg1(F7, 5))
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 5)
+    assert from_descriptor(obj).evaluation.points == tuple(range(5))
+    monkeypatch.setattr(shadow, "LENGTH_BUDGET", 4)
+    monkeypatch.setattr(shadow, "evaluation_set", None)
+    with pytest.raises(BudgetExceeded, match=r"\|E\| = 5 exceeds the length budget 4"):
+        from_descriptor(obj)
+
+
 def test_length_budget_bounds_the_seeded_quadratic_supply(monkeypatch):
     """A seeded B2 lists all q(q-1)/2 monic irreducible quadratics, 21
     over GF(7), before it draws: a budget of 21 draws, 20 refuses.  The
@@ -490,6 +504,19 @@ def test_descriptor_tamper_detection():
     bad["G"] = rows
     with pytest.raises(ValueError):
         from_descriptor(bad)
+
+
+def test_descriptor_package_errors_keep_their_class():
+    """A package error raised while a descriptor is read leaves as it was
+    raised; only a stdlib error of the text becomes BadDescriptor."""
+    obj = to_descriptor(construct_deg2(field_of_order(25), 2))
+    with pytest.raises(NotPrime):
+        from_descriptor(dict(obj, field={"p": 9, "m": 1}))
+    with pytest.raises(BadParameters, match="duplicate evaluation points") as info:
+        from_descriptor(dict(obj, E=[0, 0] + obj["E"][2:]))
+    assert not isinstance(info.value, BadDescriptor)
+    with pytest.raises(BadDescriptor, match="malformed descriptor: ValueError"):
+        from_descriptor(dict(obj, G=["zz"] + obj["G"][1:]))
 
 
 def test_descriptor_faults_raise_bad_descriptor():

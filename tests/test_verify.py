@@ -5,7 +5,6 @@ runs the CLI, and reads the report: exit 1, "ok": false, and failure
 entries that carry the keys a reader needs to reproduce them."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,11 +16,11 @@ THEOREM4_KEYS = {"kind", "q", "n", "B_size", "check"}
 
 
 def _deficient_rank(code):
-    return replace(code, rank=code.rank - 1) if code.delta_positive else code
+    return code._replace(rank=code.rank - 1) if code.delta_positive else code
 
 
 def _excess_rank(code):
-    return code if code.delta_positive else replace(code, rank=len(code.basic.polys) + 1)
+    return code if code.delta_positive else code._replace(rank=len(code.basic.polys) + 1)
 
 
 # (argv, module, name, replacement built from the real function,
@@ -29,12 +28,12 @@ def _excess_rank(code):
 CASES = {
     "weil_count_window": (
         ("weil", "--count", "2"), verify, "check_corollary",
-        lambda real: lambda spec: replace(real(spec), ok=False),
+        lambda real: lambda spec: real(spec)._replace(ok=False),
         {"q", "gamma", "factors", "count", "degree"}, None,
     ),
     "weil_base_case": (
         ("weil", "--count", "0"), verify, "check_corollary",
-        lambda real: lambda spec: replace(real(spec), count=real(spec).count + 1),
+        lambda real: lambda spec: real(spec)._replace(count=real(spec).count + 1),
         {"q", "expected_count", "count"}, None,
     ),
     "theorem4_product_row_sum": (
@@ -73,23 +72,24 @@ CASES = {
         {"m", "S"}, None,
     ),
     "theorem6_negative_from_two": (
+        # only the n = 2 surd; the root check's surds have q = n >= 3
         ("theorem6", "--n-max", "100"), verify, "Surd",
-        lambda real: lambda a, b, q: real(-a, b, q),
+        lambda real: lambda a, b, q: real(-a if q == 2 else a, b, q),
         {"check"}, "negative from n = 2 on",
     ),
     "theorem6_root_gap": (
         ("theorem6", "--n-max", "100"), verify, "k0",
-        lambda real: lambda n: replace(real(n), k0_cardano=real(n).k0 + 1e-3),
+        lambda real: lambda n: real(n)._replace(k0_cardano=real(n).k0 + 1e-3),
         {"n", "bisection", "cardano"}, None,
     ),
     "theorem6_root_above_approx": (
         ("theorem6", "--n-max", "100"), verify, "k0",
-        lambda real: lambda n: replace(real(n), k0=1.0, k0_cardano=1.0),
+        lambda real: lambda n: real(n)._replace(k0=1.0, k0_cardano=1.0),
         {"n", "k0", "approx"}, None,
     ),
     "theorem7_rate": (
         ("theorem7",), verify, "concat_params",
-        lambda real: lambda spec: replace(real(spec), rate=real(spec).rate + 1),
+        lambda real: lambda spec: real(spec)._replace(rate=real(spec).rate + 1),
         {"m", "K", "check"}, "rate",
     ),
     "theorem7_floor": (
@@ -98,8 +98,8 @@ CASES = {
         {"m", "K", "dmin", "floor"}, None,
     ),
     "section6_margin": (
-        ("section6",), verify, "section6_margins",
-        lambda real: lambda: [(2, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))],
+        ("section6",), verify, "SECTION6_MS",
+        lambda real: range(0, 1),
         {"m", "r", "lhs", "rhs"}, None,
     ),
 }
@@ -116,6 +116,19 @@ def test_failed_check_exits_one_with_its_entry(tmp_path, monkeypatch, case):
     for entry in report["failures"]:
         assert set(entry) == keys
         assert entry.get("check") == check
+
+
+def test_section6_margins_strict_and_exact(monkeypatch):
+    """900 grid points, each strict; where m = 0 forces every point to
+    fail, the entry's exact fractions satisfy lhs - rhs = r m / 2."""
+    report = verify.verify_section6()
+    assert (report["checks"], report["ok"]) == (9 * 100, True)
+    monkeypatch.setattr(verify, "SECTION6_MS", range(0, 1))
+    report = verify.verify_section6()
+    assert len(report["failures"]) == report["checks"] == 100
+    for entry in report["failures"]:
+        m, r, lhs, rhs = entry["m"], *(Fraction(entry[key]) for key in ("r", "lhs", "rhs"))
+        assert lhs - rhs == r * m / 2 and lhs <= rhs
 
 
 def test_dmin_below_the_floor_exits_one(tmp_path, monkeypatch):
