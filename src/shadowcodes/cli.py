@@ -164,13 +164,19 @@ def _emit(obj, out: str | None) -> None:
     _write(_json_pieces(obj), out)
 
 
-def rows_to_csv(rows: list[dict], config: dict) -> str:
-    """CSV text with the generating parameters echoed as # comments."""
+def rows_to_csv(rows: list, config: dict) -> str:
+    """CSV text with the generating parameters echoed as # comments: a
+    header of the first row's keys, then each row's values.  Rows are
+    dicts or records of one shape."""
     buf = io.StringIO()
     buf.writelines(f"# {key}={config[key]}\n" for key in sorted(config))
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf)
+    if isinstance(rows[0], dict):
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+    else:
+        writer.writerow(rows[0]._fields)
+        writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -232,8 +238,9 @@ def _cmd_figure(args) -> int:
     cfg = _config(args, ("figure", *flags))
     if args.figure == "fig3":  # its exact-scan cap is a constant, echoed too
         cfg["exact_cap"] = FIG3_EXACT_CAP
-    rows = [row if isinstance(row, dict) else row._asdict() for row in rows_of(args)]
+    rows = rows_of(args)
     if args.format == "json":
+        rows = [row if isinstance(row, dict) else row._asdict() for row in rows]
         _emit({"config": cfg, "rows": rows}, args.out)
     else:
         _write((rows_to_csv(rows, cfg),), args.out)

@@ -49,11 +49,12 @@ def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) ->
     rng = random.Random(seed)
     failures = []
     checks = 0
+    rows = {}  # each factor's chi row, built once in this call
 
     def run(spec):
         nonlocal checks
         checks += 1
-        rep = check_corollary(spec)
+        rep = check_corollary(spec, rows)
         if not rep.ok:
             failures.append(
                 {
@@ -73,7 +74,7 @@ def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) ->
         failures.append({"q": 3, "expected_count": 2, "count": base.count})
     fields = [field_of_order(q) for q in orders]
     for i in range(count):
-        run(random_curve_spec(fields[i % len(fields)], rng))
+        run(random_curve_spec(fields[i % len(fields)], rng, rows))
     return {
         "suite": "weil",
         "params": {"q_max": q_max, "count": count, "seed": seed},
@@ -177,8 +178,9 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
 
 def verify_theorem6(n_max: int = 100000) -> dict:
     """S(n, sqrt(n) + 1/2) < 0 for every n >= 2, decided exactly, so
-    dimension sqrt(n) + 1/2 always has a positive floor; plus the
-    bisected root against the closed cubic formula on a log grid."""
+    dimension sqrt(n) + 1/2 always has a positive floor; plus, on a log
+    grid, the bisected root: bracketed by an exact sign change of S,
+    within 1e-6 of the closed cubic formula, and above sqrt(n) + 1/2."""
     if n_max < 3:
         raise BadParameters(f"the root grid starts at n = 3, got n_max = {n_max}")
     failures = []
@@ -199,7 +201,7 @@ def verify_theorem6(n_max: int = 100000) -> dict:
         gap = abs(rec.k0 - rec.k0_cardano)
         max_gap = max(max_gap, gap)
         checks += 2
-        if gap > 1e-6:
+        if gap > 1e-6 or not _root_bracketed(n, rec.k0):
             failures.append({"n": n, "bisection": rec.k0, "cardano": rec.k0_cardano})
         if Surd(Fraction(rec.k0) - Fraction(1, 2), -1, n).sign() <= 0:
             failures.append({"n": n, "k0": rec.k0, "approx": math.sqrt(n) + 0.5})
@@ -212,6 +214,19 @@ def verify_theorem6(n_max: int = 100000) -> dict:
         "failures": failures,
         "ok": not failures,
     }
+
+
+def _root_bracketed(n: int, root: float) -> bool:
+    """S(n, root - 2^-30) < 0 < S(n, root + 2^-30), decided on ints: with
+    root = a/d, the ends are (2^30 a -+ d)/D for D = 2^30 d."""
+    a, d = root.as_integer_ratio()
+    big_d = d << 30
+    return _s_scaled(n, (a << 30) - d, big_d) < 0 < _s_scaled(n, (a << 30) + d, big_d)
+
+
+def _s_scaled(n: int, k: int, d: int) -> int:
+    """d^3 S(n, k/d), an integer cubic form in k and d."""
+    return k**3 + (n - 6) * k * k * d + (10 - 2 * n) * k * d * d + (2 * n - 5 - n * n) * d**3
 
 
 def verify_theorem7(m: int = 2) -> dict:

@@ -12,8 +12,12 @@ A count reads every x at once from the chi rows of the factors
 multiplicative, so the non-square bits of A are the XOR of the
 factors' non-square bits, flipped when gamma is a non-square, and its
 roots are the OR of their zero bits.  The random curves take a drawn
-cubic or quadratic as irreducible when its row has no zero, since a
-polynomial of degree 2 or 3 is irreducible exactly when it has no root.
+quadratic x^2 + bx + c as irreducible when its discriminant b^2 - 4c
+is a non-square, one character lookup, and a drawn cubic when its row
+has no zero, since a polynomial of degree 2 or 3 is irreducible exactly
+when it has no root.  A row table passed through one verify run holds
+each factor's row, built once: a cubic's from its draw, any other's
+when it is first counted.
 """
 
 from __future__ import annotations
@@ -60,20 +64,30 @@ def curve_spec(field: Field, gamma: int, factors) -> CurveSpec:
     return CurveSpec(field, gamma, factors)
 
 
-def count_zeros(spec: CurveSpec) -> int:
+def count_zeros(spec: CurveSpec, rows: dict[Poly, str] | None = None) -> int:
     """Number of affine (x, y) with y^2 = gamma prod(P_i(x)): with N the
-    x where A(x) is a non-square and Z its roots, 2q - |Z| - 2|N \\ Z|."""
+    x where A(x) is a non-square and Z its roots, 2q - |Z| - 2|N \\ Z|.
+    A factor's row is read from rows, or built and stored there."""
     field = spec.field
     q = field.q
     _check_budget(q)
     non_squares = zeros = 0
     for f in spec.factors:
-        row = chi_row(f)
+        row = _row(f, rows)
         non_squares ^= int(row.translate(_NON_SQUARE_BITS), 2)
         zeros |= int(row.translate(_ZERO_BITS), 2)
     if field.chi[spec.gamma] == "1":
         non_squares ^= (1 << q) - 1
     return 2 * q - zeros.bit_count() - 2 * (non_squares & ~zeros).bit_count()
+
+
+def _row(f: Poly, rows: dict[Poly, str] | None) -> str:
+    if rows is None:
+        return chi_row(f)
+    row = rows.get(f)
+    if row is None:
+        row = rows[f] = chi_row(f)
+    return row
 
 
 def _check_budget(q: int) -> None:
@@ -88,26 +102,40 @@ class CorollaryReport(NamedTuple):
     ok: bool
 
 
-def check_corollary(spec: CurveSpec) -> CorollaryReport:
+def check_corollary(spec: CurveSpec, rows: dict[Poly, str] | None = None) -> CorollaryReport:
     """Exact test of (count - q)^2 <= (deg - 1)^2 q."""
-    count = count_zeros(spec)
+    count = count_zeros(spec, rows)
     q = spec.field.q
     d = spec.degree
     ok = (count - q) ** 2 <= (d - 1) ** 2 * q
     return CorollaryReport(count, q, d, ok)
 
 
-def random_curve_spec(field: Field, rng: random.Random) -> CurveSpec:
+def random_curve_spec(
+    field: Field, rng: random.Random, rows: dict[Poly, str] | None = None
+) -> CurveSpec:
     """Seeded random squarefree curve: rejection-sample random monic
     polynomials until enough distinct irreducibles turn up.  A draw of
-    degree 2 or 3 is irreducible iff its chi row has no zero."""
+    degree 2 or 3 is irreducible iff it has no root: a quadratic iff its
+    discriminant is a non-square, a cubic iff its chi row, kept in rows,
+    has no zero."""
     _check_budget(field.q)
     r = rng.randint(1, CURVE_MAX_FACTORS)
     chosen: list[Poly] = []
     while len(chosen) < r:
         d = rng.randint(1, CURVE_MAX_DEGREE)
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
-        if f not in chosen and (d == 1 or "2" not in chi_row(f)):
+        if f in chosen:
+            continue
+        if d == 1 or (_quadratic_irreducible(f) if d == 2 else "2" not in _row(f, rows)):
             chosen.append(f)
     gamma = rng.randrange(1, field.q)
     return CurveSpec(field, gamma, tuple(chosen))
+
+
+def _quadratic_irreducible(f: Poly) -> bool:
+    """x^2 + bx + c over odd q is irreducible iff b^2 - 4c is a non-square."""
+    field = f.field
+    c, b = f.coeffs[:2]
+    disc = field.add(field.mul(b, b), field.neg(field.mul(4 % field.p, c)))
+    return field.chi[disc] == "1"

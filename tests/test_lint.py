@@ -40,6 +40,40 @@ def test_every_raise_names_a_package_error(path):
     assert not bad, bad
 
 
+# every process-lifetime memo in the package: the benchmark replays one
+# seed in one process, so a memo kept across calls would show a gain
+# that no single CLI call gets
+CACHE_SITES = {
+    "bounds._binomial_prefix_sums",
+    "cli.build_parser",
+    "concat._theta_inverse",
+    "concat.theta_table",
+    "field._default_modulus",
+    "field._field_cached",
+    "field.prime_factors",
+}
+_CACHES = {"cache", "lru_cache"}
+
+
+def _cache_name(node: ast.AST) -> str | None:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in _CACHES else None
+
+
+def test_process_lifetime_caches_are_the_listed_ones():
+    """functools.cache and lru_cache decorate exactly CACHE_SITES, and
+    appear nowhere else, so a new memo has to be listed to pass."""
+    sites, uses = set(), 0
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            uses += _cache_name(node) is not None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _cache_name(dec.func if isinstance(dec, ast.Call) else dec):
+                        sites.add(f"{path.stem}.{node.name}")
+    assert sites == CACHE_SITES
+    assert uses == len(CACHE_SITES), "a cache is used other than as a decorator"
+
 
 def _named(tree: ast.AST) -> set[str]:
     """Every name a tree reads, imports or spells as a whole string

@@ -28,12 +28,12 @@ def _excess_rank(code):
 CASES = {
     "weil_count_window": (
         ("weil", "--count", "2"), verify, "check_corollary",
-        lambda real: lambda spec: real(spec)._replace(ok=False),
+        lambda real: lambda spec, rows: real(spec, rows)._replace(ok=False),
         {"q", "gamma", "factors", "count", "degree"}, None,
     ),
     "weil_base_case": (
         ("weil", "--count", "0"), verify, "check_corollary",
-        lambda real: lambda spec: real(spec)._replace(count=real(spec).count + 1),
+        lambda real: lambda spec, rows: real(spec, rows)._replace(count=real(spec, rows).count + 1),
         {"q", "expected_count", "count"}, None,
     ),
     "theorem4_product_row_sum": (
@@ -82,9 +82,17 @@ CASES = {
         lambda real: lambda n: real(n)._replace(k0_cardano=real(n).k0 + 1e-3),
         {"n", "bisection", "cardano"}, None,
     ),
-    "theorem6_root_above_approx": (
+    "theorem6_root_bracket": (
+        # within the 1e-6 gap, but 10^-8 is past the 2^-30 bracket
         ("theorem6", "--n-max", "100"), verify, "k0",
-        lambda real: lambda n: real(n)._replace(k0=1.0, k0_cardano=1.0),
+        lambda real: lambda n: real(n)._replace(k0=real(n).k0 + 1e-8),
+        {"n", "bisection", "cardano"}, None,
+    ),
+    "theorem6_root_above_approx": (
+        # k0 - 1/2 negated in the grid's surds (q = n >= 3): a k0 moved
+        # below sqrt(n) + 1/2 would also leave its bracket
+        ("theorem6", "--n-max", "100"), verify, "Surd",
+        lambda real: lambda a, b, q: real(a if q == 2 else -a, b, q),
         {"n", "k0", "approx"}, None,
     ),
     "theorem7_rate": (
@@ -129,6 +137,15 @@ def test_section6_margins_strict_and_exact(monkeypatch):
     for entry in report["failures"]:
         m, r, lhs, rhs = entry["m"], *(Fraction(entry[key]) for key in ("r", "lhs", "rhs"))
         assert lhs - rhs == r * m / 2 and lhs <= rhs
+
+
+def test_scaled_cubic_is_d_cubed_times_s():
+    """The bracket's integer form against s_cubic on exact fractions."""
+    from shadowcodes.bounds import s_cubic
+
+    for n in (3, 10, 1000, 10**9):
+        for k, d in ((0, 1), (7, 3), (-5, 2), (123456789, 1 << 30)):
+            assert verify._s_scaled(n, k, d) == d**3 * s_cubic(n, Fraction(k, d))
 
 
 def test_dmin_below_the_floor_exits_one(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from shadowcodes.weil import (
     count_zeros,
     curve_spec,
     random_curve_spec,
+    _quadratic_irreducible,
 )
 
 F3 = field_create(3)
@@ -84,8 +85,8 @@ def test_random_curve_spec_is_seeded_and_valid():
 def test_ben_or_runs_once_per_polynomial(monkeypatch):
     """No builder hands a polynomial that already passed the Ben-Or
     irreducibility test to that test again, counted per polynomial
-    object.  The random curves test their draws by roots, so verify weil
-    runs Ben-Or once, on its fixed GF(3) case."""
+    object.  The random curves test their draws by discriminants and
+    roots, so verify weil runs Ben-Or once, on its fixed GF(3) case."""
     from shadowcodes import poly, shadow, verify, weil
 
     tested = {}
@@ -164,8 +165,8 @@ def test_verify_weil_draws_and_counts_against_ben_or_and_pairing(monkeypatch, se
 
     drawn = []
 
-    def recording(field, rng):
-        drawn.append(random_curve_spec(field, rng))
+    def recording(field, rng, rows):
+        drawn.append(random_curve_spec(field, rng, rows))
         return drawn[-1]
 
     monkeypatch.setattr(verify, "random_curve_spec", recording)
@@ -215,3 +216,51 @@ def test_root_free_is_irreducible_for_degree_two_and_three(q):
         for cs in product(range(q), repeat=d):
             f = Poly(field, cs + (1,))
             assert ("2" not in chi_row(f)) == is_irreducible(f), f
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 121])
+def test_discriminant_decides_every_monic_quadratic(q):
+    """b^2 - 4c a non-square, against a root-free chi row and against
+    Ben-Or, on every monic quadratic over the verify weil fields."""
+    field = field_of_order(q)
+    irreducible = 0
+    for c, b in product(range(q), repeat=2):
+        f = Poly(field, (c, b, 1))
+        by_disc = _quadratic_irreducible(f)
+        assert by_disc == ("2" not in chi_row(f)) == is_irreducible(f), f
+        irreducible += by_disc
+    assert irreducible == (q * q - q) // 2
+
+
+def test_verify_weil_rows_each_factor_once_per_call(monkeypatch):
+    """No rejected quadratic builds a row, no polynomial is rowed twice
+    in a call, and a second call builds its rows again."""
+    from shadowcodes import verify, weil
+
+    rowed = []
+    drawn = []
+    real_row, real_draw = weil.chi_row, verify.random_curve_spec
+
+    def spy(f):
+        rowed.append(f)
+        return real_row(f)
+
+    def recording(field, rng, rows):
+        drawn.append(real_draw(field, rng, rows))
+        return drawn[-1]
+
+    monkeypatch.setattr(weil, "chi_row", spy)
+    monkeypatch.setattr(verify, "random_curve_spec", recording)
+    assert verify.verify_weil()["ok"]
+    first = list(rowed)
+    assert len(set(first)) == len(first)
+    counted = {f for spec in drawn for f in spec.factors}
+    # every linear or quadratic row is of a counted factor, the fixed
+    # GF(3) case's x^2 + 1 aside; cubics are rowed when drawn
+    assert {f for f in first if f.degree < 3} == {f for f in counted if f.degree < 3} | {
+        Poly(F3, (1, 0, 1))
+    }
+    assert {f for f in counted if f.degree == 3} <= set(first)
+    rowed.clear()
+    assert verify.verify_weil()["ok"]
+    assert rowed == first
