@@ -32,8 +32,10 @@ are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
 and '2' at a = 0.  Up to q = 2**16 it is a string built once from the
 squares a*a; above, Euler's criterion runs per element asked for, and
 the string is built only when a gather asks for it (chi_string).  Rows
-of low-degree polynomials come from C-speed gathers over that string:
-translate(s, c) reads s at a + c, and gather_squares(s) reads s at a*a.
+of low-degree polynomials come from C-speed work over that string:
+translate(s, c) reads s at a + c, one roll of s per nonzero base-p
+digit of c with no field addition, and gather_squares(s) reads s at
+a*a.
 """
 
 from __future__ import annotations
@@ -375,20 +377,36 @@ class Field:
         return self._chi_str
 
     def translate(self, s: str, c: int) -> str:
-        """The q-length string t with t[a] = s[add(a, c)].
+        """The q-length string t with t[a] = s[add(a, c)], for a latin-1
+        string s and an element index c in 0..q-1.
 
-        A prime field rotates s.  Above, digitwise addition never
-        carries from the low m // 2 digits into the high ones, so t is
-        q / P block gathers of P = p^(m // 2) characters: one itemgetter
-        for the low offsets add(lo, c mod P), and one slice of s per
-        block, starting at add(hi * P, c - c mod P)."""
+        A prime field rotates s.  Above, adding digit c_i of c changes
+        digit i of a alone, so it rolls s left by c_i p^i inside every
+        run of p^(i+1) characters.  Each nonzero digit is one roll of
+        the latin-1 bytes: two slices per run when the runs are long
+        (2q <= run^2), else one strided copy per offset within a run.
+        No field addition is made."""
+        q, p = self.q, self.p
+        if not 0 <= c < q:
+            raise BadParameters(f"translation {c} is not an element index of GF({q})")
         if self.m == 1:
             return s[c:] + s[:c]
-        size = self.p ** (self.m // 2)
-        c_lo = c % size
-        low = itemgetter(*[self.add(lo, c_lo) for lo in range(size)])
-        starts = [self.add(hi, c - c_lo) for hi in range(0, self.q, size)]
-        return "".join(chain.from_iterable([low(s[b : b + size]) for b in starts]))
+        b = s.encode("latin-1")
+        run = 1
+        for _ in range(self.m):
+            c, digit = divmod(c, p)
+            shift, run = digit * run, run * p
+            if not digit:
+                continue
+            if 2 * q <= run * run:
+                b = b"".join([piece for lo in range(0, q, run)
+                              for piece in (b[lo + shift : lo + run], b[lo : lo + shift])])
+            else:
+                out = bytearray(q)
+                for j in range(run):
+                    out[j::run] = b[(j + shift) % run :: run]
+                b = out
+        return b.decode("latin-1")
 
     def gather_squares(self, s: str) -> str:
         """The q-length string t with t[a] = s[mul(a, a)]; the itemgetter

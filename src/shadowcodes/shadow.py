@@ -140,8 +140,16 @@ class EvaluationSet(NamedTuple):
 
 
 def evaluation_set(field: Field, points) -> EvaluationSet:
+    """E over an odd field: sorted, distinct element indices.
+
+    A nonempty step-1 range inside 0..q-1 is sorted, distinct and made
+    of ints by construction, so it is taken as built; any other points,
+    a list among them, are sorted and checked for type, duplicates and
+    range."""
     if field.q % 2 == 0:
         raise EvenCharacteristic("evaluation needs a field of odd order")
+    if type(points) is range and points.step == 1 and 0 <= points.start < points.stop <= field.q:
+        return EvaluationSet(field, tuple(points))
     pts = sorted(points)
     if not pts:
         raise BadParameters("empty evaluation set")
@@ -215,15 +223,22 @@ def lambda_map(f: Poly, ev: EvaluationSet) -> int:
 
 
 def build_B1(field: Field, ev: EvaluationSet) -> BasicSet:
-    """Linear factors through every point outside ev, plus a primitive
-    constant.  |B| = q - |E| + 1 and the total degree is q - |E|."""
+    """Linear factors through every point outside ev, ascending, plus a
+    primitive constant.  |B| = q - |E| + 1 and the total degree is
+    q - |E|.  The complement of a prefix E = range(|E|) is
+    range(|E|, q); any other E marks its points in one byte per
+    element."""
     if field is not ev.field:
         raise FieldMismatch("evaluation set was built over a different field")
-    _within_budget("|B| = q - |E| + 1", field.q - len(ev.points) + 1)
-    marks = bytearray(b"\1") * field.q  # one byte per element, 1 outside E
-    for beta in ev.points:
-        marks[beta] = 0
-    outside = list(compress(range(field.q), marks))
+    points = ev.points
+    _within_budget("|B| = q - |E| + 1", field.q - len(points) + 1)
+    if points[-1] == len(points) - 1:
+        outside = range(len(points), field.q)
+    else:
+        marks = bytearray(b"\1") * field.q  # one byte per element, 1 outside E
+        for beta in points:
+            marks[beta] = 0
+        outside = list(compress(range(field.q), marks))
     if not outside:
         raise EvaluationSetIsFullField(
             "degree <= 1 construction needs a point outside the evaluation set"

@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from shadowcodes.errors import (
 )
 from shadowcodes.field import (
     TRIAL_DIVISION_MAX,
+    Field,
     field_create,
     field_from_json,
     field_of_order,
@@ -246,6 +249,88 @@ def test_only_extension_fields_keep_log_tables():
     for p, m in ((2, 4), (3, 2), (5, 3), (3, 6)):
         f = field_create(p, m)
         assert f._exp is not None and len(f._zech) == f.q - 1, f
+
+
+def _letters(q: int) -> str:
+    # 251 distinct latin-1 letters, a prime period no roll by c_i p^i
+    # can match, so a wrong roll cannot hide behind chi's symmetries
+    return "".join([chr(a % 251) for a in range(q)])
+
+
+def _digit_sums(p: int, m: int, c: int) -> list[int]:
+    """[a + c for a in range(p^m)], added digit by digit."""
+    sums = [0]
+    for i in range(m):
+        c, ci = divmod(c, p)
+        sums = [x + (d + ci) % p * p**i for d in range(p) for x in sums]
+    return sums
+
+
+def test_translate_reads_s_at_a_plus_c():
+    """t = translate(s, c) has t[a] = s[a + c] at every a: for every c
+    over the small fields and GF(31), and over GF(2187), GF(3125) and
+    the untabled GF(5^7) for each c with one nonzero digit, q - 1 and
+    seeded random c."""
+    rng = random.Random(28)
+    for q in (9, 25, 27, 49, 81, 121, 125, 729, 31):
+        f = field_of_order(q)
+        s = _letters(q)
+        for c in range(q):
+            t = f.translate(s, c)
+            assert t == "".join([s[f.add(a, c)] for a in range(q)]), (q, c)
+    for f in (field_of_order(2187), field_of_order(3125), field_create(5, 7)):
+        s = _letters(f.q)
+        single_digit = [d * f.p**i for i in range(f.m) for d in range(1, f.p)]
+        for c in [*single_digit, f.q - 1, *rng.sample(range(f.q), 4)]:
+            sums = _digit_sums(f.p, f.m, c)
+            for a in (0, 1, f.q - 1, *rng.sample(range(f.q), 3)):
+                assert sums[a] == f.add(a, c), (f.q, a, c)
+            assert f.translate(s, c) == "".join([s[x] for x in sums]), (f.q, c)
+
+
+def test_translate_makes_no_field_operation(monkeypatch):
+    strings = {f: _letters(f.q) for f in map(field_of_order, (31, 729, 2187, 3125, 5**7))}
+
+    def refuse(*args):
+        raise AssertionError("translate called a field operation")
+
+    monkeypatch.setattr(Field, "add", refuse)
+    monkeypatch.setattr(Field, "mul", refuse)
+    for f, s in strings.items():
+        assert f.translate(s, 0) == s
+        assert len(f.translate(s, f.q - 1)) == f.q
+
+
+def test_translate_refuses_c_outside_the_field():
+    """A c past q - 1 or below 0 is no element: once an IndexError from
+    the tables, a silent identity on a prime field, or a loop that never
+    ended on a negative c."""
+    for f in map(field_of_order, (31, 9, 3125, 5**7)):
+        s = _letters(f.q)
+        for c in (f.q, f.q + 9, -1, -f.q):
+            with pytest.raises(BadParameters):
+                f.translate(s, c)
+
+
+def test_translate_steps_grow_with_sqrt_q():
+    """A digit of period run rolls in min(q/run, run) Python steps: two
+    slices per run when 2q <= run^2, else one strided copy per offset,
+    so a translation by q - 1, every digit nonzero, takes O(m sqrt(2q))
+    traced lines where the other choice takes about q."""
+    for f in map(field_of_order, (729, 2187, 3125, 5**7)):
+        s, lines = _letters(f.q), 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            f.translate(s, f.q - 1)
+        finally:
+            sys.settrace(None)
+        assert lines <= 3 * f.m * (isqrt(2 * f.q) + 4), (f.q, lines)
 
 
 @pytest.mark.parametrize("p, m", [(2, 8), (3, 5), (5, 3)])

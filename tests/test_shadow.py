@@ -170,6 +170,42 @@ def test_shadow_parameter_faults_are_package_errors():
         build_B2(F7, 0)
 
 
+
+SMALL_ODD = [F7, F9, field_create(5, 2)]
+
+
+@pytest.mark.parametrize("field", SMALL_ODD, ids=repr)
+def test_a_range_E_is_the_list_E_of_its_points(field):
+    """A step-1 range inside 0..q-1, taken as built, gives the set the
+    checked list of the same points gives; so do the other ranges,
+    which go through the checks."""
+    q = field.q
+    for start in range(q):
+        for stop in range(start + 1, q + 1):
+            ev = evaluation_set(field, range(start, stop))
+            assert ev == evaluation_set(field, list(range(start, stop)))
+            assert type(ev.points) is tuple and set(map(type, ev.points)) == {int}
+    for n in range(1, q + 1):
+        assert first_evaluation_set(field, n) == evaluation_set(field, list(range(n)))
+    assert full_evaluation_set(field) == evaluation_set(field, list(range(q)))
+    for points in (range(0, q, 2), range(q - 1, -1, -1), range(q - 1, 0, -3)):
+        assert evaluation_set(field, points).points == tuple(sorted(points))
+
+
+@pytest.mark.parametrize("field", SMALL_ODD, ids=repr)
+def test_a_range_E_past_the_field_or_empty_is_refused(field):
+    q = field.q
+    for empty in (range(0), range(3, 3), range(4, 1), range(1, 4, -1)):
+        with pytest.raises(BadParameters, match="empty evaluation set"):
+            evaluation_set(field, empty)
+    for outside in (range(q + 1), range(q - 2, q + 1), range(-1, 3), range(-2, q)):
+        with pytest.raises(BadParameters, match=f"element indices in 0..{q - 1}"):
+            evaluation_set(field, outside)
+    with pytest.raises(EvenCharacteristic):
+        first_evaluation_set(field_create(2, 3), 3)
+    with pytest.raises(EvenCharacteristic):
+        evaluation_set(field_create(2, 3), range(3))
+
 # ------------------------------------------------------------ basic sets
 
 def test_basic_set_validation():
@@ -294,6 +330,31 @@ def test_build_B1_shape():
         build_B1(F7, full_evaluation_set(F7))
     with pytest.raises(FieldMismatch):
         build_B1(F9, ev)
+
+
+def _oracle_B1(field, points) -> list[tuple[int, ...]]:
+    """x - lam for each lam outside E in ascending order, then the
+    primitive constant, as coefficient tuples."""
+    outside = [lam for lam in range(field.q) if lam not in set(points)]
+    return [(field.neg(lam), 1) for lam in outside] + [(field.primitive_element(),)]
+
+
+@pytest.mark.parametrize("field", SMALL_ODD, ids=repr)
+def test_build_B1_of_every_prefix_E_is_its_oracle_complement(field):
+    for n in range(1, field.q):
+        ev = first_evaluation_set(field, n)
+        assert [f.coeffs for f in build_B1(field, ev).polys] == _oracle_B1(field, ev.points)
+    with pytest.raises(EvaluationSetIsFullField):
+        build_B1(field, first_evaluation_set(field, field.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_B1_of_a_scattered_E_is_its_oracle_complement(data):
+    field = data.draw(st.sampled_from(SMALL_ODD))
+    points = data.draw(st.sets(st.integers(0, field.q - 1), min_size=1, max_size=field.q - 1))
+    ev = evaluation_set(field, sorted(points, reverse=True))
+    assert [f.coeffs for f in build_B1(field, ev).polys] == _oracle_B1(field, points)
 
 
 def test_length_budget_bounds_points_and_rows(monkeypatch):
