@@ -150,23 +150,28 @@ def x_minus(field: "Field", lam: int) -> Poly:
     return Poly(field, (field.neg(lam), 1))
 
 
-def chi_row(f: Poly) -> str:
-    """chi of f at every element of GF(q), odd q: a string of length q.
+def chi_row(f: Poly, points) -> str:
+    """chi of f at each of points, distinct element indices in ascending
+    order over an odd field, as an EvaluationSet holds them.
 
-    A monic x + c is chi translated by c, and a monic x^2 + bx + c =
+    A constant reads one character.  Over a prefix range(n) with 2n >= q,
+    a monic x + c is chi translated by c, and a monic x^2 + bx + c =
     (x + b/2)^2 + c - (b/2)^2 is chi translated by c - (b/2)^2, read at
-    the squares, then translated by b/2.  Every other f is one horner
-    pass over the field."""
-    field = f.field
+    the squares, then translated by b/2; either is cut to n.  Every
+    other f, and f over any other points, is one horner pass."""
+    field, n = f.field, len(points)
+    if f.degree < 1:
+        return field.chi[f(0)] * n
+    if not (f.is_monic and f.degree <= 2 and 2 * n >= field.q and points[-1] == n - 1):
+        chi = field.chi
+        return "".join([chi[v] for v in field.horner(f.coeffs, points)])
     chi = field.chi_string()
-    if not (f.is_monic and 1 <= f.degree <= 2):
-        return "".join([chi[v] for v in field.horner(f.coeffs, range(field.q))])
     if f.degree == 1:
-        return field.translate(chi, f.coeffs[0])
+        return field.translate(chi, f.coeffs[0])[:n]
     c, b = f.coeffs[:2]
     half_b = field.mul(b, field.inv(2))
     shift = field.add(c, field.neg(field.mul(half_b, half_b)))
-    return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)
+    return field.translate(field.gather_squares(field.translate(chi, shift)), half_b)[:n]
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -193,20 +198,28 @@ def powmod(f: Poly, e: int, modulus: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's test: f of degree d is irreducible iff x^(q^i) - x is
-    coprime to f for every i = 1 .. d // 2, since a reducible f has an
-    irreducible factor of some degree i <= d // 2, and that factor
-    divides x^(q^i) - x."""
+    """A linear is irreducible.  A quadratic ax^2 + bx + c over an odd
+    field is irreducible iff its discriminant b^2 - 4ac is a non-square,
+    one chi lookup.  Any other f of degree d goes through Ben-Or's test:
+    f is irreducible iff x^(q^i) - x is coprime to f for every i = 1 ..
+    d // 2, since a reducible f has an irreducible factor of some degree
+    i <= d // 2, and that factor divides x^(q^i) - x."""
     d = f.degree
     if d < 1:
         raise ConstantInput("irreducibility is a question about degree >= 1")
-    if d >= 2 and (f.coeffs[0] == 0 or f(1) == 0):
+    if d == 1:
+        return True
+    field = f.field
+    if d == 2 and field.q % 2:
+        c, b, a = f.coeffs
+        disc = field.add(field.mul(b, b), field.neg(field.mul(4 % field.p, field.mul(a, c))))
+        return field.chi[disc] == "1"
+    if f.coeffs[0] == 0 or f(1) == 0:
         return False  # x or x - 1 divides; skip the Frobenius work
-    q = f.field.q
-    xr = Poly.x(f.field) % f
+    xr = Poly.x(field) % f
     g = xr
     for _ in range(d // 2):
-        g = powmod(g, q, f)
+        g = powmod(g, field.q, f)
         if gcd(g - xr, f).degree != 0:
             return False
     return True
@@ -233,7 +246,8 @@ def _monic_irreducibles(field: "Field", d: int) -> Iterator[Poly]:
     x^2 + bx + c is irreducible iff b^2 - 4c is a non-square, so for
     each c in turn the b are the '1' positions of chi translated by -4c
     and read at the squares.  Every other case filters the lexicographic
-    walk through Ben-Or's test."""
+    walk through is_irreducible, so a larger odd q reads each
+    quadratic's discriminant and an even q or d >= 3 runs Ben-Or."""
     if d < 1:
         raise ConstantInput(f"degree must be >= 1, got {d}")
     if d == 2 and field.q % 2 and field.q <= TABLE_LIMIT:

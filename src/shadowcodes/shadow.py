@@ -195,29 +195,13 @@ def basic_set(polys) -> BasicSet:
 def lambda_map(f: Poly, ev: EvaluationSet) -> int:
     """Pack the square/non-square parities of f over ev into an int row.
 
-    Bit j is the parity at the j-th evaluation point, read from the
-    field's quadratic-character string.  A constant reads one character.
-    A monic of degree 1 or 2 over E = range(|E|) with 2|E| >= q gathers
-    its row with poly.chi_row and keeps the first |E| characters.  Every
-    other f, and every f over any other E, is evaluated at the points
-    by one Field.horner pass."""
+    Bit j is the parity at the j-th evaluation point, read off
+    poly.chi_row(f, ev.points), the one row builder."""
     if f.field is not ev.field:
         raise FieldMismatch("polynomial and evaluation set disagree on the field")
-    field, points = ev.field, ev.points
-    if f.degree < 1:
-        row = field.chi[f(0)] * len(points)
-    elif (
-        f.degree <= 2
-        and f.is_monic
-        and 2 * len(points) >= field.q
-        and points[-1] == len(points) - 1
-    ):
-        row = chi_row(f)[: len(points)]
-    else:
-        chi = field.chi
-        row = "".join([chi[v] for v in field.horner(f.coeffs, points)])
+    row = chi_row(f, ev.points)
     if "2" in row:
-        beta = points[row.index("2")]
+        beta = ev.points[row.index("2")]
         raise VanishesOnE(f"{f!r} vanishes at element {beta} of the evaluation set", beta)
     return int(row[::-1], 2)
 

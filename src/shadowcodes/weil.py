@@ -11,13 +11,12 @@ A count reads every x at once from the chi rows of the factors
 (poly.chi_row, the rows shadow codewords are built from): chi is
 multiplicative, so the non-square bits of A are the XOR of the
 factors' non-square bits, flipped when gamma is a non-square, and its
-roots are the OR of their zero bits.  The random curves take a drawn
-quadratic x^2 + bx + c as irreducible when its discriminant b^2 - 4c
-is a non-square, one character lookup, and a drawn cubic when its row
-has no zero, since a polynomial of degree 2 or 3 is irreducible exactly
-when it has no root.  A row table passed through one verify run holds
-each factor's row, built once: a cubic's from its draw, any other's
-when it is first counted.
+roots are the OR of their zero bits.  The random curves ask
+poly.is_irreducible about a drawn quadratic, which reads its
+discriminant, and take a drawn cubic as irreducible when its row has no
+zero, since a cubic is irreducible exactly when it has no root.  A row
+table passed through one verify run holds each factor's row, built
+once: a cubic's from its draw, any other's when it is first counted.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from .field import Field
-from .poly import Poly, basic_polys, chi_row
+from .poly import Poly, basic_polys, chi_row, is_irreducible
 
 COUNT_BUDGET = 1 << 14
 # largest factor degree random_curve_spec draws; its root test for
@@ -52,8 +51,11 @@ class CurveSpec(NamedTuple):
 
 
 def curve_spec(field: Field, gamma: int, factors) -> CurveSpec:
-    if field.q % 2 == 0:
-        raise FieldMismatch("the square/non-square split needs odd order")
+    """y^2 = gamma prod(factors) over an odd field: gamma an int in
+    1..q - 1, factors distinct monic irreducibles over field."""
+    _check_odd(field)
+    if type(gamma) is not int or not 0 <= gamma < field.q:
+        raise BadParameters(f"gamma {gamma!r} is not an element index in 1..{field.q - 1}")
     if gamma == 0:
         raise ZeroArgument("gamma must be a nonzero scalar")
     factors = basic_polys(factors)
@@ -83,11 +85,16 @@ def count_zeros(spec: CurveSpec, rows: dict[Poly, str] | None = None) -> int:
 
 def _row(f: Poly, rows: dict[Poly, str] | None) -> str:
     if rows is None:
-        return chi_row(f)
+        rows = {}
     row = rows.get(f)
     if row is None:
-        row = rows[f] = chi_row(f)
+        row = rows[f] = chi_row(f, range(f.field.q))
     return row
+
+
+def _check_odd(field: Field) -> None:
+    if field.q % 2 == 0:
+        raise FieldMismatch("the square/non-square split needs odd order")
 
 
 def _check_budget(q: int) -> None:
@@ -114,11 +121,12 @@ def check_corollary(spec: CurveSpec, rows: dict[Poly, str] | None = None) -> Cor
 def random_curve_spec(
     field: Field, rng: random.Random, rows: dict[Poly, str] | None = None
 ) -> CurveSpec:
-    """Seeded random squarefree curve: rejection-sample random monic
-    polynomials until enough distinct irreducibles turn up.  A draw of
-    degree 2 or 3 is irreducible iff it has no root: a quadratic iff its
-    discriminant is a non-square, a cubic iff its chi row, kept in rows,
-    has no zero."""
+    """Seeded random squarefree curve over an odd field: rejection-sample
+    random monic polynomials until enough distinct irreducibles turn up.
+    is_irreducible decides a drawn quadratic by its discriminant, and a
+    drawn cubic is irreducible iff its chi row, kept in rows, has no
+    zero.  An even q is refused before the first draw."""
+    _check_odd(field)
     _check_budget(field.q)
     r = rng.randint(1, CURVE_MAX_FACTORS)
     chosen: list[Poly] = []
@@ -127,15 +135,8 @@ def random_curve_spec(
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
         if f in chosen:
             continue
-        if d == 1 or (_quadratic_irreducible(f) if d == 2 else "2" not in _row(f, rows)):
+        if d == 1 or (is_irreducible(f) if d == 2 else "2" not in _row(f, rows)):
             chosen.append(f)
     gamma = rng.randrange(1, field.q)
     return CurveSpec(field, gamma, tuple(chosen))
 
-
-def _quadratic_irreducible(f: Poly) -> bool:
-    """x^2 + bx + c over odd q is irreducible iff b^2 - 4c is a non-square."""
-    field = f.field
-    c, b = f.coeffs[:2]
-    disc = field.add(field.mul(b, b), field.neg(field.mul(4 % field.p, c)))
-    return field.chi[disc] == "1"

@@ -180,7 +180,9 @@ def test_irreducibility_matches_the_oracle_on_every_polynomial(q, dmax):
 
 
 def test_frobenius_steps_stop_at_half_the_degree(monkeypatch):
-    """A linear needs no x^q power at all; degree d needs at most d // 2."""
+    """A linear, and a quadratic over an odd field, need no x^q power at
+    all; an irreducible of degree d needs d // 2, so a quadratic over an
+    even field needs 1."""
     from shadowcodes import poly
 
     fields = (F3, F9, field_of_order(25))
@@ -190,8 +192,16 @@ def test_frobenius_steps_stop_at_half_the_degree(monkeypatch):
     for field in fields:
         for c0, c1 in product(range(field.q), range(1, field.q)):
             assert is_irreducible(Poly(field, (c0, c1)))
+        for c0, c1 in product(range(field.q), repeat=2):
+            f = Poly(field, (c0, c1, 1))
+            assert is_irreducible(f) == oracle_irreducible(f), f
     assert calls == []
-    for d in range(2, 7):
+    for q in (4, 8):
+        for f in all_monic_irreducibles(field_of_order(q), 2):
+            calls.clear()
+            assert is_irreducible(f)
+            assert len(calls) == 1, f
+    for d in range(3, 7):
         for f in enumerate_monic_irreducibles(F3, d, 2):
             calls.clear()
             assert is_irreducible(f)

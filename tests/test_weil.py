@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import naive_curve_points
+from helpers import naive_curve_points, oracle_irreducible
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import TABLE_LIMIT, field_create, field_of_order
 from shadowcodes.poly import Poly, chi_row, enumerate_monic_irreducibles, is_irreducible, x_minus
@@ -17,7 +17,6 @@ from shadowcodes.weil import (
     count_zeros,
     curve_spec,
     random_curve_spec,
-    _quadratic_irreducible,
 )
 
 F3 = field_create(3)
@@ -83,15 +82,19 @@ def test_random_curve_spec_is_seeded_and_valid():
 
 
 def test_ben_or_runs_once_per_polynomial(monkeypatch):
-    """No builder hands a polynomial that already passed the Ben-Or
+    """No builder hands a polynomial that already passed the
     irreducibility test to that test again, counted per polynomial
-    object.  The random curves test their draws by discriminants and
-    roots, so verify weil runs Ben-Or once, on its fixed GF(3) case."""
+    object.  verify weil hands over only quadratics, its fixed GF(3)
+    case x^2 + 1 and the drawn ones, each decided by its discriminant,
+    so no Frobenius power is taken."""
     from shadowcodes import poly, shadow, verify, weil
 
+    for q in verify.WEIL_FIELD_ORDERS:
+        field_of_order(q)  # a first GF(27) would search its cubic modulus
     tested = {}
     repeats = []
-    real = poly.is_irreducible
+    powers = []
+    real, real_powmod = poly.is_irreducible, poly.powmod
 
     def counting(f):
         if id(f) in tested:
@@ -102,14 +105,30 @@ def test_ben_or_runs_once_per_polynomial(monkeypatch):
     for module in (poly, shadow, weil):
         if hasattr(module, "is_irreducible"):
             monkeypatch.setattr(module, "is_irreducible", counting)
+    monkeypatch.setattr(poly, "powmod", lambda *a: powers.append(a) or real_powmod(*a))
     assert verify.verify_weil(27, 30)["ok"]
     weil_tests = len(tested)
-    assert weil_tests == 1 and repeats == []
+    assert Poly(F3, (1, 0, 1)) in tested.values()
+    assert weil_tests > 1 and repeats == [] and powers == []
+    assert all(f.degree == 2 for f in tested.values())
     # the quadratics come from the closed form, which runs no Ben-Or test
     code = construct_deg2(field_of_order(49), 4, seed=1729)
     assert len(tested) == weil_tests and repeats == []
     assert shadow.basic_set(code.basic.polys) == code.basic
     assert len(tested) == weil_tests + 4 and repeats == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_curve_spec_refuses_an_even_field_before_drawing(m):
+    """Over GF(2^m) every element is a square, so a draw is refused at
+    once, with curve_spec's error, and the rng is left as it was."""
+    field = field_create(2, m)
+    for seed in range(200):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(FieldMismatch, match="odd order"):
+            random_curve_spec(field, rng)
+        assert rng.getstate() == state
 
 
 def test_count_budget():
@@ -130,6 +149,13 @@ def test_curve_spec_validation():
         curve_spec(field_create(2, 3), 1, [Poly.x(field_create(2, 3))])
     with pytest.raises(ZeroArgument):
         curve_spec(F7, 0, [Poly.x(F7)])
+    # gamma is an int element index in 1..q - 1: no negative, bool,
+    # float or out-of-range gamma is read as some other element
+    for field, gamma in ((F9, -1), (F9, True), (F9, False), (F9, 9), (F9, 100), (F9, 2.0),
+                         (F7, -1), (F7, 7), (F7, 1.0), (F7, "1")):
+        with pytest.raises(BadParameters):
+            curve_spec(field, gamma, [Poly.x(field)])
+    assert curve_spec(F9, 8, [Poly.x(F9)]).gamma == 8
     with pytest.raises(BadParameters):
         curve_spec(F7, 1, [])
     with pytest.raises(BadParameters):
@@ -145,13 +171,14 @@ def test_curve_spec_validation():
 
 
 def _ben_or_curve_spec(field, rng):
-    """random_curve_spec's draws, with each accepted by Ben-Or's test."""
+    """random_curve_spec's draws, each accepted by the root-scan oracle,
+    which takes no chi value and no Frobenius power."""
     r = rng.randint(1, CURVE_MAX_FACTORS)
     chosen = []
     while len(chosen) < r:
         d = rng.randint(1, CURVE_MAX_DEGREE)
         f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
-        if f not in chosen and is_irreducible(f):
+        if f not in chosen and oracle_irreducible(f):
             chosen.append(f)
     return CurveSpec(field, rng.randrange(1, field.q), tuple(chosen))
 
@@ -159,8 +186,8 @@ def _ben_or_curve_spec(field, rng):
 @pytest.mark.parametrize("seed", [1729, 7])
 def test_verify_weil_draws_and_counts_against_ben_or_and_pairing(monkeypatch, seed):
     """A green verify weil report holds no counts, so its 200 draws are
-    replayed here: each spec is the one that Ben-Or acceptance draws from
-    the same rng, and each count pairs every x with every y."""
+    replayed here: each spec is the one that root-scan acceptance draws
+    from the same rng, and each count pairs every x with every y."""
     from shadowcodes import verify
 
     drawn = []
@@ -215,19 +242,20 @@ def test_root_free_is_irreducible_for_degree_two_and_three(q):
     for d in (2, 3):
         for cs in product(range(q), repeat=d):
             f = Poly(field, cs + (1,))
-            assert ("2" not in chi_row(f)) == is_irreducible(f), f
+            assert ("2" not in chi_row(f, range(q))) == is_irreducible(f), f
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 121])
 def test_discriminant_decides_every_monic_quadratic(q):
-    """b^2 - 4c a non-square, against a root-free chi row and against
-    Ben-Or, on every monic quadratic over the verify weil fields."""
+    """is_irreducible's discriminant test, against a root-free chi row
+    and against the root-scan oracle, on every monic quadratic over the
+    verify weil fields."""
     field = field_of_order(q)
     irreducible = 0
     for c, b in product(range(q), repeat=2):
         f = Poly(field, (c, b, 1))
-        by_disc = _quadratic_irreducible(f)
-        assert by_disc == ("2" not in chi_row(f)) == is_irreducible(f), f
+        by_disc = is_irreducible(f)
+        assert by_disc == ("2" not in chi_row(f, range(q))) == oracle_irreducible(f), f
         irreducible += by_disc
     assert irreducible == (q * q - q) // 2
 
@@ -241,9 +269,9 @@ def test_verify_weil_rows_each_factor_once_per_call(monkeypatch):
     drawn = []
     real_row, real_draw = weil.chi_row, verify.random_curve_spec
 
-    def spy(f):
+    def spy(f, points):
         rowed.append(f)
-        return real_row(f)
+        return real_row(f, points)
 
     def recording(field, rng, rows):
         drawn.append(real_draw(field, rng, rows))
