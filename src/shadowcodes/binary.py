@@ -99,12 +99,14 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _lane_format(n: int, b: int) -> tuple[str, int, int]:
-    """Array type code, width in bits and lane-wise 1 of 2^b packed lanes
-    wide enough for 0..2n below a spare top bit, the lane's guard bit."""
+def _lane_format(n: int, k: int) -> tuple[str, int, int, int]:
+    """Array type code, width in bits and lane-wise 1 of the 2^b packed
+    lanes of a block over the low b = min(LOW_ROWS, k) of k rows, and b;
+    a lane is wide enough for 0..2n below a spare top bit, its guard bit."""
+    b = min(LOW_ROWS, k)
     code = "H" if n < 1 << 14 else "I" if n < 1 << 30 else "Q"
     size = array(code).itemsize
-    return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << b), "little")
+    return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << b), "little"), b
 
 
 def _unpack(v: int, code: str, b: int) -> array:
@@ -137,7 +139,7 @@ def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
 
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None):
     """Packed lanes, one int per Gray index h in [lo, hi) of the high rows
-    (default: all of them), laid out as _lane_format(n, b) for the low
+    (default: all of them), laid out as _lane_format(n, k) for the low
     b = min(LOW_ROWS, k) rows.  Lane u of block h holds 2(n - w) for the
     codeword of low message u plus the high rows that gray(h) selects;
     lane 0 of block 0 is the zero message.
@@ -157,9 +159,8 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
     hold value bits only, so a stage reads guard-free halves and leaves
     its junk guard bits to the next stage's mask; the block clears them
     once, as it is yielded."""
-    b = min(LOW_ROWS, len(rows))
+    code, bits, ones, b = _lane_format(n, len(rows))
     low, high = rows[:b], rows[b:]
-    code, bits, ones = _lane_format(n, b)
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
     values = guards - ones
@@ -211,8 +212,7 @@ def _min_weight(
     adding 2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
     exactly when it holds more than 2(n - best), that is w < best, and
     the same test on 2n - lane finds n - w < best."""
-    b = min(LOW_ROWS, len(rows))
-    code, bits, ones = _lane_format(n, b)
+    code, bits, ones, b = _lane_format(n, len(rows))
     guards = ones << (bits - 1)
     if best is None:
         best = n if fold else n + 1  # fold: the zero message's coset {0, 1}
@@ -361,8 +361,8 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f"2**{code.k} codewords exceed the histogram budget"
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
-    n, b = code.n, min(LOW_ROWS, code.k)
-    lane_code = _lane_format(n, b)[0]
+    n = code.n
+    lane_code, _, _, b = _lane_format(n, code.k)
     counts = Counter()
     for v in _walsh_blocks(code.rows, n):
         counts.update(_unpack(v, lane_code, b))

@@ -236,6 +236,8 @@ def fig1_rows(n_min: int = 10, n_max: int = 100000, points: int = 50):
     """Threshold root k0 against sqrt(n) + 1/2 on a log grid."""
     if not 3 <= n_min < n_max:
         raise BadParameters("need 3 <= n_min < n_max")
+    if n_max > K0_N_MAX:
+        raise BadParameters(f"the threshold is checked up to n = {K0_N_MAX}, got n_max = {n_max}")
     if points < 1:
         raise BadParameters(f"need at least one point, got {points}")
     if points > FIG1_POINTS_MAX:

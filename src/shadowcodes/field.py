@@ -29,13 +29,12 @@ package's one Horner evaluation; a Poly called at one point uses it.
 
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
-and '2' at a = 0.  Up to q = 2**16 it is a string built once from the
-squares a*a; above, Euler's criterion runs per element asked for, and
-the string is built only when a gather asks for it (chi_string).  Rows
-of low-degree polynomials come from C-speed work over that string:
-translate(s, c) reads s at a + c, one roll of s per nonzero base-p
-digit of c with no field addition, and gather_squares(s) reads s at
-a*a.
+and '2' at a = 0.  It is one string, built once from the squares a*a,
+except past q = 2**16, where Euler's criterion runs per element asked
+for until a gather builds the string (chi_string).  Rows of low-degree
+polynomials come from C-speed work over that string: translate(s, c)
+reads s at a + c, one roll of s per nonzero base-p digit of c with no
+field addition, and gather_squares(s) reads s at a*a.
 """
 
 from __future__ import annotations
@@ -126,8 +125,7 @@ class Field:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_exp", "_log", "_zech", "_primitive",
-        "_chi", "_chi_str", "_squares",
+        "p", "m", "q", "modulus", "_exp", "_log", "_zech", "_primitive", "_chi_str", "_squares",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
@@ -139,7 +137,6 @@ class Field:
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
         self._primitive: int | None = None
-        self._chi: str | _EulerCharacter | None = None
         self._chi_str: str | None = None
         self._squares: itemgetter | None = None
         if self.m > 1 and self.q <= TABLE_LIMIT:
@@ -350,14 +347,11 @@ class Field:
     def chi(self) -> str | _EulerCharacter:
         """chi[a] is '0' for a nonzero square, '1' for a non-square and
         '2' at a = 0; odd q only.  The string chi_string() up to
-        TABLE_LIMIT, else Euler's criterion at each index read."""
-        if self._chi is None:
-            # an even q goes to chi_string, which refuses it
-            if self.q > TABLE_LIMIT and self.q % 2:
-                self._chi = _EulerCharacter(self)
-            else:
-                self._chi = self.chi_string()
-        return self._chi
+        TABLE_LIMIT or once a gather has built it, else Euler's criterion
+        at each index read; an even q goes to chi_string, which refuses it."""
+        if self._chi_str is None and self.q > TABLE_LIMIT and self.q % 2:
+            return _EulerCharacter(self)
+        return self.chi_string()
 
     def chi_string(self) -> str:
         """chi as a string of length q at any q, built once from the

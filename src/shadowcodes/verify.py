@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .binary import exact_min_distance, weight_distribution
-from .bounds import DEFAULT_SEED, k0, log_grid, s_cubic
+from .bounds import DEFAULT_SEED, K0_N_MAX, k0, log_grid, s_cubic
 from .concat import concat_generator, concat_params, concat_spec
 from .errors import BadParameters, NonpositiveDelta
 from .field import field_create, field_of_order
@@ -36,6 +36,13 @@ THEOREM6_GRID_POINTS = 50  # log-spaced lengths 3 .. n_max for the root check
 # the section 6 grid: inner degrees m and outer-rate steps per m
 SECTION6_MS = range(2, 11)
 SECTION6_STEPS = 100
+
+
+def _report(suite: str, failures: list, **fields) -> dict:
+    """A suite's report: its name, its own fields in order, then the
+    failures and ok, which is false exactly when a check failed and
+    makes the CLI exit 1."""
+    return {"suite": suite, **fields, "failures": failures, "ok": not failures}
 
 
 def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) -> dict:
@@ -75,13 +82,8 @@ def verify_weil(q_max: int = 121, count: int = 200, seed: int = DEFAULT_SEED) ->
     fields = [field_of_order(q) for q in orders]
     for i in range(count):
         run(random_curve_spec(fields[i % len(fields)], rng, rows))
-    return {
-        "suite": "weil",
-        "params": {"q_max": q_max, "count": count, "seed": seed},
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("weil", failures, params={"q_max": q_max, "count": count, "seed": seed},
+                   checks=checks)
 
 
 _THEOREM4_ROSTER = (
@@ -167,13 +169,8 @@ def verify_theorem4(seed: int = DEFAULT_SEED) -> dict:
             checks += 1
             if any(hist[w] != hist[code.n - w] for w in range(code.n + 1)):
                 fail(code, "complement_symmetry")
-    return {
-        "suite": "theorem4",
-        "params": {"seed": seed, "roster": len(codes)},
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("theorem4", failures, params={"seed": seed, "roster": len(codes)},
+                   checks=checks)
 
 
 def verify_theorem6(n_max: int = 100000) -> dict:
@@ -183,6 +180,8 @@ def verify_theorem6(n_max: int = 100000) -> dict:
     within 1e-6 of the closed cubic formula, and above sqrt(n) + 1/2."""
     if n_max < 3:
         raise BadParameters(f"the root grid starts at n = 3, got n_max = {n_max}")
+    if n_max > K0_N_MAX:
+        raise BadParameters(f"the threshold is checked up to n = {K0_N_MAX}, got n_max = {n_max}")
     failures = []
     # with m = sqrt(n), S(m^2, m + 1/2) has degree <= 4 in m: agreeing at
     # five points proves it equals (38m - 26m^2 - 11)/8
@@ -205,15 +204,10 @@ def verify_theorem6(n_max: int = 100000) -> dict:
             failures.append({"n": n, "bisection": rec.k0, "cardano": rec.k0_cardano})
         if Surd(Fraction(rec.k0) - Fraction(1, 2), -1, n).sign() <= 0:
             failures.append({"n": n, "k0": rec.k0, "approx": math.sqrt(n) + 0.5})
-    return {
-        "suite": "theorem6",
-        "params": {"n_max": n_max, "grid_points": THEOREM6_GRID_POINTS},
-        "claim": "S(n, sqrt(n) + 1/2) < 0 for every n >= 2",
-        "checks": checks,
-        "max_root_gap": max_gap,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("theorem6", failures,
+                   params={"n_max": n_max, "grid_points": THEOREM6_GRID_POINTS},
+                   claim="S(n, sqrt(n) + 1/2) < 0 for every n >= 2", checks=checks,
+                   max_root_gap=max_gap)
 
 
 def _root_bracketed(n: int, root: float) -> bool:
@@ -255,14 +249,8 @@ def verify_theorem7(m: int = 2) -> dict:
             failures.append(
                 {"m": m, "K": big_k, "dmin": dmin, "floor": params.dmin_lb}
             )
-    return {
-        "suite": "theorem7",
-        "params": {"m": m, "enum_cap": THEOREM7_ENUM_CAP},
-        "checks": checks,
-        "skipped_K": skipped,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("theorem7", failures, params={"m": m, "enum_cap": THEOREM7_ENUM_CAP},
+                   checks=checks, skipped_K=skipped)
 
 
 def verify_section6() -> dict:
@@ -278,10 +266,5 @@ def verify_section6() -> dict:
                 r = Fraction(j, d)
                 lhs, rhs = (1 - r) / 2, (1 - r * (m + 1)) / 2
                 failures.append({"m": m, "r": str(r), "lhs": str(lhs), "rhs": str(rhs)})
-    return {
-        "suite": "section6",
-        "params": {"ms": list(SECTION6_MS), "steps": SECTION6_STEPS},
-        "checks": len(SECTION6_MS) * SECTION6_STEPS,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _report("section6", failures, params={"ms": list(SECTION6_MS), "steps": SECTION6_STEPS},
+                   checks=len(SECTION6_MS) * SECTION6_STEPS)

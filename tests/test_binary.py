@@ -443,6 +443,13 @@ def test_code_without_its_reversal_keeps_the_folded_walk(monkeypatch, code):
     assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
 
 
+def test_lane_format_lays_out_the_low_rows_of_a_block():
+    """b = min(LOW_ROWS, k) rows span a block of 2^b lanes, one 1 each."""
+    for k in (1, LOW_ROWS, LOW_ROWS + 3):
+        _, _, ones, b = _lane_format(100, k)
+        assert b == min(LOW_ROWS, k) and ones.bit_count() == 1 << b
+
+
 @pytest.mark.parametrize("n, lane", [(16383, "H"), (16384, "I")])
 def test_lane_width_edge(n, lane):
     """2n < 2^15 keeps 16-bit lanes with the guard bit free; n = 2^14 takes

@@ -294,6 +294,8 @@ def test_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+    if argv[-2] == "--n-max":
+        assert argv[-1] in err  # the flag's value, not a grid point past it
 
 
 def _descriptor_file(directory, *argv):

@@ -230,10 +230,13 @@ def test_chi_matches_euler_on_every_element():
 
 
 def test_chi_on_untabled_fields_reads_squares_and_their_multiples():
-    """Above TABLE_LIMIT chi is no string of length q; on a sample it
-    still gives '0' at every b*b and '1' at g*b*b for a primitive g."""
+    """Above TABLE_LIMIT chi is no string of length q until a gather
+    builds one; on a sample it still gives '0' at every b*b and '1' at
+    g*b*b for a primitive g.  The fields are fresh, so no earlier test's
+    gather has built their strings."""
     rng = random.Random(17)
-    for f in (field_create(5, 7), field_create(131071), field_create(2**31 - 1)):
+    for f in (Field(5, 7, field_create(5, 7).modulus), Field(131071, 1, None),
+              Field(2**31 - 1, 1, None)):
         assert f._exp is None and not isinstance(f.chi, str)
         g = f.primitive_element()
         assert f.chi[0] == "2" and f.chi[1] == "0" and f.chi[g] == "1"
@@ -241,6 +244,20 @@ def test_chi_on_untabled_fields_reads_squares_and_their_multiples():
             b = rng.randrange(1, f.q)
             b2 = f.mul(b, b)
             assert f.chi[b2] == "0" and f.chi[f.mul(g, b2)] == "1", (f.q, b)
+
+
+def test_chi_is_euler_past_the_table_limit_until_the_string_exists():
+    """Over GF(65537), past TABLE_LIMIT, chi is Euler's criterion before
+    any string exists and that string once a gather has built it; over
+    GF(3125), below the limit, chi is the string from the start."""
+    f = Field(65537, 1, None)  # not the cached field, whose string may exist
+    sample = [0, 1, f.q - 1, *random.Random(29).sample(range(f.q), 200)]
+    assert not isinstance(f.chi, str)
+    assert [f.chi[a] for a in sample] == [_euler_chi(f, a) for a in sample]
+    s = f.chi_string()
+    assert f.chi is s
+    f3125 = field_of_order(3125)
+    assert f3125.chi is f3125.chi_string()
 
 
 def test_only_extension_fields_keep_log_tables():

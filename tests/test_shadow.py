@@ -260,57 +260,58 @@ def test_lambda_map_vanishing_reports_point():
 GATHER_ORDERS = [q for q in range(3, 730, 2) if find_odd_prime_power(q)] + [65537]
 
 
+@pytest.mark.parametrize("q", GATHER_ORDERS)
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
-def test_lambda_map_matches_horner_and_euler(data):
+def test_lambda_map_matches_horner_and_euler(q, data):
     """The monics of degree 1 and 2 over E = range(|E|) with 2|E| >= q,
     and only they, gather their rows through Field.translate and
     Field.gather_squares; a constant reads one character, and a short
     or scattered E, a non-monic or a cubic takes Horner.  Over every odd
     q <= 729 and GF(65537), on every path, the row equals Horner plus
-    Euler's criterion."""
+    Euler's criterion.  Each order is its own case, so a failing
+    example shrinks over one field."""
     with (
         patch.object(Field, "translate", autospec=True, side_effect=Field.translate) as rolls,
         patch.object(
             Field, "gather_squares", autospec=True, side_effect=Field.gather_squares
         ) as gathers,
     ):
-        for q in GATHER_ORDERS:
-            field = field_of_order(q)
-            coeff = st.integers(0, q - 1)
-            n = data.draw(st.integers(1, q), label="n")
-            if data.draw(st.booleans(), label="contiguous"):
-                points = range(n)
-            else:
-                seed = data.draw(st.integers(0, 2**32), label="seed")
-                points = sorted(random.Random(seed).sample(range(q), n))
-            ev = evaluation_set(field, points)
-            polys = [
-                Poly.constant(field, data.draw(coeff, label="const")),
-                Poly(field, (data.draw(coeff, label="c"), 1)),
-                Poly(field, (data.draw(coeff, label="c"), data.draw(coeff, label="b"), 1)),
-                Poly(
-                    field,
-                    (
-                        data.draw(coeff, label="c"),
-                        data.draw(coeff, label="b"),
-                        data.draw(st.integers(2, q - 1), label="lead"),
-                    ),
+        field = field_of_order(q)
+        coeff = st.integers(0, q - 1)
+        n = data.draw(st.integers(1, q), label="n")
+        if data.draw(st.booleans(), label="contiguous"):
+            points = range(n)
+        else:
+            seed = data.draw(st.integers(0, 2**32), label="seed")
+            points = sorted(random.Random(seed).sample(range(q), n))
+        ev = evaluation_set(field, points)
+        polys = [
+            Poly.constant(field, data.draw(coeff, label="const")),
+            Poly(field, (data.draw(coeff, label="c"), 1)),
+            Poly(field, (data.draw(coeff, label="c"), data.draw(coeff, label="b"), 1)),
+            Poly(
+                field,
+                (
+                    data.draw(coeff, label="c"),
+                    data.draw(coeff, label="b"),
+                    data.draw(st.integers(2, q - 1), label="lead"),
                 ),
-                Poly(field, [data.draw(coeff, label="c") for _ in range(3)] + [1]),
-            ]
-            for f in polys:
-                rolls.reset_mock()
-                gathers.reset_mock()
-                try:
-                    got = lambda_map(f, ev)
-                except VanishesOnE as exc:
-                    got = ("vanishes", exc.point)
-                assert got == euler_row(f, ev.points), (q, f)
-                prefix = ev.points == tuple(range(n))  # a sample may draw a prefix
-                gathered = prefix and 2 * n >= q and f.is_monic and 1 <= f.degree <= 2
-                assert rolls.call_count == (f.degree if gathered else 0), (q, n, f)
-                assert gathers.call_count == (gathered and f.degree == 2), (q, n, f)
+            ),
+            Poly(field, [data.draw(coeff, label="c") for _ in range(3)] + [1]),
+        ]
+        for f in polys:
+            rolls.reset_mock()
+            gathers.reset_mock()
+            try:
+                got = lambda_map(f, ev)
+            except VanishesOnE as exc:
+                got = ("vanishes", exc.point)
+            assert got == euler_row(f, ev.points), (q, f)
+            prefix = ev.points == tuple(range(n))  # a sample may draw a prefix
+            gathered = prefix and 2 * n >= q and f.is_monic and 1 <= f.degree <= 2
+            assert rolls.call_count == (f.degree if gathered else 0), (q, n, f)
+            assert gathers.call_count == (gathered and f.degree == 2), (q, n, f)
 
 
 def test_gathered_row_reports_the_first_vanishing_point():

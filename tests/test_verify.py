@@ -126,6 +126,23 @@ def test_failed_check_exits_one_with_its_entry(tmp_path, monkeypatch, case):
         assert entry.get("check") == check
 
 
+@pytest.mark.parametrize(
+    "suite, keys",
+    [
+        (verify.verify_weil, ["suite", "params", "checks"]),
+        (verify.verify_theorem4, ["suite", "params", "checks"]),
+        (verify.verify_theorem6, ["suite", "params", "claim", "checks", "max_root_gap"]),
+        (verify.verify_theorem7, ["suite", "params", "checks", "skipped_K"]),
+        (verify.verify_section6, ["suite", "params", "checks"]),
+    ],
+    ids=["weil", "theorem4", "theorem6", "theorem7", "section6"],
+)
+def test_report_keys_keep_their_order(suite, keys):
+    """Every report names its suite first and ends in failures and ok,
+    the verdict behind exit code 1; each suite's own fields sit between."""
+    assert list(suite()) == keys + ["failures", "ok"]
+
+
 def test_section6_margins_strict_and_exact(monkeypatch):
     """900 grid points, each strict; where m = 0 forces every point to
     fail, the entry's exact fractions satisfy lhs - rhs = r m / 2."""
