@@ -13,7 +13,6 @@ from .binary import (
 from .bounds import (
     CubicRecord,
     deltacon,
-    deltash_family,
     dg_params,
     fig1_rows,
     fig3_rows,

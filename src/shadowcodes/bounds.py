@@ -131,10 +131,10 @@ def s_cubic(n: float, k: float):
 
 class CubicRecord(NamedTuple):
     n: int
-    xi: float
-    omega_sq: int
     k0: float
     k0_cardano: float
+    xi: float
+    omega_sq: int
 
 
 def _cardano_root(n: int) -> tuple[float, int, float]:
@@ -181,7 +181,7 @@ def k0(n: int) -> CubicRecord:
         raise AssertionError(
             f"bisection {root} and closed form {cardano} disagree at n={n}"
         )
-    return CubicRecord(n, xi, rad, root, cardano)
+    return CubicRecord(n=n, k0=root, k0_cardano=cardano, xi=xi, omega_sq=rad)
 
 
 # -- concatenated-family formulas -------------------------------------------
@@ -207,14 +207,6 @@ def deltacon(n: int, k: int) -> float:
     if not 0 < k <= n:
         raise BadParameters(f"need 0 < k <= n, got k={k}, n={n}")
     return 0.5 - (k - m - 1) / ((1 << m) * (2 * m + 2))
-
-
-def deltash_family(n: int, a: float) -> float:
-    """Relative degree <= 1 floor at dimension floor(n^a), 0 < a <= 1/2."""
-    if not 0 < a <= 0.5:
-        raise BadShape(f"the sublinear exponent must sit in (0, 1/2], got {a}")
-    k = math.floor(n**a)
-    return shadow_lb_deg1(n, max(k, 1)) / n
 
 
 # -- figure tables -------------------------------------------------------
@@ -316,9 +308,7 @@ def fig4_rows(a: float = 0.49, m_min: int = 2, m_max: int = 10):
         k = math.floor(n**a)
         rows.append(BoundPoint("rsrm", n, k, k / n, deltacon(n, k), "lower_bound"))
         rows.append(
-            BoundPoint(
-                "shadow_deg1", n, k, k / n, deltash_family(n, a), "lower_bound"
-            )
+            BoundPoint("shadow_deg1", n, k, k / n, shadow_lb_deg1(n, k) / n, "lower_bound")
         )
     return rows
 

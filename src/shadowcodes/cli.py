@@ -59,11 +59,6 @@ from .verify import (
 from . import binary
 
 
-def _k0_report(n: int) -> dict:
-    rec = k0(n)
-    return {key: getattr(rec, key) for key in ("k0", "k0_cardano", "xi", "omega_sq")}
-
-
 def _construct_deg1(args):
     """deg1 takes one of two flag pairs, which argparse cannot state."""
     nk, qe = (args.n, args.k), (args.q, args.e_size)
@@ -116,7 +111,7 @@ QUANTITIES = {
                 "degree 2 distance floor"),
     "deltacon": ({"n": int, "k": int}, lambda a: {"floor": deltacon(a.n, a.k)},
                  "concatenated relative-distance floor"),
-    "k0": ({"n": int}, lambda a: _k0_report(a.n), "dimension threshold root"),
+    "k0": ({"n": int}, lambda a: k0(a.n)._asdict(), "dimension threshold root"),
 }
 DMIN_FLAGS = {"sample": 0, "seed": DEFAULT_SEED}
 CONCAT_FLAGS = {"m": int, "N": int, "K": int}

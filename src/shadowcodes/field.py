@@ -104,15 +104,12 @@ def find_odd_prime_power(target: int) -> tuple[int, int] | None:
     return pm if pm and pm[0] != 2 else None
 
 
-def nearest_odd_prime_power(target: int) -> int:
-    """The admissible field order closest to target; ties go down."""
-    if find_odd_prime_power(target):
-        return target
-    for off in range(1, max(target, 4)):
-        if find_odd_prime_power(target - off):
-            return target - off
-        if find_odd_prime_power(target + off):
-            return target + off
+def nearest_odd_prime_power(target: int, least: int = 3) -> int:
+    """The admissible field order >= least closest to target; ties go down."""
+    for off in range(max(target, 4)):
+        for q in (target - off, target + off):
+            if q >= least and find_odd_prime_power(q):
+                return q
     return 3
 
 

@@ -74,21 +74,6 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        return self + other.scale(self.field.neg(1))
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)
         f = self.field
@@ -101,10 +86,6 @@ class Poly:
                 for j, bj in enumerate(b):
                     out[i + j] = f.add(out[i + j], f.mul(ai, bj))
         return Poly(f, out)
-
-    def scale(self, c: int) -> "Poly":
-        f = self.field
-        return Poly(f, (f.mul(c, ci) for ci in self.coeffs))
 
     def __mod__(self, other: "Poly") -> "Poly":
         """Remainder of long division by other; each step adds c * other
@@ -216,11 +197,12 @@ def is_irreducible(f: Poly) -> bool:
         return field.chi[disc] == "1"
     if f.coeffs[0] == 0 or f(1) == 0:
         return False  # x or x - 1 divides; skip the Frobenius work
-    xr = Poly.x(field) % f
-    g = xr
+    g = Poly.x(field)  # reduced mod f already, since d >= 2
     for _ in range(d // 2):
         g = powmod(g, field.q, f)
-        if gcd(g - xr, f).degree != 0:
+        cs = [*g.coeffs, 0, 0]  # x^(q^i) - x: take 1 from coefficient 1
+        cs[1] = field.add(cs[1], field.neg(1))
+        if gcd(Poly(field, cs), f).degree != 0:
             return False
     return True
 

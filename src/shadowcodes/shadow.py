@@ -315,7 +315,7 @@ def construct_deg1_nk(n: int, k: int) -> ShadowCode:
     q = n + k - 1
     pm = find_odd_prime_power(q)
     if pm is None:
-        near = nearest_odd_prime_power(q)
+        near = nearest_odd_prime_power(q, least=k)  # so that n = near - k + 1 >= 1
         raise ParameterNotAdmissible(
             f"q = n + k - 1 = {q} is not an odd prime power; nearest admissible"
             f" order is {near} (for example n={near - k + 1}, k={k})",
@@ -341,6 +341,10 @@ def deg2_floor(n: int, k: int) -> Surd:
     return _delta(n, n, 2 * k)
 
 
+# the closed form that each stock family's delta equals at (n, |B|)
+_FAMILY_FLOORS = {"deg1": deg1_floor, "deg2": deg2_floor}
+
+
 def distance_lower_bound(code: ShadowCode) -> Surd:
     """The exact distance guarantee; error when it is vacuous.
 
@@ -351,12 +355,11 @@ def distance_lower_bound(code: ShadowCode) -> Surd:
         raise NonpositiveDelta(
             f"delta = {float(code.delta):.4f} <= 0 guarantees nothing"
         )
-    d, n, k = code.delta, code.n, len(code.basic.polys)
-    if code.kind == "deg1":
-        assert d == deg1_floor(n, k), "degree <= 1 closed form disagrees"
-    elif code.kind == "deg2":
-        assert d == deg2_floor(n, k), "degree 2 closed form disagrees"
-    return d
+    floor = _FAMILY_FLOORS.get(code.kind)
+    assert floor is None or code.delta == floor(code.n, len(code.basic.polys)), (
+        f"{code.kind} closed form disagrees"
+    )
+    return code.delta
 
 
 def to_descriptor(code: ShadowCode) -> dict:
@@ -403,6 +406,9 @@ def from_descriptor(obj: dict) -> ShadowCode:
     if type(kind) is not str:
         raise BadDescriptor(f"descriptor kind must be a string, got {kind!r}")
     code = construct(ev, basic_set(polys), kind=kind)
+    floor = _FAMILY_FLOORS.get(kind)
+    if floor and code.delta != floor(code.n, len(code.basic.polys)):
+        raise BadDescriptor(f"kind {kind} does not fit the code: delta is not its closed form")
     if stored != code.rows:
         raise BadDescriptor("stored generator matrix does not match its field/E/B")
     return code

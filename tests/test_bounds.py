@@ -7,6 +7,7 @@ import pytest
 from helpers import gv_definition
 from shadowcodes.binary import exact_min_distance
 from shadowcodes.bounds import (
+    CubicRecord,
     DEFAULT_SEED,
     DG_M_MAX,
     FIG1_POINTS_MAX,
@@ -15,7 +16,6 @@ from shadowcodes.bounds import (
     GV_N_MAX,
     K0_N_MAX,
     deltacon,
-    deltash_family,
     dg_params,
     fig1_rows,
     fig3_rows,
@@ -173,6 +173,10 @@ def test_k0_brackets_the_root():
         assert 0 < gap < 0.5
 
 
+def test_k0_record_fields_in_printed_order():
+    assert CubicRecord._fields == ("n", "k0", "k0_cardano", "xi", "omega_sq")
+
+
 def test_k0_radicand_sign_boundary():
     assert k0(13).omega_sq == 1272
     assert k0(14).omega_sq == -687
@@ -225,14 +229,19 @@ def test_deltacon_values_and_alignment():
             deltacon(16, k)
 
 
-def test_deltash_family():
-    assert deltash_family(16, 0.49) == pytest.approx(0.3049174785275224)
-    values = [deltash_family(4096, a) for a in (0.2, 0.3, 0.4, 0.5)]
+def _fig4_shadow_delta(a: float, m: int) -> float:
+    (row,) = [row for row in fig4_rows(a, m, m) if row.scheme == "shadow_deg1"]
+    assert row.delta == shadow_lb_deg1(row.n, row.k) / row.n  # at the k the row prints
+    return row.delta
+
+
+def test_fig4_shadow_column():
+    assert _fig4_shadow_delta(0.49, 2) == pytest.approx(0.3049174785275224)
+    values = [_fig4_shadow_delta(a, 6) for a in (0.2, 0.3, 0.4, 0.5)]
     assert values == sorted(values, reverse=True)
-    with pytest.raises(BadShape):
-        deltash_family(100, 0.0)
-    with pytest.raises(BadShape):
-        deltash_family(100, 0.51)
+    for a in (0.0, 0.51):
+        with pytest.raises(BadShape):
+            fig4_rows(a)
 
 
 # ---------------------------------------------------------------- tables

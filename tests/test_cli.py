@@ -132,6 +132,21 @@ def test_dmin_descriptor_with_mistyped_field_or_kind_exits_two(
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "built, relabel",
+    [(("deg2", "--q", "49", "--k", "2"), "deg1"), (("deg1", "--n", "28", "--k", "4"), "deg2")],
+    ids=["deg2_as_deg1", "deg1_as_deg2"],
+)
+def test_dmin_descriptor_with_the_wrong_family_kind_exits_two(tmp_path, capsys, built, relabel):
+    path = tmp_path / "code.json"
+    assert run_cli(capsys, "construct", *built, "--out", str(path))[0] == 0
+    desc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(desc, kind=relabel)))
+    code, out, err = run_cli(capsys, "dmin", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dmin_over_a_61_bit_characteristic_exits_two_at_once(tmp_path):
     """Trial division stops at its bound, so a prime characteristic of
     61 bits is refused where it used to divide for minutes; and GF(3^2000)
@@ -449,6 +464,7 @@ def test_bounds_quantities(capsys):
     assert (report["n"], report["log2_size"], report["dmin"]) == (16, 8, 6)
     code, out, _ = run_cli(capsys, "bounds", "k0", "--n", "113")
     report = json.loads(out)
+    assert list(report) == ["config", "n", "k0", "k0_cardano", "xi", "omega_sq"]
     assert 0 < report["k0"] - 113**0.5 - 0.5 < 0.5
     assert report["omega_sq"] < 0
     code, out, _ = run_cli(capsys, "bounds", "shadow1", "--n", "113", "--k", "9")

@@ -215,7 +215,7 @@ def test_basic_set_validation():
     with pytest.raises(ValueError):
         basic_set([])
     with pytest.raises(ValueError):
-        basic_set([Poly(F7, (2, 1)).scale(3)])  # not monic
+        basic_set([Poly(F7, (6, 3))])  # not monic
     with pytest.raises(ValueError):
         basic_set([Poly(F7, (6, 0, 1))])  # x^2 - 1 reducible
     with pytest.raises(ValueError):
@@ -551,6 +551,12 @@ def test_construct_deg1_nk():
         construct_deg1_nk(99, 10)
     assert "107" in str(exc.value)
     assert exc.value.suggested_q == 107
+    # an order below k would leave n < 1, so none is suggested
+    for n, k, near in ((1, 4, 5), (1, 26, 27), (2, 9, 9)):
+        with pytest.raises(ParameterNotAdmissible) as exc:
+            construct_deg1_nk(n, k)
+        assert exc.value.suggested_q == near
+        assert f"is {near} (for example n={near - k + 1}, k={k})" in str(exc.value)
     with pytest.raises(ParameterNotAdmissible):
         construct_deg1_nk(5, 1)  # k < 2 leaves no excluded point
     with pytest.raises(ParameterNotAdmissible):
@@ -603,6 +609,17 @@ def test_descriptor_package_errors_keep_their_class():
     assert not isinstance(info.value, BadDescriptor)
     with pytest.raises(BadDescriptor, match="malformed descriptor: ValueError"):
         from_descriptor(dict(obj, G=["zz"] + obj["G"][1:]))
+
+
+def test_descriptor_kind_must_fit_its_family():
+    """A deg1 or deg2 kind is held to that family's closed form; any
+    other kind is a free label."""
+    deg2 = to_descriptor(construct_deg2(field_of_order(49), 2))
+    deg1 = to_descriptor(construct_deg1_nk(28, 4))
+    for obj, relabel in ((deg2, "deg1"), (deg1, "deg2")):
+        with pytest.raises(BadDescriptor, match=f"kind {relabel}"):
+            from_descriptor(dict(obj, kind=relabel))
+        assert from_descriptor(dict(obj, kind="mine")).kind == "mine"
 
 
 def test_descriptor_faults_raise_bad_descriptor():
