@@ -5,8 +5,12 @@ the row span of a tuple of such ints.  Exhaustive scans step the high
 rows in Gray-code order, one block per step, and weigh all 2^b messages
 of the low b rows at once with a Walsh transform (MacWilliams & Sloane,
 ch. 5): the columns are histogrammed by their low-row pattern, signed
-by the block's high codeword, and the 2^b transform lanes, packed into
-one int, give 2(n - w) for every codeword of the block.
+by the block's high codeword, and the 2^b transform lanes give 2(n - w)
+for every codeword of the block.  A block's lanes are packed into
+2^(b - p) ints of 2^p lanes each, p = min(PIECE_ROWS, b): the top b - p
+butterfly stages pair whole pieces and need no shift.  Piece i holds
+lanes i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order are the
+block as one int.
 
 When the all-ones word 1 lies in the code, c and c + 1 weigh w and
 n - w, so the exact minimum-distance scan walks only the 2^(k-1)
@@ -30,7 +34,8 @@ from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
-LOW_ROWS = 14  # rows per transform block: 2^14 lanes in one packed int
+LOW_ROWS = 14  # rows per transform block: 2^14 lanes
+PIECE_ROWS = 11  # rows per piece of a block: 2^11 lanes in one packed int
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -99,19 +104,21 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _lane_format(n: int, k: int) -> tuple[str, int, int, int]:
-    """Array type code, width in bits and lane-wise 1 of the 2^b packed
-    lanes of a block over the low b = min(LOW_ROWS, k) of k rows, and b;
-    a lane is wide enough for 0..2n below a spare top bit, its guard bit."""
+def _lane_format(n: int, k: int) -> tuple[str, int, int, int, int]:
+    """Array type code, width in bits and lane-wise 1 of a piece of the
+    2^b lanes of a block over the low b = min(LOW_ROWS, k) of k rows, b,
+    and p = min(PIECE_ROWS, b), a piece holding 2^p lanes; a lane is wide
+    enough for 0..2n below a spare top bit, its guard bit."""
     b = min(LOW_ROWS, k)
+    p = min(PIECE_ROWS, b)
     code = "H" if n < 1 << 14 else "I" if n < 1 << 30 else "Q"
     size = array(code).itemsize
-    return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << b), "little"), b
+    return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << p), "little"), b, p
 
 
-def _unpack(v: int, code: str, b: int) -> array:
-    """The 2^b lanes of a packed int, lane 0 first."""
-    lanes = array(code, v.to_bytes(array(code).itemsize << b, "little"))
+def _unpack(v: int, code: str, p: int) -> array:
+    """The 2^p lanes of a packed piece, lane 0 first."""
+    lanes = array(code, v.to_bytes(array(code).itemsize << p, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
@@ -138,28 +145,32 @@ def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
 
 
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None):
-    """Packed lanes, one int per Gray index h in [lo, hi) of the high rows
-    (default: all of them), laid out as _lane_format(n, k) for the low
-    b = min(LOW_ROWS, k) rows.  Lane u of block h holds 2(n - w) for the
-    codeword of low message u plus the high rows that gray(h) selects;
-    lane 0 of block 0 is the zero message.
+    """The pieces of each block, one list per Gray index h in [lo, hi) of
+    the high rows (default: all of them), laid out as _lane_format(n, k)
+    for the low b = min(LOW_ROWS, k) rows: 2^(b - p) ints of 2^p lanes,
+    p = min(PIECE_ROWS, b), piece i holding lanes i 2^p .. (i + 1) 2^p - 1.
+    Lane u of block h holds 2(n - w) for the codeword of low message u plus
+    the high rows that gray(h) selects; lane 0 of piece 0 of block 0 is
+    the zero message.
 
-    Block h transforms the signed histogram f(p) = sum (-1)^(c_j) over
-    the columns j whose low-row pattern is p, c being the high codeword,
-    plus n at p = 0: lane u of the transform is then n + sum_j
-    (-1)^(c_j + u.p_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
+    Block h transforms the signed histogram f(t) = sum (-1)^(c_j) over
+    the columns j whose low-row pattern is t, c being the high codeword,
+    plus n at t = 0: lane u of the transform is then n + sum_j
+    (-1)^(c_j + u.t_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
     so each butterfly is one add and one subtract over all lanes; the
     guard bit absorbs the add's carry and the subtract's borrow, and
     masking it off leaves 2(n - w) exact, as it lies in 0..2n.
 
-    Every lane of the histogram starts at 2^(bits - 1) + count(p), its
+    Every lane of the histogram starts at 2^(bits - 1) + count(t), its
     guard bit set, and each column of c takes 2 off its pattern's lane,
-    so no lane falls below 2^(bits - 1) - count(p) > 0 and none needs a
-    modulo; 2n < 2^(bits - 1) keeps each below 2^bits.  The stage masks
-    hold value bits only, so a stage reads guard-free halves and leaves
-    its junk guard bits to the next stage's mask; the block clears them
-    once, as it is yielded."""
-    code, bits, ones, b = _lane_format(n, len(rows))
+    so no lane falls below 2^(bits - 1) - count(t) > 0 and none needs a
+    modulo; 2n < 2^(bits - 1) keeps each below 2^bits.  The p low stages
+    run inside each piece, their masks holding value bits only, so a
+    stage reads guard-free halves and leaves its junk guard bits to the
+    next stage's mask; each piece is cleared once after them.  The b - p
+    top stages pair whole pieces, lane for lane with no shift, and clear
+    the guard bits of each sum and difference."""
+    code, bits, ones, b, p = _lane_format(n, len(rows))
     low, high = rows[:b], rows[b:]
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
@@ -175,10 +186,13 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
     if sys.byteorder == "big":
         pats.byteswap()
     base = array(code, [wrap]) * (1 << b)
-    for p, count in Counter(pats).items():
-        base[p] += count
+    for pat, count in Counter(pats).items():
+        base[pat] += count
     base[0] += n
-    stages = _stage_masks(bits, b, values)
+    stages = _stage_masks(bits, p, values)
+    step = bits << p >> 3  # bytes per piece
+    # top stage s pairs piece i with piece i + 2^s, s ascending like the low stages
+    tops = [(i, i | 1 << s) for s in range(b - p) for i in range(1 << (b - p)) if not i >> s & 1]
     g = lo ^ (lo >> 1)
     cw = 0
     for j, row in enumerate(high):
@@ -188,16 +202,24 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
         if h > lo:
             cw ^= high[(h & -h).bit_length() - 1]
         lanes = base[:]
-        for p in compress(pats, _column_bits(cw, n)):
-            lanes[p] -= 2
+        hist = memoryview(lanes)
+        for pat in compress(pats, _column_bits(cw, n)):
+            hist[pat] -= 2
         if sys.byteorder == "big":
             lanes.byteswap()
-        v = int.from_bytes(lanes, "little")
-        for shift, mask in stages:
-            x = v & mask
-            y = (v >> shift) & mask
-            v = (x + y) | (((x | guards) - y) << shift)
-        yield v & values
+        raw = lanes.tobytes()
+        vs = []
+        for at in range(0, len(raw), step):
+            v = int.from_bytes(raw[at : at + step], "little")
+            for shift, mask in stages:
+                x = v & mask
+                y = (v >> shift) & mask
+                v = (x + y) | (((x | guards) - y) << shift)
+            vs.append(v & values)
+        for i, j in tops:
+            x, y = vs[i], vs[j]
+            vs[i], vs[j] = (x + y) & values, ((x | guards) - y) & values
+        yield vs
 
 
 def _min_weight(
@@ -208,27 +230,32 @@ def _min_weight(
     weight).  With fold the rows span a complement of {0, 1} in a
     length-n code holding 1, so each weight w also stands for n - w.
 
-    A block is decoded only when some lane beats the best weight so far:
-    adding 2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
+    Each block comes as the pieces of _walsh_blocks, and a piece is
+    decoded only when some lane beats the best weight so far: adding
+    2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
     exactly when it holds more than 2(n - best), that is w < best, and
-    the same test on 2n - lane finds n - w < best."""
-    code, bits, ones, b = _lane_format(n, len(rows))
+    the same test on 2n - lane finds n - w < best.  The zero message is
+    lane 0 of piece 0 of block 0, and no other lane."""
+    code, bits, ones, _, p = _lane_format(n, len(rows))
     guards = ones << (bits - 1)
     if best is None:
         best = n if fold else n + 1  # fold: the zero message's coset {0, 1}
     seen = None
-    for h, v in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
-        if best != seen:
-            seen = best
-            thresh = guards - (1 + 2 * (n - best)) * ones
-            flipped = 2 * n * ones + thresh
-        if h == 0 or (v + thresh) & guards or fold and (flipped - v) & guards:
-            lanes = _unpack(v, code, b)
-            if h == 0:
-                lanes = memoryview(lanes)[1:]  # the zero message
-            best = min(best, n - max(lanes) // 2)
-            if fold:
-                best = min(best, min(lanes) // 2)
+    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
+        for i, v in enumerate(pieces):
+            if best != seen:
+                seen = best
+                thresh = guards - (1 + 2 * (n - best)) * ones
+                flipped = 2 * n * ones + thresh
+            zero = not (h or i)
+            if zero or (v + thresh) & guards or fold and (flipped - v) & guards:
+                lanes = _unpack(v, code, p)
+                if zero:
+                    del lanes[0]  # the zero message; a one-lane piece (p = 0) is then empty
+                if lanes:
+                    best = min(best, n - max(lanes) // 2)
+                    if fold:
+                        best = min(best, min(lanes) // 2)
     return best
 
 
@@ -362,10 +389,11 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
     n = code.n
-    lane_code, _, _, b = _lane_format(n, code.k)
+    lane_code, _, _, _, p = _lane_format(n, code.k)
     counts = Counter()
-    for v in _walsh_blocks(code.rows, n):
-        counts.update(_unpack(v, lane_code, b))
+    for pieces in _walsh_blocks(code.rows, n):
+        for v in pieces:
+            counts.update(_unpack(v, lane_code, p))
     return [counts[2 * (n - w)] for w in range(n + 1)]
 
 

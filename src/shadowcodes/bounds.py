@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,6 +37,9 @@ K0_N_MAX = 10**9
 # n = 2^16, so the length is capped there
 GV_N_MAX = 1 << 16
 FIG4_M_MAX = 511  # n = 4^m must fit a float
+# floor_power takes an r-th root of n^p: at 2^18 bits, p = 253 at
+# n = 4^511, one root took 18 ms and fig4 over m = 2..511 took 5 s
+POWER_BITS_MAX = 1 << 18
 # fig1's grid lists every point before it drops repeats: 2^16 points
 # over n = 10 .. 10^9 take about 2 s and 30 MB, where 10^9 points ran
 # out of a 1 GB address space
@@ -209,6 +213,34 @@ def deltacon(n: int, k: int) -> float:
     return 0.5 - (k - m - 1) / ((1 << m) * (2 * m + 2))
 
 
+def floor_power(n: int, a: float) -> int:
+    """floor(n^a) exactly, for n >= 1 and a >= 0 read as the decimal it
+    prints: 0.49 is 49/100, and floor(n^(p/r)) is the integer r-th root
+    of n^p, for p/r in lowest terms."""
+    a = Fraction(repr(a))
+    p, r = a.numerator, a.denominator
+    if p * n.bit_length() > POWER_BITS_MAX:
+        raise BudgetExceeded(
+            f"floor(n^a) at a = {p}/{r} and a {n.bit_length()}-bit n takes a root of"
+            f" n^{p}, past the {POWER_BITS_MAX}-bit budget; give a with fewer digits"
+        )
+    return _iroot(n**p, r)
+
+
+def _iroot(x: int, r: int) -> int:
+    """floor(x^(1/r)) for x >= 0 and r >= 1.  Newton's method steps down
+    to it from a guess at or above the root: one plus the root of x with
+    its low r*s bits dropped, shifted up by s, which is close to the root
+    when s is half its bits."""
+    if x.bit_length() <= r:
+        return min(x, 1)  # x < 2^r
+    s = x.bit_length() // (2 * r)
+    y = _iroot(x >> (r * s), r) + 1 << s if s else 1 << -(-x.bit_length() // r)
+    while (z := ((r - 1) * y + x // y ** (r - 1)) // r) < y:
+        y = z
+    return y
+
+
 # -- figure tables -------------------------------------------------------
 
 
@@ -295,17 +327,19 @@ def fig3_rows(n: int = 1024, seed: int = DEFAULT_SEED):
 
 
 def fig4_rows(a: float = 0.49, m_min: int = 2, m_max: int = 10):
-    """Both families at dimension floor(n^a) across n = 4^m."""
+    """Both families at dimension floor(n^a) across n = 4^m, the floor
+    taken exactly by floor_power."""
     if not 0 < a <= 0.5:
         raise BadShape(f"the sublinear exponent must sit in (0, 1/2], got {a}")
     if m_min < 2:
         raise BadParameters("the comparison starts at n = 16 (m >= 2)")
     if not m_min <= m_max <= FIG4_M_MAX:
         raise BadParameters(f"need m_min <= m_max <= {FIG4_M_MAX}, got {m_min}, {m_max}")
+    floor_power(1 << (2 * m_max), a)  # an a past the root budget is refused before any row
     rows: list[BoundPoint] = []
     for m in range(m_min, m_max + 1):
         n = 1 << (2 * m)
-        k = math.floor(n**a)
+        k = floor_power(n, a)
         rows.append(BoundPoint("rsrm", n, k, k / n, deltacon(n, k), "lower_bound"))
         rows.append(
             BoundPoint("shadow_deg1", n, k, k / n, shadow_lb_deg1(n, k) / n, "lower_bound")

@@ -8,6 +8,7 @@ from helpers import naive_min_distance, naive_span, naive_weight_hist
 from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
+    PIECE_ROWS,
     BinaryCode,
     _echelon,
     _holds_reversal,
@@ -99,34 +100,39 @@ def test_elimination_matches_span_enumeration(rows):
 
 
 def _block_weights(rows, n, lo, hi):
-    """Every weight the blocks [lo, hi) of _walsh_blocks hold, counted."""
-    b = min(binary.LOW_ROWS, len(rows))
-    code = _lane_format(n, b)[0]
+    """Every weight the pieces of the blocks [lo, hi) of _walsh_blocks
+    hold, counted."""
+    code, _, _, _, p = _lane_format(n, len(rows))
     counts = Counter()
-    for v in _walsh_blocks(rows, n, lo, hi):
-        counts.update(n - lane // 2 for lane in _unpack(v, code, b))
+    for pieces in _walsh_blocks(rows, n, lo, hi):
+        for v in pieces:
+            counts.update(n - lane // 2 for lane in _unpack(v, code, p))
     return counts
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     width=st.integers(1, 4),
+    piece=st.integers(0, 4),
     k=st.integers(1, 7),
     extra=st.integers(0, 30),
     seed=st.integers(0, 2**32),
 )
-def test_walsh_kernel_matches_naive_oracles(width, k, extra, seed):
+def test_walsh_kernel_matches_naive_oracles(width, piece, k, extra, seed):
     # a narrow low-row block puts k below, at and above its width, so
-    # that codes small enough for the oracles still span many blocks
-    _check_kernel(random_linear_code(k + extra, k, seed), width)
+    # that codes small enough for the oracles still span many blocks,
+    # and pieces of 1 to 2^width lanes run 0 to width top stages
+    _check_kernel(random_linear_code(k + extra, k, seed), width, piece)
 
 
-def _check_kernel(code: BinaryCode, width: int) -> None:
+def _check_kernel(code: BinaryCode, width: int, piece: int) -> None:
     """exact_min_distance, weight_distribution and the blocks of every
-    two-span cut against the naive oracles, at LOW_ROWS = width."""
+    two-span cut against the naive oracles, at LOW_ROWS = width and
+    PIECE_ROWS = min(piece, width)."""
     hist = naive_weight_hist(code.rows, code.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
+        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         assert weight_distribution(code) == hist
         # two spans [0, cut) and [cut, blocks), cut at any high Gray
@@ -164,13 +170,13 @@ _WIDE_CODE = _repeated_columns(3, dict.fromkeys(range(8), 2100), 0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(width=st.integers(1, 4), code=_heavy_column_codes())
-@example(width=2, code=_WIDE_CODE)
-def test_walsh_kernel_on_heavily_repeated_columns(width, code):
+@given(width=st.integers(1, 4), piece=st.integers(0, 4), code=_heavy_column_codes())
+@example(width=2, piece=1, code=_WIDE_CODE)
+def test_walsh_kernel_on_heavily_repeated_columns(width, piece, code):
     """A lane's count can pass the byte range and the guard bias must
     keep every lane positive; each hit takes 2 off a lane whose pattern
     the high codeword selects, as many times as its columns repeat."""
-    _check_kernel(code, width)
+    _check_kernel(code, width, piece)
 
 
 def test_wide_code_takes_32_bit_lanes():
@@ -202,12 +208,13 @@ def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
 @settings(max_examples=60, deadline=None)
 @given(
     width=st.integers(1, 4),
+    piece=st.integers(0, 4),
     k=st.integers(1, 7),
     extra=st.integers(0, 20),
     seed=st.integers(0, 2**32),
     ones=st.sampled_from(["row", "span", "absent"]),
 )
-def test_quotient_walk_matches_naive_oracle(width, k, extra, seed, ones):
+def test_quotient_walk_matches_naive_oracle(width, piece, k, extra, seed, ones):
     # k - 1 walked rows fall below, at and above a narrow low-row block
     n = k + extra
     code = _ones_code(n, k, seed, ones)
@@ -218,6 +225,7 @@ def test_quotient_walk_matches_naive_oracle(width, k, extra, seed, ones):
     d = naive_min_distance(code.rows, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
+        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
         assert exact_min_distance(code) == d
         # two folded spans [0, cut) and [cut, blocks), cut at any high
         # Gray index, give the same minimum
@@ -351,13 +359,14 @@ def _unpacked_pairs(rows, n: int) -> list[tuple[int, int]]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(width=st.integers(1, 3), code=_reversal_invariant_codes())
-def test_orbit_walk_matches_naive_oracle(width, code):
+@given(width=st.integers(1, 3), piece=st.integers(0, 3), code=_reversal_invariant_codes())
+def test_orbit_walk_matches_naive_oracle(width, piece, code):
     # the code holds the reversal of each word: checked on its span
     span = set(naive_span(code.rows))
     assert {_reverse(word, code.n) for word in span} == span
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
+        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         if code.k > 1:
             rows = _quotient_rows(code)
@@ -444,10 +453,57 @@ def test_code_without_its_reversal_keeps_the_folded_walk(monkeypatch, code):
 
 
 def test_lane_format_lays_out_the_low_rows_of_a_block():
-    """b = min(LOW_ROWS, k) rows span a block of 2^b lanes, one 1 each."""
-    for k in (1, LOW_ROWS, LOW_ROWS + 3):
-        _, _, ones, b = _lane_format(100, k)
-        assert b == min(LOW_ROWS, k) and ones.bit_count() == 1 << b
+    """b = min(LOW_ROWS, k) rows span a block of 2^b lanes, in pieces of
+    2^p lanes, p = min(PIECE_ROWS, b), one 1 each."""
+    for k in (1, PIECE_ROWS, PIECE_ROWS + 1, LOW_ROWS, LOW_ROWS + 3):
+        _, _, ones, b, p = _lane_format(100, k)
+        assert b == min(LOW_ROWS, k) and p == min(PIECE_ROWS, b)
+        assert ones.bit_count() == 1 << p
+
+
+def _joined_blocks(rows, n: int) -> list[int]:
+    """Each block of _walsh_blocks as one int: its pieces joined in order."""
+    _, bits, _, _, p = _lane_format(n, len(rows))
+    blocks = _walsh_blocks(rows, n)
+    return [sum(v << (i * bits << p) for i, v in enumerate(pieces)) for pieces in blocks]
+
+
+def test_pieces_join_to_the_one_int_block(monkeypatch):
+    """Piece i of a block holds lanes i 2^p .. (i + 1) 2^p - 1: the pieces
+    joined in order are the transform a single piece of the whole block
+    gives, at the module's constants and at every narrower piece."""
+    code = random_linear_code(90, LOW_ROWS + 1, 4)
+    pieces = [len(p) for p in _walsh_blocks(code.rows, code.n)]
+    assert pieces == [1 << (LOW_ROWS - PIECE_ROWS)] * 2
+    joined = _joined_blocks(code.rows, code.n)
+    monkeypatch.setattr(binary, "PIECE_ROWS", LOW_ROWS)
+    assert _joined_blocks(code.rows, code.n) == joined
+    monkeypatch.setattr(binary, "LOW_ROWS", 4)
+    code = random_linear_code(40, 6, 9)
+    whole = _joined_blocks(code.rows, code.n)
+    for piece in range(4):
+        monkeypatch.setattr(binary, "PIECE_ROWS", piece)
+        assert _joined_blocks(code.rows, code.n) == whole
+
+
+def test_lightest_word_on_lane_0_of_a_later_piece():
+    """The last of PIECE_ROWS + 1 rows alone is message 2^PIECE_ROWS, lane
+    0 of piece 1 of block 0, and the one word of weight 1: the other rows
+    have even weight off column 0, so every other nonzero word weighs 2
+    or more.  A scan that skips lane 0 of every piece, not only of
+    piece 0, misses it."""
+    n, rng = 41, random.Random(3)
+    rows = []
+    while len(rows) < PIECE_ROWS:
+        row = rng.getrandbits(n - 1) << 1
+        row ^= (row.bit_count() & 1) << 1
+        if gf2_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    rows.append(1)
+    assert _lane_format(n, len(rows))[3:] == (PIECE_ROWS + 1, PIECE_ROWS)
+    assert _min_weight(tuple(rows), n, 0, 1) == 1
+    assert _min_weight(tuple(rows[:-1]), n, 0, 1) == naive_min_distance(rows[:-1], n) >= 2
+    assert exact_min_distance(BinaryCode(rows, n)) == 1
 
 
 @pytest.mark.parametrize("n, lane", [(16383, "H"), (16384, "I")])

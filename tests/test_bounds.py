@@ -17,9 +17,12 @@ from shadowcodes.bounds import (
     K0_N_MAX,
     deltacon,
     dg_params,
+    POWER_BITS_MAX,
+    _iroot,
     fig1_rows,
     fig3_rows,
     fig4_rows,
+    floor_power,
     fourth_power_exponent,
     gv_min_distance,
     k0,
@@ -242,6 +245,45 @@ def test_fig4_shadow_column():
     for a in (0.0, 0.51):
         with pytest.raises(BadShape):
             fig4_rows(a)
+
+
+@pytest.mark.parametrize("a, p, r", [(0.25, 1, 4), (0.4, 2, 5), (0.49, 49, 100), (0.5, 1, 2)])
+def test_floor_power_is_exact_past_float_precision(a, p, r):
+    """fig4's k = floor(n^a) at n = 4^m, a = p/r, has k^r <= n^p < (k + 1)^r
+    at lengths where k passes 2^53, so the float floor(n**a) can miss."""
+    for m in (50, 62, 105):
+        n = 1 << (2 * m)
+        k = floor_power(n, a)
+        assert k**r <= n**p < (k + 1) ** r
+        assert {row.k for row in fig4_rows(a, m, m)} == {k}
+
+
+def test_floor_power_mends_the_float_floor():
+    """At m = 50 and a = 0.49, n^a is 2^49 exactly; the float floor printed
+    one less."""
+    n = 1 << 100
+    assert math.floor(n**0.49) == 2**49 - 1
+    assert floor_power(n, 0.49) == 2**49
+    assert floor_power(n, 0.5) == 2**50 and floor_power(n, 0.0) == 1
+    assert floor_power(1, 0.49) == 1 and floor_power(3, 5e-324) == 1
+
+
+def test_integer_root_brackets_the_real_root():
+    rng = random.Random(5)
+    cases = [(x, r) for x in range(70) for r in range(1, 5)]
+    cases += [(rng.getrandbits(rng.randrange(1, 600)), rng.randrange(1, 60)) for _ in range(500)]
+    for x, r in cases:
+        y = _iroot(x, r)
+        assert y**r <= x < (y + 1) ** r, (x, r)
+
+
+def test_fig4_refuses_an_exponent_past_the_root_budget():
+    """a = 0.499 is 499/1000: n^499 at n = 4^511 has more bits than the
+    budget, so the table is refused before any row is computed."""
+    assert 499 * (2 * FIG4_M_MAX + 1) > POWER_BITS_MAX
+    with pytest.raises(BudgetExceeded):
+        fig4_rows(0.499, 2, FIG4_M_MAX)
+    assert len(fig4_rows(0.499, 2, 4)) == 6
 
 
 # ---------------------------------------------------------------- tables

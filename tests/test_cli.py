@@ -284,6 +284,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
         ("figure", "fig1", "--n-max", str(10**21)),
         ("verify", "theorem6", "--n-max", str(10**10)),
         ("figure", "fig4", "--m-max", "512"),
+        ("figure", "fig4", "--a", "0.499", "--m-max", "511"),
         ("figure", "fig1", "--points", "0"),
         ("figure", "fig1", "--points", "-3"),
         ("figure", "fig1", "--n-min", "10", "--n-max", "11", "--points", str((1 << 16) + 1)),
@@ -298,6 +299,7 @@ def test_bad_construct_and_sample_parameters_exit_two(tmp_path, capsys):
          "concat_field_too_large", "theorem7_field_too_large", "theorem6_n_max_negative",
          "theorem7_m_negative", "weil_count_negative", "weil_q_max_below_roster",
          "k0_n_too_large", "fig1_n_max_too_large", "theorem6_n_max_too_large", "fig4_m_max_overflows",
+         "fig4_a_past_the_root_budget",
          "fig1_no_points", "fig1_negative_points", "fig1_points_past_the_budget",
          "deltacon_k_negative",
          "shadow1_n_overflows", "shadow2_n_overflows", "shadow1_k_overflows",
