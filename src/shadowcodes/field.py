@@ -22,10 +22,9 @@ shift of the log by (q - 1)/2 in odd characteristic; past the tables
 add and neg are one digit pass.  A difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
-horner evaluates a coefficient tuple at many points with the tables
-bound once: mod p in a prime field, on logs and Zech logarithms in a
-tabled one, and through mul and add past the tables.  It is the
-package's one Horner evaluation; a Poly called at one point uses it.
+horner, the package's one Horner evaluation, takes two lookups a step
+in byte rows of sums and products up to q = 256, which Poly * reads
+too; past them it works mod p in a prime field, else by mul and add.
 
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
@@ -56,6 +55,8 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 16
+# fields up to this order keep byte rows of their sums and products
+BYTE_ROWS_LIMIT = 256
 # trial division stops here, a few hundredths of a second in: every
 # integer up to its square, 10^12, is factored, and a larger one with
 # no factor below it is refused
@@ -123,6 +124,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_exp", "_log", "_zech", "_primitive", "_chi_str", "_squares",
+        "_rows",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
@@ -136,6 +138,7 @@ class Field:
         self._primitive: int | None = None
         self._chi_str: str | None = None
         self._squares: itemgetter | None = None
+        self._rows: tuple[list[bytes], list[bytes]] | None = None
         if self.m > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -172,14 +175,10 @@ class Field:
 
     def _add_digits(self, a: int, b: int, sign: int = 1) -> int:
         # digitwise a + sign * b, for extension fields past TABLE_LIMIT
-        p = self.p
-        out = 0
-        mult = 1
+        p, out, mult = self.p, 0, 1
         for _ in range(self.m):
-            out += ((a + sign * b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+            out += (a + sign * b) % p * mult
+            a, b, mult = a // p, b // p, mult * p
         return out
 
     def neg(self, a: int) -> int:
@@ -245,62 +244,54 @@ class Field:
             return self._exp[self._log[a] + self._log[b]]
         return self.index(self._mul_digits(self.digits(a), self.digits(b)))
 
+    def byte_rows(self) -> tuple[list[bytes], list[bytes]] | None:
+        """(sums, prods), q rows of q bytes with sums[a][b] = a + b and
+        prods[a][b] = a * b, built on the first call; None past
+        BYTE_ROWS_LIMIT.  Each row is one or two bytes.translate calls:
+        the product row of a != 0 maps log b (0 takes the spare log
+        q - 1) to g^(log a + log b), g the least primitive element, and
+        the sum row of a != 0 is a(1 + b/a), the product row of 1/a =
+        g^(-log a) read through the row of 1 + b, then that of a."""
+        if self._rows is None and self.q <= BYTE_ROWS_LIMIT:
+            q, p, g = self.q, self.p, self.primitive_element()
+            powers = [self.pow(g, t) for t in range(q - 1)]
+            logs = bytes([q - 1, *sorted(range(q - 1), key=powers.__getitem__)])
+            cycle, pad = bytes(powers) * 2, bytes(256 - q)
+            prods = [bytes(q)] + [logs.translate(cycle[t : t + q - 1] + bytes(257 - q))
+                                  for t in logs[1:]]
+            one_up = bytes(b - b % p + (b + 1) % p for b in range(q)) + pad
+            sums = [bytes(range(q))] + [prods[powers[-t]].translate(one_up).translate(prods[a] + pad)
+                                        for a, t in enumerate(logs[1:], 1)]
+            self._rows = sums, prods
+        return self._rows
+
     def horner(self, coeffs, points) -> list[int]:
         """The polynomial with coefficients coeffs (low degree first) at
-        every point, by Horner's rule from the leading coefficient.
-
-        A prime field runs acc = (acc * x + c) % p.  A tabled extension
-        field keeps acc as its log la: times x is la + log x, and plus c
-        is la + zech[log c - la], each reduced once by q - 1, with -1
-        marking 0; the point 0 reads coeffs[0].  An untabled field calls
-        mul and add per step."""
-        if not coeffs:
-            return [0] * len(points)
-        top, rest = coeffs[-1], coeffs[-2::-1]
-        if self.m == 1:
-            p = self.p
+        every point, by Horner's rule from the leading coefficient; a
+        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT a
+        step is acc = sums[c][prods[x][acc]], past it (acc * x + c) % p
+        in a prime field and add(mul(acc, x), c) in an extension field."""
+        q = self.q
+        if points and not (0 <= min(points) and max(points) < q):
+            raise BadParameters(f"evaluation points must lie in 0..{q - 1} for GF({q})")
+        top, rest = coeffs[-1] if coeffs else 0, coeffs[-2::-1]
+        rows = self.byte_rows()
+        if rows is not None:
+            steps, prods = [rows[0][c] for c in rest], rows[1]
             out = []
             for x in points:
-                acc = top
-                for c in rest:
-                    acc = (acc * x + c) % p
+                px, acc = prods[x], top
+                for s in steps:
+                    acc = s[px[acc]]
                 out.append(acc)
             return out
-        if self._zech is None:
-            mul, add = self.mul, self.add
-            out = []
-            for x in points:
-                acc = top
-                for c in rest:
-                    acc = add(mul(acc, x), c)
-                out.append(acc)
-            return out
-        exp, log, zech, n = self._exp, self._log, self._zech, self.q - 1
-        logs = [log[c] if c else -1 for c in reversed(coeffs)]
-        c0 = coeffs[0]
+        prime, p, mul, add = self.m == 1, self.p, self.mul, self.add
         out = []
         for x in points:
-            if x == 0:
-                out.append(c0)
-                continue
-            lx = log[x]
-            la = -1
-            for lc in logs:
-                if la < 0:
-                    la = lc
-                    continue
-                la += lx
-                if la >= n:
-                    la -= n
-                if lc >= 0:
-                    z = zech[lc - la]
-                    if z < 0:
-                        la = -1
-                    else:
-                        la += z
-                        if la >= n:
-                            la -= n
-            out.append(exp[la] if la >= 0 else 0)
+            acc = top
+            for c in rest:
+                acc = (acc * x + c) % p if prime else add(mul(acc, x), c)
+            out.append(acc)
         return out
 
     def inv(self, a: int) -> int:

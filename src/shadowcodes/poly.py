@@ -75,16 +75,23 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Schoolbook product, one output slice per coefficient of the
+        shorter factor, on the field's byte rows where it has them."""
         self._check_field(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        if not a:
             return Poly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
+        rows = f.byte_rows()
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+                span = slice(i, i + len(b))
+                if rows:
+                    sums, row = rows[0], rows[1][ai]
+                    out[span] = [sums[o][row[bj]] for o, bj in zip(out[span], b)]
+                else:
+                    out[span] = [f.add(o, f.mul(ai, bj)) for o, bj in zip(out[span], b)]
         return Poly(f, out)
 
     def __mod__(self, other: "Poly") -> "Poly":

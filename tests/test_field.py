@@ -29,6 +29,7 @@ from shadowcodes.field import (
     nearest_odd_prime_power,
     prime_power,
 )
+from shadowcodes.poly import Poly
 
 
 def test_prime_field_basics():
@@ -587,8 +588,10 @@ def _ref_horner(f, coeffs, x):
     return acc
 
 
-# a prime field, tabled fields of degree 2 and 5, and the untabled GF(5^7)
-HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (3, 5), (5, 7)]
+# a prime field, byte-row fields of degree 2 and 5, GF(2^8) at the edge
+# of the byte rows, GF(3^6) just past it with exp and log tables, and the
+# untabled GF(5^7)
+HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (3, 5), (2, 8), (3, 6), (5, 7)]
 HORNER_IDS = [f"GF({p}^{m})" for p, m in HORNER_FIELDS]
 
 
@@ -618,3 +621,59 @@ def test_horner_edge_cases(p, m):
         cs = (5, f.neg(a), 1)
         assert f.horner(cs, [0, a]) == [5, _ref_horner(f, cs, a)] == [5, 5]
     assert f.horner((3, 2, 0, 1), [0]) == [3]
+
+
+@pytest.mark.parametrize(
+    "p, m, bad",
+    [(13, 1, 16), (13, 1, -1), (3, 2, 9), (3, 2, -1), (5, 7, 5**7), (5, 7, -1)],
+    ids=["prime_above", "prime_below", "byte_rows_above", "byte_rows_below",
+         "untabled_above", "untabled_below"],
+)
+def test_horner_refuses_a_point_outside_the_field(p, m, bad):
+    """A point outside 0..q - 1 is refused, not reduced mod p, read
+    off the end of a row or taken as a digit pattern, wherever it sits
+    among the points and for the zero polynomial too."""
+    f = field_create(p, m)
+    for coeffs in ((1, 2, 1), (4,), ()):
+        with pytest.raises(BadParameters):
+            f.horner(coeffs, [0, bad, 1])
+    with pytest.raises(BadParameters):
+        Poly(f, (1, 2, 1))(bad)
+    assert f.horner((1, 2, 1), [0, f.q - 1]) == [Poly(f, (1, 2, 1))(x) for x in (0, f.q - 1)]
+
+
+def _check_byte_rows(f, pairs):
+    sums, prods = f.byte_rows()
+    assert len(sums) == len(prods) == f.q
+    assert all(type(r) is bytes and len(r) == f.q for r in sums + prods)
+    for a, b in pairs:
+        assert sums[a][b] == _ref_add(f.p, f.m, a, b), (f, a, b)
+        assert prods[a][b] == ref_ext_mul(f.p, f.m, f.modulus, a, b), (f, a, b)
+
+
+@pytest.mark.parametrize("p, m", SMALL_FIELDS, ids=[f"GF({p}^{m})" for p, m in SMALL_FIELDS])
+def test_byte_rows_match_the_references_on_every_pair(p, m):
+    f = field_create(p, m)
+    _check_byte_rows(f, [(a, b) for a in range(f.q) for b in range(f.q)])
+
+
+@pytest.mark.parametrize("q", [81, 121, 243, 256])
+def test_byte_rows_match_the_references_on_drawn_pairs(q):
+    """Every row and every column is read at least 5 times, at 1 among
+    them."""
+    f = field_of_order(q)
+    rng = random.Random(q)
+    pairs = [(a, b) for a in range(q) for b in [1] + [rng.randrange(q) for _ in range(4)]]
+    _check_byte_rows(f, pairs + [(b, a) for a, b in pairs])
+
+
+def test_byte_rows_are_built_on_first_use_up_to_256():
+    """A new field, prime or not, holds no rows until asked, then keeps
+    the ones it built; past 256 there are none."""
+    for q in (2, 13, 49, 251, 256):
+        pm = prime_power(q)
+        f = Field(*pm, None if pm[1] == 1 else field_of_order(q).modulus)
+        assert f._rows is None
+        assert f.byte_rows() is f.byte_rows() is not None
+    for q in (257, 729, 1031, 5**7):
+        assert field_of_order(q).byte_rows() is None

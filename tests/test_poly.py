@@ -4,7 +4,13 @@ from itertools import product, starmap, zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import necklace_count, oracle_irreducible, reducible_monic_quadratics, ref_divmod
+from helpers import (
+    necklace_count,
+    oracle_irreducible,
+    reducible_monic_quadratics,
+    ref_divmod,
+    ref_eval,
+)
 from shadowcodes.errors import (
     BadParameters,
     ConstantInput,
@@ -69,8 +75,10 @@ def test_eval_extension_field():
 
 
 def test_arithmetic_identities_random():
+    """* over byte rows (GF(7), GF(9)) and past them (GF(3^6)), checked
+    at a point by ref_eval, which evaluates without Field.horner."""
     rng = random.Random(17)
-    for field in (F7, F9):
+    for field in (F7, F9, field_create(3, 6)):
         for _ in range(100):
             f = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(5))])
             g = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(5))])
@@ -78,6 +86,7 @@ def test_arithmetic_identities_random():
             assert (f * g) * h == f * (g * h)
             assert f * g == g * f
             x = rng.randrange(field.q)
+            assert ref_eval(f * g, x) == field.mul(ref_eval(f, x), ref_eval(g, x))
             assert (f * g)(x) == field.mul(f(x), g(x))
 
 
