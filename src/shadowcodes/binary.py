@@ -7,10 +7,18 @@ of the low b rows at once with a Walsh transform (MacWilliams & Sloane,
 ch. 5): the columns are histogrammed by their low-row pattern, signed
 by the block's high codeword, and the 2^b transform lanes give 2(n - w)
 for every codeword of the block.  A block's lanes are packed into
-2^(b - p) ints of 2^p lanes each, p = min(PIECE_ROWS, b): the top b - p
-butterfly stages pair whole pieces and need no shift.  Piece i holds
-lanes i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order are the
-block as one int.
+2^(b - p) ints of 2^p lanes each, a piece filling PIECE_BYTES bytes or
+the whole block: the top b - p butterfly stages pair whole pieces and
+need no shift.  Piece i holds lanes i 2^p .. (i + 1) 2^p - 1, so the
+pieces joined in order are the block as one int.
+
+Lanes count modulo 2^(bits - 1), below a guard bit, and a lane reads
+exactly below that, so each walk takes the narrowest of 8-, 16-, 32- and
+64-bit lanes whose value bits hold the largest lane it reads.  The
+weight distribution reads the zero message's 2n, and gets 8-bit lanes up
+to n = 63.  The minimum-distance scan never reads that lane, and every
+other lane is 2(n - w) with w >= 1, at most 2n - 2: it gets 8-bit lanes
+up to n = 64.
 
 When the all-ones word 1 lies in the code, c and c + 1 weigh w and
 n - w, so the exact minimum-distance scan walks only the 2^(k-1)
@@ -35,7 +43,7 @@ from .errors import BadParameters, DimensionTooLarge, LengthMismatch
 ENUM_BUDGET_LOG2 = 28
 WEIGHT_DIST_BUDGET_LOG2 = 24
 LOW_ROWS = 14  # rows per transform block: 2^14 lanes
-PIECE_ROWS = 11  # rows per piece of a block: 2^11 lanes in one packed int
+PIECE_BYTES = 4096  # bytes per piece of a block, one packed int: 2^12 8-bit lanes
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -104,15 +112,18 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _lane_format(n: int, k: int) -> tuple[str, int, int, int, int]:
+def _lane_format(top: int, k: int) -> tuple[str, int, int, int, int]:
     """Array type code, width in bits and lane-wise 1 of a piece of the
     2^b lanes of a block over the low b = min(LOW_ROWS, k) of k rows, b,
-    and p = min(PIECE_ROWS, b), a piece holding 2^p lanes; a lane is wide
-    enough for 0..2n below a spare top bit, its guard bit."""
+    and p = min(b, log2(PIECE_BYTES / itemsize)), a piece holding 2^p
+    lanes.  Lanes count modulo 2^(bits - 1), below a spare top bit, their
+    guard bit, and a lane reads exactly below that: the lane is the
+    narrowest with top < 2^(bits - 1), top being the largest lane value
+    the caller reads."""
     b = min(LOW_ROWS, k)
-    p = min(PIECE_ROWS, b)
-    code = "H" if n < 1 << 14 else "I" if n < 1 << 30 else "Q"
+    code = "B" if top < 1 << 7 else "H" if top < 1 << 15 else "I" if top < 1 << 31 else "Q"
     size = array(code).itemsize
+    p = min(b, (PIECE_BYTES // size).bit_length() - 1)
     return code, 8 * size, int.from_bytes(b"\1".ljust(size, b"\0") * (1 << p), "little"), b, p
 
 
@@ -144,14 +155,17 @@ def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
     return stages[::-1]
 
 
-def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None):
+def _walsh_blocks(
+    rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None, top: int | None = None
+):
     """The pieces of each block, one list per Gray index h in [lo, hi) of
-    the high rows (default: all of them), laid out as _lane_format(n, k)
+    the high rows (default: all of them), laid out as _lane_format(top, k)
     for the low b = min(LOW_ROWS, k) rows: 2^(b - p) ints of 2^p lanes,
-    p = min(PIECE_ROWS, b), piece i holding lanes i 2^p .. (i + 1) 2^p - 1.
-    Lane u of block h holds 2(n - w) for the codeword of low message u plus
-    the high rows that gray(h) selects; lane 0 of piece 0 of block 0 is
-    the zero message.
+    piece i holding lanes i 2^p .. (i + 1) 2^p - 1.  Lane u of block h
+    holds 2(n - w) modulo 2^(bits - 1) for the codeword of low message u
+    plus the high rows that gray(h) selects, exact up to top (default 2n,
+    every lane); lane 0 of piece 0 of block 0 is the zero message.  A top
+    below 2n needs a nonzero low row, and is at least 2n - 2.
 
     Block h transforms the signed histogram f(t) = sum (-1)^(c_j) over
     the columns j whose low-row pattern is t, c being the high codeword,
@@ -159,18 +173,22 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = N
     (-1)^(c_j + u.t_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
     so each butterfly is one add and one subtract over all lanes; the
     guard bit absorbs the add's carry and the subtract's borrow, and
-    masking it off leaves 2(n - w) exact, as it lies in 0..2n.
+    masking it off leaves 2(n - w) modulo 2^(bits - 1).
 
     Every lane of the histogram starts at 2^(bits - 1) + count(t), its
     guard bit set, and each column of c takes 2 off its pattern's lane,
     so no lane falls below 2^(bits - 1) - count(t) > 0 and none needs a
-    modulo; 2n < 2^(bits - 1) keeps each below 2^bits.  The p low stages
+    modulo.  Lane 0 starts highest, at 2^(bits - 1) + count(0) + n, and
+    count(0) + n is at most top + 1 < 2^(bits - 1) for an even top: 2n
+    covers count(0) <= n, and a nonzero low row leaves count(0) <= n - 1
+    for 2n - 2.  At 8 bits and n = 64 that is 128 + 63 + 64 = 255, one
+    byte.  The p low stages
     run inside each piece, their masks holding value bits only, so a
     stage reads guard-free halves and leaves its junk guard bits to the
     next stage's mask; each piece is cleared once after them.  The b - p
     top stages pair whole pieces, lane for lane with no shift, and clear
     the guard bits of each sum and difference."""
-    code, bits, ones, b, p = _lane_format(n, len(rows))
+    code, bits, ones, b, p = _lane_format(2 * n if top is None else top, len(rows))
     low, high = rows[:b], rows[b:]
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
@@ -235,13 +253,17 @@ def _min_weight(
     2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
     exactly when it holds more than 2(n - best), that is w < best, and
     the same test on 2n - lane finds n - w < best.  The zero message is
-    lane 0 of piece 0 of block 0, and no other lane."""
-    code, bits, ones, _, p = _lane_format(n, len(rows))
+    lane 0 of piece 0 of block 0, and no other lane.  That lane is never
+    read, and each other lane is 2(n - w) with 1 <= w <= n, at most
+    2n - 2, so the lanes are _lane_format(2n - 2, k): 8 bits up to
+    n = 64, folded or not."""
+    top = 2 * n - 2
+    code, bits, ones, _, p = _lane_format(top, len(rows))
     guards = ones << (bits - 1)
     if best is None:
         best = n if fold else n + 1  # fold: the zero message's coset {0, 1}
     seen = None
-    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
+    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi, top), lo):
         for i, v in enumerate(pieces):
             if best != seen:
                 seen = best
@@ -389,7 +411,7 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
     n = code.n
-    lane_code, _, _, _, p = _lane_format(n, code.k)
+    lane_code, _, _, _, p = _lane_format(2 * n, code.k)
     counts = Counter()
     for pieces in _walsh_blocks(code.rows, n):
         for v in pieces:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from helpers import naive_min_distance, naive_span, naive_weight_hist
 from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
-    PIECE_ROWS,
+    PIECE_BYTES,
     BinaryCode,
     _echelon,
     _holds_reversal,
@@ -102,7 +103,7 @@ def test_elimination_matches_span_enumeration(rows):
 def _block_weights(rows, n, lo, hi):
     """Every weight the pieces of the blocks [lo, hi) of _walsh_blocks
     hold, counted."""
-    code, _, _, _, p = _lane_format(n, len(rows))
+    code, _, _, _, p = _lane_format(2 * n, len(rows))
     counts = Counter()
     for pieces in _walsh_blocks(rows, n, lo, hi):
         for v in pieces:
@@ -115,24 +116,33 @@ def _block_weights(rows, n, lo, hi):
     width=st.integers(1, 4),
     piece=st.integers(0, 4),
     k=st.integers(1, 7),
-    extra=st.integers(0, 30),
+    extra=st.integers(0, 63),
     seed=st.integers(0, 2**32),
 )
 def test_walsh_kernel_matches_naive_oracles(width, piece, k, extra, seed):
     # a narrow low-row block puts k below, at and above its width, so
     # that codes small enough for the oracles still span many blocks,
-    # and pieces of 1 to 2^width lanes run 0 to width top stages
+    # and pieces of 1 to 2^width lanes run 0 to width top stages; n up
+    # to 70 crosses the 8-bit lane edge at n = 63 and 64
     _check_kernel(random_linear_code(k + extra, k, seed), width, piece)
+
+
+def _piece_bytes(n: int, piece: int) -> int:
+    """The PIECE_BYTES that makes pieces of 2^piece lanes at length n on
+    the weight distribution's lanes.  The scan's lanes match them except
+    at n = 64, where they are half as wide and a piece holds
+    2^(piece + 1) of them."""
+    return (_lane_format(2 * n, 0)[1] // 8) << piece
 
 
 def _check_kernel(code: BinaryCode, width: int, piece: int) -> None:
     """exact_min_distance, weight_distribution and the blocks of every
     two-span cut against the naive oracles, at LOW_ROWS = width and
-    PIECE_ROWS = min(piece, width)."""
+    pieces of 2^min(piece, width) lanes."""
     hist = naive_weight_hist(code.rows, code.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
-        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
+        mp.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         assert weight_distribution(code) == hist
         # two spans [0, cut) and [cut, blocks), cut at any high Gray
@@ -180,7 +190,8 @@ def test_walsh_kernel_on_heavily_repeated_columns(width, piece, code):
 
 
 def test_wide_code_takes_32_bit_lanes():
-    assert _WIDE_CODE.n >= 1 << 14 and _lane_format(_WIDE_CODE.n, 2)[0] == "I"
+    n = _WIDE_CODE.n
+    assert n > 1 << 14 and _lane_format(2 * n - 2, 2)[0] == _lane_format(2 * n, 2)[0] == "I"
 
 
 @settings(max_examples=2, deadline=None)
@@ -210,12 +221,13 @@ def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:
     width=st.integers(1, 4),
     piece=st.integers(0, 4),
     k=st.integers(1, 7),
-    extra=st.integers(0, 20),
+    extra=st.integers(0, 63),
     seed=st.integers(0, 2**32),
     ones=st.sampled_from(["row", "span", "absent"]),
 )
 def test_quotient_walk_matches_naive_oracle(width, piece, k, extra, seed, ones):
-    # k - 1 walked rows fall below, at and above a narrow low-row block
+    # k - 1 walked rows fall below, at and above a narrow low-row block,
+    # and n up to 70 crosses the scan's 8-bit lane edge at n = 64
     n = k + extra
     code = _ones_code(n, k, seed, ones)
     ones_word = (1 << n) - 1
@@ -225,7 +237,7 @@ def test_quotient_walk_matches_naive_oracle(width, piece, k, extra, seed, ones):
     d = naive_min_distance(code.rows, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
-        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
+        mp.setattr(binary, "PIECE_BYTES", _piece_bytes(n, piece))
         assert exact_min_distance(code) == d
         # two folded spans [0, cut) and [cut, blocks), cut at any high
         # Gray index, give the same minimum
@@ -366,7 +378,7 @@ def test_orbit_walk_matches_naive_oracle(width, piece, code):
     assert {_reverse(word, code.n) for word in span} == span
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
-        mp.setattr(binary, "PIECE_ROWS", min(piece, width))
+        mp.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         if code.k > 1:
             rows = _quotient_rows(code)
@@ -454,73 +466,111 @@ def test_code_without_its_reversal_keeps_the_folded_walk(monkeypatch, code):
 
 def test_lane_format_lays_out_the_low_rows_of_a_block():
     """b = min(LOW_ROWS, k) rows span a block of 2^b lanes, in pieces of
-    2^p lanes, p = min(PIECE_ROWS, b), one 1 each."""
-    for k in (1, PIECE_ROWS, PIECE_ROWS + 1, LOW_ROWS, LOW_ROWS + 3):
-        _, _, ones, b, p = _lane_format(100, k)
-        assert b == min(LOW_ROWS, k) and p == min(PIECE_ROWS, b)
-        assert ones.bit_count() == 1 << p
+    2^p lanes, p = min(b, log2(PIECE_BYTES / itemsize)), one 1 each: a
+    piece of 8-, 16- and 32-bit lanes holds at most 2^12, 2^11 and 2^10."""
+    for top, lane, most in [(126, "B", 12), (128, "H", 11), (1 << 15, "I", 10)]:
+        for k in (1, most, most + 1, LOW_ROWS, LOW_ROWS + 3):
+            code, bits, ones, b, p = _lane_format(top, k)
+            assert code == lane and bits == 8 * array(lane).itemsize
+            assert b == min(LOW_ROWS, k) and p == min(most, b)
+            assert ones.bit_count() == 1 << p and bits << p <= 8 * PIECE_BYTES
 
 
-def _joined_blocks(rows, n: int) -> list[int]:
+def _joined_blocks(rows, n: int, top: int) -> list[int]:
     """Each block of _walsh_blocks as one int: its pieces joined in order."""
-    _, bits, _, _, p = _lane_format(n, len(rows))
-    blocks = _walsh_blocks(rows, n)
+    _, bits, _, _, p = _lane_format(top, len(rows))
+    blocks = _walsh_blocks(rows, n, top=top)
     return [sum(v << (i * bits << p) for i, v in enumerate(pieces)) for pieces in blocks]
 
 
 def test_pieces_join_to_the_one_int_block(monkeypatch):
     """Piece i of a block holds lanes i 2^p .. (i + 1) 2^p - 1: the pieces
     joined in order are the transform a single piece of the whole block
-    gives, at the module's constants and at every narrower piece."""
-    code = random_linear_code(90, LOW_ROWS + 1, 4)
-    pieces = [len(p) for p in _walsh_blocks(code.rows, code.n)]
-    assert pieces == [1 << (LOW_ROWS - PIECE_ROWS)] * 2
-    joined = _joined_blocks(code.rows, code.n)
-    monkeypatch.setattr(binary, "PIECE_ROWS", LOW_ROWS)
-    assert _joined_blocks(code.rows, code.n) == joined
+    gives, at the module's constants on 8- and 16-bit lanes and at every
+    narrower piece."""
+    for n, top, count in [(64, 126, 4), (90, 180, 8)]:
+        code = random_linear_code(n, LOW_ROWS + 1, 4)
+        pieces = [len(p) for p in _walsh_blocks(code.rows, n, top=top)]
+        assert pieces == [count] * 2
+        joined = _joined_blocks(code.rows, n, top)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binary, "PIECE_BYTES", 4 << LOW_ROWS)  # one piece a block
+            assert _joined_blocks(code.rows, n, top) == joined
     monkeypatch.setattr(binary, "LOW_ROWS", 4)
     code = random_linear_code(40, 6, 9)
-    whole = _joined_blocks(code.rows, code.n)
+    whole = _joined_blocks(code.rows, code.n, 80)
     for piece in range(4):
-        monkeypatch.setattr(binary, "PIECE_ROWS", piece)
-        assert _joined_blocks(code.rows, code.n) == whole
+        monkeypatch.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
+        assert _joined_blocks(code.rows, code.n, 80) == whole
 
 
 def test_lightest_word_on_lane_0_of_a_later_piece():
-    """The last of PIECE_ROWS + 1 rows alone is message 2^PIECE_ROWS, lane
-    0 of piece 1 of block 0, and the one word of weight 1: the other rows
-    have even weight off column 0, so every other nonzero word weighs 2
-    or more.  A scan that skips lane 0 of every piece, not only of
-    piece 0, misses it."""
+    """The last of p + 1 rows alone is message 2^p, lane 0 of piece 1 of
+    block 0, and the one word of weight 1: the other rows have even
+    weight off column 0, so every other nonzero word weighs 2 or more.
+    A scan that skips lane 0 of every piece, not only of piece 0, misses
+    it.  p is the scan's piece at n = 41, 2^12 8-bit lanes."""
     n, rng = 41, random.Random(3)
+    p = _lane_format(2 * n - 2, LOW_ROWS)[4]
     rows = []
-    while len(rows) < PIECE_ROWS:
+    while len(rows) < p:
         row = rng.getrandbits(n - 1) << 1
         row ^= (row.bit_count() & 1) << 1
         if gf2_rank(rows + [row]) > len(rows):
             rows.append(row)
     rows.append(1)
-    assert _lane_format(n, len(rows))[3:] == (PIECE_ROWS + 1, PIECE_ROWS)
+    assert _lane_format(2 * n - 2, len(rows))[3:] == (p + 1, p)
     assert _min_weight(tuple(rows), n, 0, 1) == 1
     assert _min_weight(tuple(rows[:-1]), n, 0, 1) == naive_min_distance(rows[:-1], n) >= 2
     assert exact_min_distance(BinaryCode(rows, n)) == 1
 
 
-@pytest.mark.parametrize("n, lane", [(16383, "H"), (16384, "I")])
-def test_lane_width_edge(n, lane):
-    """2n < 2^15 keeps 16-bit lanes with the guard bit free; n = 2^14 takes
-    32-bit lanes.  Each code has words of weight 1 and n - 1, the zero
-    message's lane 2n; the second holds 1, so its weight distribution
-    reads lanes 0 and 2n in one block."""
-    assert _lane_format(n, 3)[0] == lane
+@pytest.mark.parametrize("n, scan, hist", [
+    (63, "B", "B"), (64, "B", "H"), (65, "H", "H"),
+    (16383, "H", "H"), (16384, "H", "I"), (16385, "I", "I"),
+])
+def test_lane_width_edge(monkeypatch, n, scan, hist):
+    """Each walk takes the narrowest lane whose value bits hold the
+    largest lane it reads: 2n - 2 for the scan, which never reads the
+    zero message's 2n, and 2n for the weight distribution.  Each code
+    has words of weight 1 and n - 1, lanes 2n - 2 and 2; the second
+    holds 1, so its weight distribution reads lanes 0 and 2n in one
+    block.  A spy on _lane_format sees each walk take its lane."""
+    assert _lane_format(2 * n - 2, 3)[0] == scan and _lane_format(2 * n, 3)[0] == hist
+    taken = []
+
+    def spy(top, k):
+        fmt = _lane_format(top, k)
+        taken.append(fmt[0])
+        return fmt
+
+    monkeypatch.setattr(binary, "_lane_format", spy)
     ones = (1 << n) - 1
     for rows in [
         (1, ones ^ 1, random.Random(n).getrandbits(n)),
         (ones, ones ^ 1, ones ^ 0b110, random.Random(n + 1).getrandbits(n)),
     ]:
         code = BinaryCode.from_span(rows, n)
+        taken.clear()
         assert exact_min_distance(code) == naive_min_distance(code.rows, n)
+        assert set(taken) == {scan}
+        taken.clear()
         assert weight_distribution(code) == naive_weight_hist(code.rows, n)
+        assert set(taken) == {hist}
+
+
+def test_base_histogram_fills_a_byte_lane():
+    """Histogram lane 0 starts highest, at 2^7 + count(0) + n on 8-bit
+    lanes, count(0) counting the columns of low-row pattern 0.  A lone
+    row of weight 1 leaves count(0) = n - 1, so the scan at n = 64 starts
+    it at 128 + 63 + 64 = 255 and the weight distribution at n = 63 at
+    128 + 62 + 63 = 253; with no row, count(0) = n, and n = 63 starts it
+    at 254.  Each fits the byte, and each result matches its oracle."""
+    assert _lane_format(2 * 64 - 2, 1)[0] == _lane_format(2 * 63, 1)[0] == "B"
+    code = BinaryCode([1], 64)
+    assert exact_min_distance(code) == naive_min_distance(code.rows, 64) == 1
+    for code in (BinaryCode([1], 63), BinaryCode([], 63)):
+        assert weight_distribution(code) == naive_weight_hist(code.rows, 63)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])

@@ -51,6 +51,9 @@ def test_normalization_and_degree():
         Poly(F3, (3,))
     with pytest.raises(BadParameters):
         Poly(F3, (-1,))
+    # the first coefficient out of range is named, not the least or greatest
+    with pytest.raises(BadParameters, match=r"^coefficient 5 out of range for GF\(3\)$"):
+        Poly(F3, (1, 5, -1))
 
 
 def test_eval_hand_values():
