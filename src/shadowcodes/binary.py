@@ -1,24 +1,23 @@
 """Binary linear codes as integer bitsets.
 
 A length-n vector is an int with bit j holding coordinate j; a code is
-the row span of a tuple of such ints.  Exhaustive scans step the high
-rows in Gray-code order, one block per step, and weigh all 2^b messages
-of the low b rows at once with a Walsh transform (MacWilliams & Sloane,
-ch. 5): the columns are histogrammed by their low-row pattern, signed
-by the block's high codeword, and the 2^b transform lanes give 2(n - w)
-for every codeword of the block.  A block's lanes are packed into
-2^(b - p) ints of 2^p lanes each, a piece filling PIECE_BYTES bytes or
-the whole block: the top b - p butterfly stages pair whole pieces and
-need no shift.  Piece i holds lanes i 2^p .. (i + 1) 2^p - 1, so the
-pieces joined in order are the block as one int.
+the row span of a tuple of such ints.  The exact minimum-distance scan
+steps the high rows in Gray-code order, one block per step, and weighs
+all 2^b messages of the low b rows at once with a Walsh transform
+(MacWilliams & Sloane, ch. 5): the columns are histogrammed by their
+low-row pattern, signed by the block's high codeword, and the 2^b
+transform lanes give 2(n - w) for every codeword of the block.  A
+block's lanes are packed into 2^(b - p) ints of 2^p lanes each, a piece
+filling PIECE_BYTES bytes or the whole block: the top b - p butterfly
+stages pair whole pieces and need no shift.  Piece i holds lanes
+i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order are the block
+as one int.
 
 Lanes count modulo 2^(bits - 1), below a guard bit, and a lane reads
-exactly below that, so each walk takes the narrowest of 8-, 16-, 32- and
-64-bit lanes whose value bits hold the largest lane it reads.  The
-weight distribution reads the zero message's 2n, and gets 8-bit lanes up
-to n = 63.  The minimum-distance scan never reads that lane, and every
-other lane is 2(n - w) with w >= 1, at most 2n - 2: it gets 8-bit lanes
-up to n = 64.
+exactly below that.  The scan never reads the zero message's lane, and
+every other lane is 2(n - w) with w >= 1, at most 2n - 2, so the lanes
+are the narrowest of 8, 16, 32 and 64 bits whose value bits hold 2n - 2:
+8 bits up to n = 64 and 16 bits up to n = 16384.
 
 When the all-ones word 1 lies in the code, c and c + 1 weigh w and
 n - w, so the exact minimum-distance scan walks only the 2^(k-1)
@@ -27,7 +26,8 @@ When the code also holds the reversal of each of its words, which the
 reversed rows adding no rank decides exactly, reversing the coordinates
 is a weight-preserving involution M of that quotient, and the scan
 walks about one coset per orbit {x, Mx}: near half the quotient.  The
-weight distribution always walks all 2^k codewords.
+weight distribution walks all 2^k codewords in Gray-code order, taking
+one popcount a codeword.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def _lane_format(top: int, k: int) -> tuple[str, int, int, int, int]:
+def _lane_format(n: int, k: int) -> tuple[str, int, int, int, int]:
     """Array type code, width in bits and lane-wise 1 of a piece of the
-    2^b lanes of a block over the low b = min(LOW_ROWS, k) of k rows, b,
-    and p = min(b, log2(PIECE_BYTES / itemsize)), a piece holding 2^p
-    lanes.  Lanes count modulo 2^(bits - 1), below a spare top bit, their
-    guard bit, and a lane reads exactly below that: the lane is the
-    narrowest with top < 2^(bits - 1), top being the largest lane value
-    the caller reads."""
-    b = min(LOW_ROWS, k)
+    2^b lanes of a block over the low b = min(LOW_ROWS, k) of k length-n
+    rows, b, and p = min(b, log2(PIECE_BYTES / itemsize)), a piece
+    holding 2^p lanes.  Lanes count modulo 2^(bits - 1), below a spare
+    top bit, their guard bit, and a lane reads exactly below that: the
+    lane is the narrowest with 2n - 2 < 2^(bits - 1), 2n - 2 being the
+    largest lane the scan reads."""
+    b, top = min(LOW_ROWS, k), 2 * n - 2
     code = "B" if top < 1 << 7 else "H" if top < 1 << 15 else "I" if top < 1 << 31 else "Q"
     size = array(code).itemsize
     p = min(b, (PIECE_BYTES // size).bit_length() - 1)
@@ -155,17 +155,14 @@ def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
     return stages[::-1]
 
 
-def _walsh_blocks(
-    rows: tuple[int, ...], n: int, lo: int = 0, hi: int | None = None, top: int | None = None
-):
+def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     """The pieces of each block, one list per Gray index h in [lo, hi) of
-    the high rows (default: all of them), laid out as _lane_format(top, k)
-    for the low b = min(LOW_ROWS, k) rows: 2^(b - p) ints of 2^p lanes,
-    piece i holding lanes i 2^p .. (i + 1) 2^p - 1.  Lane u of block h
-    holds 2(n - w) modulo 2^(bits - 1) for the codeword of low message u
-    plus the high rows that gray(h) selects, exact up to top (default 2n,
-    every lane); lane 0 of piece 0 of block 0 is the zero message.  A top
-    below 2n needs a nonzero low row, and is at least 2n - 2.
+    the high rows, laid out as _lane_format(n, k) for the low
+    b = min(LOW_ROWS, k) rows, some of them nonzero: 2^(b - p) ints of
+    2^p lanes, piece i holding lanes i 2^p .. (i + 1) 2^p - 1.  Lane u
+    of block h holds 2(n - w) modulo 2^(bits - 1) for the codeword of
+    low message u plus the high rows that gray(h) selects, exact for
+    every lane but lane 0 of piece 0 of block 0, the zero message's.
 
     Block h transforms the signed histogram f(t) = sum (-1)^(c_j) over
     the columns j whose low-row pattern is t, c being the high codeword,
@@ -179,16 +176,15 @@ def _walsh_blocks(
     guard bit set, and each column of c takes 2 off its pattern's lane,
     so no lane falls below 2^(bits - 1) - count(t) > 0 and none needs a
     modulo.  Lane 0 starts highest, at 2^(bits - 1) + count(0) + n, and
-    count(0) + n is at most top + 1 < 2^(bits - 1) for an even top: 2n
-    covers count(0) <= n, and a nonzero low row leaves count(0) <= n - 1
-    for 2n - 2.  At 8 bits and n = 64 that is 128 + 63 + 64 = 255, one
-    byte.  The p low stages
-    run inside each piece, their masks holding value bits only, so a
-    stage reads guard-free halves and leaves its junk guard bits to the
-    next stage's mask; each piece is cleared once after them.  The b - p
-    top stages pair whole pieces, lane for lane with no shift, and clear
-    the guard bits of each sum and difference."""
-    code, bits, ones, b, p = _lane_format(2 * n if top is None else top, len(rows))
+    a nonzero low row leaves count(0) <= n - 1, so count(0) + n is at
+    most 2n - 1 < 2^(bits - 1).  At 8 bits and n = 64 that is
+    128 + 63 + 64 = 255, one byte.  The p low stages run inside each
+    piece, their masks holding value bits only, so a stage reads
+    guard-free halves and leaves its junk guard bits to the next stage's
+    mask; each piece is cleared once after them.  The b - p top stages
+    pair whole pieces, lane for lane with no shift, and clear the guard
+    bits of each sum and difference."""
+    code, bits, ones, b, p = _lane_format(n, len(rows))
     low, high = rows[:b], rows[b:]
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
@@ -216,7 +212,7 @@ def _walsh_blocks(
     for j, row in enumerate(high):
         if (g >> j) & 1:
             cw ^= row
-    for h in range(lo, 1 << len(high) if hi is None else hi):
+    for h in range(lo, hi):
         if h > lo:
             cw ^= high[(h & -h).bit_length() - 1]
         lanes = base[:]
@@ -253,17 +249,14 @@ def _min_weight(
     2^(bits-1) - 1 - 2(n - best) to every lane sets its guard bit
     exactly when it holds more than 2(n - best), that is w < best, and
     the same test on 2n - lane finds n - w < best.  The zero message is
-    lane 0 of piece 0 of block 0, and no other lane.  That lane is never
-    read, and each other lane is 2(n - w) with 1 <= w <= n, at most
-    2n - 2, so the lanes are _lane_format(2n - 2, k): 8 bits up to
-    n = 64, folded or not."""
-    top = 2 * n - 2
-    code, bits, ones, _, p = _lane_format(top, len(rows))
+    lane 0 of piece 0 of block 0, and no other lane, and it is never
+    read."""
+    code, bits, ones, _, p = _lane_format(n, len(rows))
     guards = ones << (bits - 1)
     if best is None:
         best = n if fold else n + 1  # fold: the zero message's coset {0, 1}
     seen = None
-    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi, top), lo):
+    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
         for i, v in enumerate(pieces):
             if best != seen:
                 seen = best
@@ -399,7 +392,8 @@ def sampled_min_distance_upper(code: BinaryCode, trials: int, seed: int) -> int:
 
 
 def weight_distribution(code: BinaryCode) -> list[int]:
-    """Histogram over weights 0..n of all 2^k codewords.
+    """Histogram over weights 0..n of all 2^k codewords, one Gray step
+    and one popcount a codeword.
 
     The walk is never folded by 1: a histogram with A[w] = A[n - w] for
     every w has A[n] = A[0] = 1, so 1 is in the code, and 1 in the code
@@ -410,13 +404,11 @@ def weight_distribution(code: BinaryCode) -> list[int]:
             f"2**{code.k} codewords exceed the histogram budget"
             f" 2**{WEIGHT_DIST_BUDGET_LOG2}"
         )
-    n = code.n
-    lane_code, _, _, _, p = _lane_format(2 * n, code.k)
-    counts = Counter()
-    for pieces in _walsh_blocks(code.rows, n):
-        for v in pieces:
-            counts.update(_unpack(v, lane_code, p))
-    return [counts[2 * (n - w)] for w in range(n + 1)]
+    hist, cw = [1] + [0] * code.n, 0
+    for h in range(1, 1 << code.k):
+        cw ^= code.rows[(h & -h).bit_length() - 1]
+        hist[cw.bit_count()] += 1
+    return hist
 
 
 def random_linear_code(n: int, k: int, seed: int) -> BinaryCode:

@@ -17,9 +17,9 @@ mod p directly; larger extension fields fall back to direct
 polynomial arithmetic, which is slower but keeps every operation
 correct at any size.  Each operation is one method holding all three
 cases: mul, pow (any integer exponent, reduced mod q - 1), inv as
-pow(a, -1), add as exp[log a + zech[log b - log a]], and neg as a
-shift of the log by (q - 1)/2 in odd characteristic; past the tables
-add and neg are one digit pass.  A difference a - b is add(a, neg b).
+pow(a, -1), and add as exp[log a + zech[log b - log a]], one digit pass
+past the tables.  neg is mul by -1, the index p - 1 in every field, and
+a difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
 horner, the package's one Horner evaluation, takes two lookups a step
@@ -162,7 +162,8 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         """a + b; a tabled extension field reads a(1 + b/a) off the
-        Zech logarithms, where zech[t] = log(1 + g^t) and -1 marks 0."""
+        Zech logarithms, where zech[t] = log(1 + g^t) and -1 marks 0,
+        and an extension field past TABLE_LIMIT adds digit by digit."""
         if self.m == 1:
             return (a + b) % self.p
         if a == 0 or b == 0:
@@ -171,26 +172,15 @@ class Field:
             la = self._log[a]
             z = self._zech[self._log[b] - la]
             return 0 if z < 0 else self._exp[la + z]
-        return self._add_digits(a, b)
-
-    def _add_digits(self, a: int, b: int, sign: int = 1) -> int:
-        # digitwise a + sign * b, for extension fields past TABLE_LIMIT
         p, out, mult = self.p, 0, 1
         for _ in range(self.m):
-            out += (a + sign * b) % p * mult
+            out += (a + b) % p * mult
             a, b, mult = a // p, b // p, mult * p
         return out
 
     def neg(self, a: int) -> int:
-        """-a; in characteristic 2 every element is its own negative, and
-        in a tabled odd field -1 = g^((q - 1)/2)."""
-        if self.m == 1:
-            return -a % self.p
-        if a == 0 or self.p == 2:
-            return a
-        if self._log is not None:
-            return self._exp[self._log[a] + (self.q - 1) // 2]
-        return self._add_digits(0, a, -1)
+        """-a as (-1) a; -1 is the constant p - 1, index p - 1 in every field."""
+        return self.mul(self.p - 1, a)
 
     # -- multiplicative structure ---------------------------------------
 

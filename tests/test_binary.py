@@ -102,12 +102,16 @@ def test_elimination_matches_span_enumeration(rows):
 
 def _block_weights(rows, n, lo, hi):
     """Every weight the pieces of the blocks [lo, hi) of _walsh_blocks
-    hold, counted."""
-    code, _, _, _, p = _lane_format(2 * n, len(rows))
+    hold, counted, but for lane 0 of piece 0 of block 0: the zero
+    message's lane, which the scan never reads."""
+    code, _, _, _, p = _lane_format(n, len(rows))
     counts = Counter()
-    for pieces in _walsh_blocks(rows, n, lo, hi):
-        for v in pieces:
-            counts.update(n - lane // 2 for lane in _unpack(v, code, p))
+    for h, pieces in enumerate(_walsh_blocks(rows, n, lo, hi), lo):
+        for i, v in enumerate(pieces):
+            lanes = _unpack(v, code, p)
+            if not (h or i):
+                del lanes[0]
+            counts.update(n - lane // 2 for lane in lanes)
     return counts
 
 
@@ -123,32 +127,30 @@ def test_walsh_kernel_matches_naive_oracles(width, piece, k, extra, seed):
     # a narrow low-row block puts k below, at and above its width, so
     # that codes small enough for the oracles still span many blocks,
     # and pieces of 1 to 2^width lanes run 0 to width top stages; n up
-    # to 70 crosses the 8-bit lane edge at n = 63 and 64
+    # to 70 crosses the 8-bit lane edge at n = 64 and 65
     _check_kernel(random_linear_code(k + extra, k, seed), width, piece)
 
 
 def _piece_bytes(n: int, piece: int) -> int:
-    """The PIECE_BYTES that makes pieces of 2^piece lanes at length n on
-    the weight distribution's lanes.  The scan's lanes match them except
-    at n = 64, where they are half as wide and a piece holds
-    2^(piece + 1) of them."""
-    return (_lane_format(2 * n, 0)[1] // 8) << piece
+    """The PIECE_BYTES that makes pieces of 2^piece lanes at length n."""
+    return (_lane_format(n, 0)[1] // 8) << piece
 
 
 def _check_kernel(code: BinaryCode, width: int, piece: int) -> None:
-    """exact_min_distance, weight_distribution and the blocks of every
+    """exact_min_distance and the blocks of the whole walk and of every
     two-span cut against the naive oracles, at LOW_ROWS = width and
     pieces of 2^min(piece, width) lanes."""
     hist = naive_weight_hist(code.rows, code.n)
+    hist[0] = 0  # the zero message's lane is never read
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binary, "LOW_ROWS", width)
         mp.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
-        assert weight_distribution(code) == hist
-        # two spans [0, cut) and [cut, blocks), cut at any high Gray
-        # index, cover each message once, as the orbit parts' ranges must
+        # the whole walk [0, blocks) at cut = 0, and two spans [0, cut)
+        # and [cut, blocks), cut at any high Gray index, cover each
+        # message once, as the orbit parts' ranges must
         blocks = 1 << max(code.k - width, 0)
-        for cut in range(1, blocks):
+        for cut in range(blocks):
             counts = _block_weights(code.rows, code.n, 0, cut)
             counts += _block_weights(code.rows, code.n, cut, blocks)
             assert [counts[w] for w in range(code.n + 1)] == hist
@@ -191,7 +193,7 @@ def test_walsh_kernel_on_heavily_repeated_columns(width, piece, code):
 
 def test_wide_code_takes_32_bit_lanes():
     n = _WIDE_CODE.n
-    assert n > 1 << 14 and _lane_format(2 * n - 2, 2)[0] == _lane_format(2 * n, 2)[0] == "I"
+    assert n > 1 << 14 and _lane_format(n, 2)[0] == "I"
 
 
 @settings(max_examples=2, deadline=None)
@@ -468,18 +470,18 @@ def test_lane_format_lays_out_the_low_rows_of_a_block():
     """b = min(LOW_ROWS, k) rows span a block of 2^b lanes, in pieces of
     2^p lanes, p = min(b, log2(PIECE_BYTES / itemsize)), one 1 each: a
     piece of 8-, 16- and 32-bit lanes holds at most 2^12, 2^11 and 2^10."""
-    for top, lane, most in [(126, "B", 12), (128, "H", 11), (1 << 15, "I", 10)]:
+    for n, lane, most in [(64, "B", 12), (65, "H", 11), ((1 << 14) + 1, "I", 10)]:
         for k in (1, most, most + 1, LOW_ROWS, LOW_ROWS + 3):
-            code, bits, ones, b, p = _lane_format(top, k)
+            code, bits, ones, b, p = _lane_format(n, k)
             assert code == lane and bits == 8 * array(lane).itemsize
             assert b == min(LOW_ROWS, k) and p == min(most, b)
             assert ones.bit_count() == 1 << p and bits << p <= 8 * PIECE_BYTES
 
 
-def _joined_blocks(rows, n: int, top: int) -> list[int]:
+def _joined_blocks(rows, n: int) -> list[int]:
     """Each block of _walsh_blocks as one int: its pieces joined in order."""
-    _, bits, _, _, p = _lane_format(top, len(rows))
-    blocks = _walsh_blocks(rows, n, top=top)
+    _, bits, _, b, p = _lane_format(n, len(rows))
+    blocks = _walsh_blocks(rows, n, 0, 1 << (len(rows) - b))
     return [sum(v << (i * bits << p) for i, v in enumerate(pieces)) for pieces in blocks]
 
 
@@ -488,20 +490,20 @@ def test_pieces_join_to_the_one_int_block(monkeypatch):
     joined in order are the transform a single piece of the whole block
     gives, at the module's constants on 8- and 16-bit lanes and at every
     narrower piece."""
-    for n, top, count in [(64, 126, 4), (90, 180, 8)]:
+    for n, count in [(64, 4), (90, 8)]:
         code = random_linear_code(n, LOW_ROWS + 1, 4)
-        pieces = [len(p) for p in _walsh_blocks(code.rows, n, top=top)]
+        pieces = [len(p) for p in _walsh_blocks(code.rows, n, 0, 2)]
         assert pieces == [count] * 2
-        joined = _joined_blocks(code.rows, n, top)
+        joined = _joined_blocks(code.rows, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(binary, "PIECE_BYTES", 4 << LOW_ROWS)  # one piece a block
-            assert _joined_blocks(code.rows, n, top) == joined
+            assert _joined_blocks(code.rows, n) == joined
     monkeypatch.setattr(binary, "LOW_ROWS", 4)
     code = random_linear_code(40, 6, 9)
-    whole = _joined_blocks(code.rows, code.n, 80)
+    whole = _joined_blocks(code.rows, code.n)
     for piece in range(4):
         monkeypatch.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
-        assert _joined_blocks(code.rows, code.n, 80) == whole
+        assert _joined_blocks(code.rows, code.n) == whole
 
 
 def test_lightest_word_on_lane_0_of_a_later_piece():
@@ -511,7 +513,8 @@ def test_lightest_word_on_lane_0_of_a_later_piece():
     A scan that skips lane 0 of every piece, not only of piece 0, misses
     it.  p is the scan's piece at n = 41, 2^12 8-bit lanes."""
     n, rng = 41, random.Random(3)
-    p = _lane_format(2 * n - 2, LOW_ROWS)[4]
+    p = _lane_format(n, LOW_ROWS)[4]
+    assert p == 12
     rows = []
     while len(rows) < p:
         row = rng.getrandbits(n - 1) << 1
@@ -519,28 +522,28 @@ def test_lightest_word_on_lane_0_of_a_later_piece():
         if gf2_rank(rows + [row]) > len(rows):
             rows.append(row)
     rows.append(1)
-    assert _lane_format(2 * n - 2, len(rows))[3:] == (p + 1, p)
+    assert _lane_format(n, len(rows))[3:] == (p + 1, p)
     assert _min_weight(tuple(rows), n, 0, 1) == 1
     assert _min_weight(tuple(rows[:-1]), n, 0, 1) == naive_min_distance(rows[:-1], n) >= 2
     assert exact_min_distance(BinaryCode(rows, n)) == 1
 
 
-@pytest.mark.parametrize("n, scan, hist", [
+@pytest.mark.parametrize("n, scan, after", [
     (63, "B", "B"), (64, "B", "H"), (65, "H", "H"),
     (16383, "H", "H"), (16384, "H", "I"), (16385, "I", "I"),
 ])
-def test_lane_width_edge(monkeypatch, n, scan, hist):
-    """Each walk takes the narrowest lane whose value bits hold the
-    largest lane it reads: 2n - 2 for the scan, which never reads the
-    zero message's 2n, and 2n for the weight distribution.  Each code
-    has words of weight 1 and n - 1, lanes 2n - 2 and 2; the second
-    holds 1, so its weight distribution reads lanes 0 and 2n in one
-    block.  A spy on _lane_format sees each walk take its lane."""
-    assert _lane_format(2 * n - 2, 3)[0] == scan and _lane_format(2 * n, 3)[0] == hist
+def test_lane_width_edge(monkeypatch, n, scan, after):
+    """The scan takes the narrowest lane whose value bits hold the
+    largest lane it reads, 2n - 2, since it never reads the zero
+    message's 2n; after is the lane at length n + 1, which 2n needs.
+    Each code has words of weight 1 and n - 1, lanes 2n - 2 and 2; the
+    second holds 1, so the scan walks it folded.  A spy on _lane_format
+    sees the scan take its lane."""
+    assert _lane_format(n, 3)[0] == scan and _lane_format(n + 1, 3)[0] == after
     taken = []
 
-    def spy(top, k):
-        fmt = _lane_format(top, k)
+    def spy(n, k):
+        fmt = _lane_format(n, k)
         taken.append(fmt[0])
         return fmt
 
@@ -554,23 +557,20 @@ def test_lane_width_edge(monkeypatch, n, scan, hist):
         taken.clear()
         assert exact_min_distance(code) == naive_min_distance(code.rows, n)
         assert set(taken) == {scan}
-        taken.clear()
-        assert weight_distribution(code) == naive_weight_hist(code.rows, n)
-        assert set(taken) == {hist}
 
 
 def test_base_histogram_fills_a_byte_lane():
     """Histogram lane 0 starts highest, at 2^7 + count(0) + n on 8-bit
     lanes, count(0) counting the columns of low-row pattern 0.  A lone
     row of weight 1 leaves count(0) = n - 1, so the scan at n = 64 starts
-    it at 128 + 63 + 64 = 255 and the weight distribution at n = 63 at
-    128 + 62 + 63 = 253; with no row, count(0) = n, and n = 63 starts it
-    at 254.  Each fits the byte, and each result matches its oracle."""
-    assert _lane_format(2 * 64 - 2, 1)[0] == _lane_format(2 * 63, 1)[0] == "B"
+    it at 128 + 63 + 64 = 255, which fits the byte.  The scan and the
+    weight distributions at n = 63 and 64 match their oracles."""
+    assert _lane_format(64, 1)[0] == "B"
     code = BinaryCode([1], 64)
     assert exact_min_distance(code) == naive_min_distance(code.rows, 64) == 1
-    for code in (BinaryCode([1], 63), BinaryCode([], 63)):
-        assert weight_distribution(code) == naive_weight_hist(code.rows, 63)
+    for n in (63, 64):
+        for code in (BinaryCode([1], n), BinaryCode([], n)):
+            assert weight_distribution(code) == naive_weight_hist(code.rows, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -583,6 +583,23 @@ def test_weight_distribution_is_not_folded():
     folded by 1 could not show; with 1 added it turns symmetric."""
     assert weight_distribution(BinaryCode([0b011, 0b110], 3)) == [1, 0, 3, 0]
     assert weight_distribution(BinaryCode([0b011, 0b110, 0b111], 3)) == [1, 3, 3, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    extra=st.integers(0, 20),
+    seed=st.integers(0, 2**32),
+    holds=st.booleans(),
+)
+def test_histogram_is_symmetric_exactly_when_the_code_holds_ones(k, extra, seed, holds):
+    """The premise of verify theorem4's complement_symmetry check: the
+    histogram reads the same backwards exactly when the all-ones word
+    adds no rank to the rows.  About half the drawn codes hold 1."""
+    n = k + extra
+    code = _ones_code(n, k, seed, "span" if holds else "absent")
+    hist = weight_distribution(code)
+    assert (hist == hist[::-1]) == (gf2_rank((*code.rows, (1 << n) - 1)) == k)
 
 
 def test_encode_is_xor_of_selected_rows():

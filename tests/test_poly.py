@@ -94,7 +94,7 @@ def test_arithmetic_identities_random():
 
 
 # a prime field, a tabled extension, and GF(5^7), past the tables, whose
-# neg and add take the digit pass.  GF(5^7) is taken from the cache with
+# add takes the digit pass and whose neg the digit multiply.  GF(5^7) is taken from the cache with
 # its canonical modulus x^7 + x^6 + 1, skipping the search for it: under
 # a % that fails to cancel the top, Euclid's loop in that search never
 # ends, and the property below should fail instead

@@ -4,6 +4,7 @@ Each case rebinds one name the suite reads so that one check fails,
 runs the CLI, and reads the report: exit 1, "ok": false, and failure
 entries that carry the keys a reader needs to reproduce them."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -173,3 +174,36 @@ def test_dmin_below_the_floor_exits_one(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["dmin"] == 1 and report["floor"] > 1
     assert report["floor_met"] is False
+
+
+# sha256 of json.dumps(report) for each suite call; theorem6 is left out,
+# since its floats come from libm and complex powers
+REPORT_DIGESTS = {
+    "theorem4": (lambda: verify.verify_theorem4(),
+                 "708cb1331326c7223949b635a01bad48f24082cc0305aeb1a903c533cd8784d3"),
+    "theorem4-seed7": (lambda: verify.verify_theorem4(7),
+                       "dfde3f677d11f969ad4161ed1c4d11258144f34f3b9be99591e81e7d0601ad91"),
+    "theorem7-m1": (lambda: verify.verify_theorem7(1),
+                    "86c6ad5349343d9e08c34d94142310827f962716ff75f84cb56339c7ca54b74b"),
+    "theorem7-m2": (lambda: verify.verify_theorem7(2),
+                    "c097c719ea4118d571df3933ea082d0e4cda4fb495936c9014af012152fe5804"),
+    "theorem7-m3": (lambda: verify.verify_theorem7(3),
+                    "e3f72f05e11e73f39550add8b2376187f7eb727f43a0be2bf808da4bfaa0d5b2"),
+    "theorem7-m4": (lambda: verify.verify_theorem7(4),
+                    "e45641ae5cf422783d989e3c85d493937d785fa2cbe2756751b25f6e4ac9f268"),
+    "weil": (lambda: verify.verify_weil(),
+             "e0205c750be3068b78e4b0ff533f7c2d6eb8f6687a2e90fc060c509170c00708"),
+    "weil-seed7": (lambda: verify.verify_weil(seed=7),
+                   "5e425344451e9621e59dd8f2059ed5e79affcea2408c8c211820d5ff7c138c00"),
+    "section6": (lambda: verify.verify_section6(),
+                 "bbaa717d9cd2d1aaf0e269b7aeb09dc3f8d736250382e8ef30255954333e7a9d"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(name):
+    """The bench's golden digests skip verify jobs, and its tables
+    workload draws a random verify seed, so a changed report shows there
+    only when its ok flips: each report's JSON bytes are pinned here."""
+    suite, digest = REPORT_DIGESTS[name]
+    assert hashlib.sha256(json.dumps(suite()).encode()).hexdigest() == digest
