@@ -189,7 +189,10 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
     values = guards - ones
-    # pats[j] is column j's low-row pattern, laid down as byte planes of 8 rows
+    # pats[j] is column j's low-row pattern, laid down as byte planes of 8
+    # rows; its two planes hold at most 16
+    if b > 16:
+        raise AssertionError(f"LOW_ROWS = {LOW_ROWS} passes the 16 low rows of two byte planes")
     planes = bytearray(2 * n)
     for plane in range(2):
         packed = 0

@@ -11,14 +11,13 @@ always produces the same field, the same element order, and therefore
 byte-identical downstream artifacts.
 
 Extension fields (m > 1) with q <= 2**16 precompute exp/log tables
-over the least primitive element g, and the Zech logarithms
-zech[t] = log(1 + g^t).  Prime fields need none, since they compute
-mod p directly; larger extension fields fall back to direct
+over the least primitive element g.  Prime fields need none, since they
+compute mod p directly; larger extension fields fall back to direct
 polynomial arithmetic, which is slower but keeps every operation
-correct at any size.  Each operation is one method holding all three
-cases: mul, pow (any integer exponent, reduced mod q - 1), inv as
-pow(a, -1), and add as exp[log a + zech[log b - log a]], one digit pass
-past the tables.  neg is mul by -1, the index p - 1 in every field, and
+correct at any size.  Each of mul, pow (any integer exponent, reduced
+mod q - 1) and inv as pow(a, -1) is one method holding all three cases.
+add has two: a + b mod p in a prime field, else one pass over the
+base-p digits.  neg is mul by -1, the index p - 1 in every field, and
 a difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
@@ -123,8 +122,7 @@ class Field:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_exp", "_log", "_zech", "_primitive", "_chi_str", "_squares",
-        "_rows",
+        "p", "m", "q", "modulus", "_exp", "_log", "_primitive", "_chi_str", "_squares", "_rows",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
@@ -134,7 +132,6 @@ class Field:
         self.modulus = modulus  # length m+1, low degree first, monic; None iff m == 1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._zech: list[int] | None = None
         self._primitive: int | None = None
         self._chi_str: str | None = None
         self._squares: itemgetter | None = None
@@ -161,17 +158,9 @@ class Field:
     # -- additive structure --------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        """a + b; a tabled extension field reads a(1 + b/a) off the
-        Zech logarithms, where zech[t] = log(1 + g^t) and -1 marks 0,
-        and an extension field past TABLE_LIMIT adds digit by digit."""
+        """a + b: mod p in a prime field, else digit by digit."""
         if self.m == 1:
             return (a + b) % self.p
-        if a == 0 or b == 0:
-            return a or b
-        if self._zech is not None:
-            la = self._log[a]
-            z = self._zech[self._log[b] - la]
-            return 0 if z < 0 else self._exp[la + z]
         p, out, mult = self.p, 0, 1
         for _ in range(self.m):
             out += (a + b) % p * mult
@@ -217,13 +206,8 @@ class Field:
             # skips its zero digits
             dv = self._mul_digits(da, dv)
         exp[q - 1 :] = exp[: q - 1]
-        # 1 + v differs from v in digit 0 alone, which wraps from p - 1
-        # to 0 without a carry
-        p = self.p
-        one_plus = [v - p + 1 if v % p == p - 1 else v + 1 for v in exp[: q - 1]]
         self._exp = exp
         self._log = log
-        self._zech = [log[w] if w else -1 for w in one_plus]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -709,3 +709,56 @@ def test_hex_round_trip():
             assert row_from_hex(text) == row
     assert row_to_hex(0, 8) == "00"
     assert row_from_hex("ff") == 255
+
+
+# the scan workload's deg1 codes at the module's own LOW_ROWS and
+# PIECE_BYTES, with their distance, orbit parts and walked blocks:
+# 16-bit lanes in several pieces a block, and 6 to 8 parts, each past
+# the first two walking the Gray half of its blocks that selects its
+# top high row
+SCALE_CODES = [(482, 22, 181, 8, 65), (1000, 20, 421, 6, 17), (2048, 22, 906, 8, 65)]
+
+
+def _rebased(code: BinaryCode, seed: int) -> BinaryCode:
+    """The same code on another basis: seeded row additions, then a
+    shuffle, so rows move between the low and the high set."""
+    rng = random.Random(seed)
+    rows = list(code.rows)
+    for _ in range(4 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return BinaryCode(rows, code.n)
+
+
+def _permuted(code: BinaryCode, seed: int) -> BinaryCode:
+    """The code with its coordinates in a seeded order: column i of the
+    result is column perm[i] of code."""
+    n = code.n
+    perm = random.Random(seed).sample(range(n), n)
+    return BinaryCode([sum((row >> j & 1) << i for i, j in enumerate(perm)) for row in code.rows], n)
+
+
+@pytest.mark.parametrize("n, k, d, parts, blocks", SCALE_CODES,
+                         ids=[f"{n}-{k}" for n, k, *_ in SCALE_CODES])
+def test_scan_at_workload_scale_keeps_its_distance(n, k, d, parts, blocks):
+    """The pinned distance comes back from the orbit walk, from the
+    orbit walk on another basis, and from the one folded part of the
+    same code with its columns permuted, which breaks the reversal."""
+    code = construct_deg1_nk(n, k).generator()
+    rebased, permuted = _rebased(code, n), _permuted(code, n)
+    for variant in (code, rebased):
+        plan = _walk_parts(_quotient_rows(variant), n, True)
+        assert (len(plan), sum(hi - lo for _, lo, hi in plan)) == (parts, blocks)
+        assert exact_min_distance(variant) == d
+    rows = _quotient_rows(permuted)
+    assert _walk_parts(rows, n, True) == [(rows, 0, 1 << (k - 1 - LOW_ROWS))]
+    assert exact_min_distance(permuted) == d
+
+
+def test_more_than_16_low_rows_are_refused(monkeypatch):
+    """Two byte planes hold the patterns of 16 low rows; a seventeenth
+    would be dropped and the scan would read a wrong distance."""
+    monkeypatch.setattr(binary, "LOW_ROWS", 17)
+    with pytest.raises(AssertionError, match="16 low rows"):
+        exact_min_distance(construct_deg1_nk(1000, 20).generator())

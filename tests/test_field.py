@@ -263,10 +263,10 @@ def test_chi_is_euler_past_the_table_limit_until_the_string_exists():
 
 def test_only_extension_fields_keep_log_tables():
     for f in (*map(field_create, (3, 7, 251, 65521)), field_create(5, 7)):
-        assert f._exp is None and f._zech is None, f
+        assert f._exp is None and f._log is None, f
     for p, m in ((2, 4), (3, 2), (5, 3), (3, 6)):
         f = field_create(p, m)
-        assert f._exp is not None and len(f._zech) == f.q - 1, f
+        assert len(f._exp) == 2 * (f.q - 1) and len(f._log) == f.q, f
 
 
 def _letters(q: int) -> str:
@@ -523,15 +523,16 @@ def _ref_add(p, m, a, b, sign=1):
     return out
 
 
-# every tabled field up to q = 125, the characteristic-2 ones included
-ZECH_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11) for m in range(2, 7) if p**m <= 125]
+# every tabled field up to q = 125, the characteristic-2 ones included;
+# the test keeps its Zech name, and so its ids, though every one of
+# these fields adds by the digit pass
+PAIR_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11) for m in range(2, 7) if p**m <= 125]
 
 
-@pytest.mark.parametrize("p, m", ZECH_FIELDS, ids=[f"GF({p}^{m})" for p, m in ZECH_FIELDS])
+@pytest.mark.parametrize("p, m", PAIR_FIELDS, ids=[f"GF({p}^{m})" for p, m in PAIR_FIELDS])
 def test_zech_addition_on_every_pair(p, m):
-    """add, a - b as add(a, neg b), and neg over the Zech table against
-    the digit reference on all q^2 pairs; zech holds -1 only at log(-1),
-    where b = -a."""
+    """add, a - b as add(a, neg b), and neg against the digit reference
+    on all q^2 pairs."""
     f = field_create(p, m)
     for a in range(f.q):
         assert f.neg(a) == _ref_add(p, m, 0, a, -1)
@@ -540,7 +541,24 @@ def test_zech_addition_on_every_pair(p, m):
             assert f.add(a, f.neg(b)) == _ref_add(p, m, a, b, -1), (a, b)
     # -1 has digits (p - 1, 0, .., 0), so it is index p - 1, and 1 in GF(2^m)
     assert f.neg(1) == p - 1
-    assert [t for t, z in enumerate(f._zech) if z < 0] == [f._log[p - 1]]
+
+
+@pytest.mark.parametrize("q", [729, 2187, 3125])
+def test_addition_past_the_byte_rows_on_seeded_pairs(q):
+    """add, a - b and neg against the digit reference on the edges 0, 1,
+    p - 1 and q - 1 and on 3000 seeded pairs, in the tabled fields the
+    benchmark builds over, which are too large for byte rows."""
+    f = field_of_order(q)
+    p, m = f.p, f.m
+    edges = (0, 1, p - 1, q - 1)
+    rng = random.Random(q)
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert f.add(a, b) == _ref_add(p, m, a, b) == f.add(b, a), (a, b)
+        assert f.add(a, f.neg(b)) == _ref_add(p, m, a, b, -1), (a, b)
+        assert f.neg(b) == _ref_add(p, m, 0, b, -1), b
+        assert f.add(a, f.neg(a)) == 0, a
 
 
 def _check_axioms(f, a, b, c, e):

@@ -94,7 +94,7 @@ def test_arithmetic_identities_random():
 
 
 # a prime field, a tabled extension, and GF(5^7), past the tables, whose
-# add takes the digit pass and whose neg the digit multiply.  GF(5^7) is taken from the cache with
+# mul and neg take the digit multiply.  GF(5^7) is taken from the cache with
 # its canonical modulus x^7 + x^6 + 1, skipping the search for it: under
 # a % that fails to cancel the top, Euclid's loop in that search never
 # ends, and the property below should fail instead
@@ -103,8 +103,8 @@ DIVISION_FIELDS = [F7, F9, _field_cached(5, 7, (1, 0, 0, 0, 0, 0, 1, 1))]
 
 def test_division_fields_cover_prime_tabled_and_untabled():
     prime, tabled, untabled = DIVISION_FIELDS
-    assert prime.m == 1 and tabled._zech is not None
-    assert untabled is field_create(5, 7) and untabled._zech is None
+    assert prime.m == 1 and tabled._exp is not None
+    assert untabled is field_create(5, 7) and untabled._exp is None
 
 
 @settings(max_examples=200, deadline=None)
