@@ -61,7 +61,6 @@ from .shadow import (
 )
 from .weil import (
     CurveSpec,
-    check_corollary,
     count_zeros,
     curve_spec,
     random_curve_spec,

@@ -284,11 +284,16 @@ class ShadowCode(NamedTuple):
 def construct(ev: EvaluationSet, basic: BasicSet, kind: str = "custom") -> ShadowCode:
     """Assemble the generator matrix and the exact distance bound.
 
-    The dimension is the rank of the rows.  When delta > 0 it is
-    exactly |B|; otherwise delta_positive is False to flag that no
+    A deg1 or deg2 kind is held to that family's closed form in n and
+    |B|, which pins the builders' q and d_B; any other kind is a free
+    label.  The dimension is the rank of the rows.  When delta > 0 it
+    is exactly |B|; otherwise delta_positive is False to flag that no
     distance guarantee holds."""
     rows = tuple(lambda_map(f, ev) for f in basic.polys)
     d = delta(ev, basic)
+    floor = _FAMILY_FLOORS.get(kind)
+    if floor and d != floor(len(ev.points), len(basic.polys)):
+        raise BadDescriptor(f"kind {kind} does not fit the code: delta is not its closed form")
     rk = gf2_rank(rows)
     positive = d.sign() > 0
     if positive and rk != len(rows):
@@ -346,19 +351,12 @@ _FAMILY_FLOORS = {"deg1": deg1_floor, "deg2": deg2_floor}
 
 
 def distance_lower_bound(code: ShadowCode) -> Surd:
-    """The exact distance guarantee; error when it is vacuous.
-
-    For the two stock families the generic surd is cross-checked
-    against the closed forms in n and k, which pins the builders' q
-    and d_B."""
+    """The exact distance guarantee; error when it is vacuous.  A stock
+    family's delta was held to its closed form when the code was built."""
     if not code.delta_positive:
         raise NonpositiveDelta(
             f"delta = {float(code.delta):.4f} <= 0 guarantees nothing"
         )
-    floor = _FAMILY_FLOORS.get(code.kind)
-    assert floor is None or code.delta == floor(code.n, len(code.basic.polys)), (
-        f"{code.kind} closed form disagrees"
-    )
     return code.delta
 
 
@@ -406,9 +404,6 @@ def from_descriptor(obj: dict) -> ShadowCode:
     if type(kind) is not str:
         raise BadDescriptor(f"descriptor kind must be a string, got {kind!r}")
     code = construct(ev, basic_set(polys), kind=kind)
-    floor = _FAMILY_FLOORS.get(kind)
-    if floor and code.delta != floor(code.n, len(code.basic.polys)):
-        raise BadDescriptor(f"kind {kind} does not fit the code: delta is not its closed form")
     if stored != code.rows:
         raise BadDescriptor("stored generator matrix does not match its field/E/B")
     return code

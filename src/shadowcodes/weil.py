@@ -4,7 +4,7 @@ For squarefree A(x) = gamma P_1(x) .. P_r(x) over GF(q), q odd, the
 curve y^2 = A(x) has q + O(sqrt(q)) affine points: each x contributes
 2 points when A(x) is a nonzero square, 1 when it is a root, 0
 otherwise.  The classical bound puts |count - q| within
-(deg A - 1) sqrt(q), which these oracles check on counted points by
+(deg A - 1) sqrt(q), which `verify weil` checks on these counts by
 exact integer comparisons (never through floats).
 
 A count reads every x at once from the chi rows of the factors
@@ -100,22 +100,6 @@ def _check_odd(field: Field) -> None:
 def _check_budget(q: int) -> None:
     if q > COUNT_BUDGET:
         raise BudgetExceeded(f"q = {q} exceeds the scan budget {COUNT_BUDGET}")
-
-
-class CorollaryReport(NamedTuple):
-    count: int
-    q: int
-    degree: int
-    ok: bool
-
-
-def check_corollary(spec: CurveSpec, rows: dict[Poly, str] | None = None) -> CorollaryReport:
-    """Exact test of (count - q)^2 <= (deg - 1)^2 q."""
-    count = count_zeros(spec, rows)
-    q = spec.field.q
-    d = spec.degree
-    ok = (count - q) ** 2 <= (d - 1) ** 2 * q
-    return CorollaryReport(count, q, d, ok)
 
 
 def random_curve_spec(

@@ -40,6 +40,15 @@ def test_every_raise_names_a_package_error(path):
     assert not bad, bad
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_assert_statement(path):
+    """python -O strips assert statements, so a check written as one
+    vanishes there; an invariant raises AssertionError instead."""
+    tree = _parse(path)
+    bad = [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not bad, bad
+
+
 # every process-lifetime memo in the package: the benchmark replays one
 # seed in one process, so a memo kept across calls would show a gain
 # that no single CLI call gets

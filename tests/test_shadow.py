@@ -622,6 +622,19 @@ def test_descriptor_kind_must_fit_its_family():
         assert from_descriptor(dict(obj, kind="mine")).kind == "mine"
 
 
+def test_construct_holds_a_stock_kind_to_its_closed_form():
+    """construct refuses a deg1 basic set labelled deg2, and a deg2 one
+    labelled deg1, whether or not the code came from a descriptor."""
+    f31 = field_of_order(31)
+    ev1 = first_evaluation_set(f31, 28)
+    f49 = field_of_order(49)
+    ev2 = full_evaluation_set(f49)
+    for ev, basic, relabel in ((ev1, build_B1(f31, ev1), "deg2"), (ev2, build_B2(f49, 2), "deg1")):
+        with pytest.raises(BadDescriptor, match=f"kind {relabel} does not fit the code"):
+            construct(ev, basic, kind=relabel)
+        assert construct(ev, basic, kind="mine").kind == "mine"
+
+
 def test_descriptor_faults_raise_bad_descriptor():
     from shadowcodes.binary import row_from_hex, row_to_hex
 

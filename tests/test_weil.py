@@ -13,7 +13,6 @@ from shadowcodes.weil import (
     CURVE_MAX_DEGREE,
     CURVE_MAX_FACTORS,
     CurveSpec,
-    check_corollary,
     count_zeros,
     curve_spec,
     random_curve_spec,
@@ -63,10 +62,9 @@ def test_corollary_on_many_random_curves():
         field = field_of_order(q)
         for _ in range(15):
             spec = random_curve_spec(field, rng)
-            report = check_corollary(spec)
-            assert report.ok, spec
-            assert report.q == q and report.count % 1 == 0
-            assert (report.count - q) ** 2 <= (report.degree - 1) ** 2 * q
+            count = count_zeros(spec)
+            assert type(count) is int
+            assert (count - q) ** 2 <= (spec.degree - 1) ** 2 * q, spec
             checked += 1
     assert checked == 60
 
