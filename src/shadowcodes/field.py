@@ -21,9 +21,14 @@ base-p digits.  neg is mul by -1, the index p - 1 in every field, and
 a difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
-horner, the package's one Horner evaluation, takes two lookups a step
-in byte rows of sums and products up to q = 256, which Poly * reads
-too; past them it works mod p in a prime field, else by mul and add.
+Up to q = 256 a field keeps byte rows of its sums and products, which
+Poly * reads too.  horner, the package's one Horner evaluation, steps
+every point at once there: the logs of acc and of the points add as
+lanes of one int, a 256-byte exp table reads the products back, and
+the byte row of the next coefficient's sums adds it; horner_chi
+composes chi into the last step's row, so a chi row takes no pass of
+its own.  Past the byte rows horner works mod p in a prime field, else
+by mul and add, one point at a time.
 
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
@@ -56,6 +61,9 @@ from .errors import (
 TABLE_LIMIT = 1 << 16
 # fields up to this order keep byte rows of their sums and products
 BYTE_ROWS_LIMIT = 256
+# a bulk Horner step's zero test: 0 goes to 255, the spare log
+_ZERO_LANES = b"\xff" + bytes(255)
+_IDENTITY = bytes(range(256))
 # trial division stops here, a few hundredths of a second in: every
 # integer up to its square, 10^12, is factored, and a larger one with
 # no factor below it is refused
@@ -123,6 +131,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_exp", "_log", "_primitive", "_chi_str", "_squares", "_rows",
+        "_log_exp",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
@@ -136,6 +145,7 @@ class Field:
         self._chi_str: str | None = None
         self._squares: itemgetter | None = None
         self._rows: tuple[list[bytes], list[bytes]] | None = None
+        self._log_exp: tuple[bytes, bytes] | None = None
         if self.m > 1 and self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -237,28 +247,24 @@ class Field:
             sums = [bytes(range(q))] + [prods[powers[-t]].translate(one_up).translate(prods[a] + pad)
                                         for a, t in enumerate(logs[1:], 1)]
             self._rows = sums, prods
+            # _bulk_horner's tables: log a with log 0 = 0, and g^(t mod q - 1)
+            # for t < 255 with the spare log 255 sent to 0
+            self._log_exp = (b"\0" + logs[1:] + pad,
+                             (cycle * (128 // (q - 1) + 1))[:255] + b"\0")
         return self._rows
 
     def horner(self, coeffs, points) -> list[int]:
         """The polynomial with coefficients coeffs (low degree first) at
         every point, by Horner's rule from the leading coefficient; a
-        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT a
-        step is acc = sums[c][prods[x][acc]], past it (acc * x + c) % p
+        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT every
+        point steps at once (_bulk_horner), past it (acc * x + c) % p
         in a prime field and add(mul(acc, x), c) in an extension field."""
+        if self.byte_rows() is not None:
+            return list(self._bulk_horner(coeffs, points, _IDENTITY))
         q = self.q
         if points and not (0 <= min(points) and max(points) < q):
-            raise BadParameters(f"evaluation points must lie in 0..{q - 1} for GF({q})")
+            raise BadParameters(_outside(q))
         top, rest = coeffs[-1] if coeffs else 0, coeffs[-2::-1]
-        rows = self.byte_rows()
-        if rows is not None:
-            steps, prods = [rows[0][c] for c in rest], rows[1]
-            out = []
-            for x in points:
-                px, acc = prods[x], top
-                for s in steps:
-                    acc = s[px[acc]]
-                out.append(acc)
-            return out
         prime, p, mul, add = self.m == 1, self.p, self.mul, self.add
         out = []
         for x in points:
@@ -267,6 +273,65 @@ class Field:
                 acc = (acc * x + c) % p if prime else add(mul(acc, x), c)
             out.append(acc)
         return out
+
+    def horner_chi(self, coeffs, points) -> str:
+        """chi of the polynomial at every point, odd q only: up to
+        BYTE_ROWS_LIMIT chi is composed into the last bulk step, past it
+        each horner value is read in chi."""
+        chi = self.chi
+        if self.byte_rows() is None:
+            return "".join([chi[v] for v in self.horner(coeffs, points)])
+        table = chi.encode("latin-1").ljust(256, b"\0")
+        return self._bulk_horner(coeffs, points, table).decode("latin-1")
+
+    def _bulk_horner(self, coeffs, points, last: bytes) -> bytes:
+        """last[f(x)] for every point x, one byte each, by Horner's rule
+        over all points at once on the byte rows.
+
+        acc * x adds the logs of acc and of the points (packed once) as
+        lanes of one int, ORs the spare log 255 into each lane where acc
+        or x is 0, and reads the lanes through exp, which sends 255 to
+        0; + c then reads the byte row sums[c], which the last step
+        reads through last.  A lane is one byte while the largest log
+        sum 2q - 4 stays below 255 (q <= 129), else two, interleaved by
+        a slice assignment, from each of which q - 1 is taken once where
+        the sum reaches it."""
+        q, n = self.q, len(points)
+        try:
+            xs = bytes(points)
+        except ValueError:  # a point outside 0..255
+            xs = None
+        if xs is None or xs.translate(None, _IDENTITY[:q]):
+            raise BadParameters(_outside(q))
+        sums, (log, exp) = self._rows[0], self._log_exp
+        pad = bytes(256 - q)
+        acc = bytes([coeffs[-1] if coeffs else 0]) * n
+        if len(coeffs) < 2:
+            return acc.translate(last)
+        rows = [sums[c] + pad for c in coeffs[-2:0:-1]]
+        rows.append(sums[coeffs[0]].translate(last) + pad)
+        x_logs, x_zeros = xs.translate(log), xs.translate(_ZERO_LANES)
+        if 2 * q - 4 < 255:
+            x_logs, x_zeros = int.from_bytes(x_logs, "little"), int.from_bytes(x_zeros, "little")
+            for row in rows:
+                s = int.from_bytes(acc.translate(log), "little") + x_logs
+                s |= int.from_bytes(acc.translate(_ZERO_LANES), "little") | x_zeros
+                acc = s.to_bytes(n, "little").translate(exp).translate(row)
+            return acc
+        logs, zeros = bytearray(2 * n), bytearray(2 * n)
+        logs[::2], zeros[::2] = x_logs, x_zeros
+        x_logs, x_zeros = int.from_bytes(logs, "little"), int.from_bytes(zeros, "little")
+        ones = int.from_bytes(b"\1\0" * n, "little")
+        # bit 15 of a lane is set by this add exactly where the sum is
+        # at least q - 1; no lane carries into the next
+        below = ones * (0x8000 - (q - 1))
+        for row in rows:
+            logs[::2], zeros[::2] = acc.translate(log), acc.translate(_ZERO_LANES)
+            s = int.from_bytes(logs, "little") + x_logs
+            s -= ((s + below) >> 15 & ones) * (q - 1)
+            s |= int.from_bytes(zeros, "little") | x_zeros
+            acc = s.to_bytes(2 * n, "little")[::2].translate(exp).translate(row)
+        return acc
 
     def inv(self, a: int) -> int:
         return self.pow(a, -1)
@@ -388,6 +453,10 @@ class Field:
         if self.m > 1:
             obj["modulus"] = list(self.modulus)
         return obj
+
+
+def _outside(q: int) -> str:
+    return f"evaluation points must lie in 0..{q - 1} for GF({q})"
 
 
 class _EulerCharacter:

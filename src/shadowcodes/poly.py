@@ -146,13 +146,12 @@ def chi_row(f: Poly, points) -> str:
     a monic x + c is chi translated by c, and a monic x^2 + bx + c =
     (x + b/2)^2 + c - (b/2)^2 is chi translated by c - (b/2)^2, read at
     the squares, then translated by b/2; either is cut to n.  Every
-    other f, and f over any other points, is one horner pass."""
+    other f, and f over any other points, is one Field.horner_chi pass."""
     field, n = f.field, len(points)
     if f.degree < 1:
         return field.chi[f(0)] * n
     if not (f.is_monic and f.degree <= 2 and 2 * n >= field.q and points[-1] == n - 1):
-        chi = field.chi
-        return "".join([chi[v] for v in field.horner(f.coeffs, points)])
+        return field.horner_chi(f.coeffs, points)
     chi = field.chi_string()
     if f.degree == 1:
         return field.translate(chi, f.coeffs[0])[:n]
@@ -200,7 +199,8 @@ def is_irreducible(f: Poly) -> bool:
     field = f.field
     if d == 2 and field.q % 2:
         c, b, a = f.coeffs
-        disc = field.add(field.mul(b, b), field.neg(field.mul(4 % field.p, field.mul(a, c))))
+        # -4 % p is the constant -4 as an element index
+        disc = field.add(field.mul(b, b), field.mul(-4 % field.p, field.mul(a, c)))
         return field.chi[disc] == "1"
     if f.coeffs[0] == 0 or f(1) == 0:
         return False  # x or x - 1 divides; skip the Frobenius work

@@ -660,6 +660,37 @@ def test_horner_refuses_a_point_outside_the_field(p, m, bad):
     assert f.horner((1, 2, 1), [0, f.q - 1]) == [Poly(f, (1, 2, 1))(x) for x in (0, f.q - 1)]
 
 
+# byte-row fields on one-byte lanes (2q - 4 < 255), GF(11^2) and GF(2^7),
+# and on two-byte lanes, GF(131), GF(3^5) and GF(2^8)
+LANE_FIELDS = [(11, 2), (2, 7), (131, 1), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p, m", LANE_FIELDS, ids=[f"GF({p}^{m})" for p, m in LANE_FIELDS])
+def test_horner_on_whole_and_partial_point_sets(p, m):
+    """Every point of the field, a prefix, and sorted scattered subsets
+    with and without 0.  Besides drawn polynomials, (x - a) x^k + r(x)
+    with r's top two coefficients 0 makes the partial sum at x = a zero
+    after two steps and keep it zero for two more, and (x - a)(x - b)
+    with a, b among the points ends at zero."""
+    f = field_create(p, m)
+    q, rng = f.q, random.Random(f.q)
+    scattered = sorted(rng.sample(range(1, q), q // 3))
+    point_sets = [range(q), range(q // 2 + 1), [0, *scattered], scattered]
+    drawn = [tuple(rng.randrange(q) for _ in range(d)) for d in (2, 4, 4, 9)]
+    drawn.append((rng.randrange(1, q),) * 3)  # non-monic, no zero coefficient
+    vanishing = []
+    for a in (scattered[0], scattered[-1], 1):
+        lead, b = rng.randrange(1, q), scattered[1]
+        top = (f.neg(f.mul(lead, a)), lead)  # lead (x - a): zero at a
+        assert _ref_horner(f, top, a) == 0
+        vanishing.append((rng.randrange(q), rng.randrange(1, q), 0, 0) + top)
+        vanishing.append((f.mul(a, b), f.neg(f.add(a, b)), 1))
+    for coeffs in drawn + vanishing:
+        want = [_ref_horner(f, coeffs, x) for x in range(q)]
+        for points in point_sets:
+            assert f.horner(coeffs, points) == [want[x] for x in points], (coeffs, points)
+
+
 def _check_byte_rows(f, pairs):
     sums, prods = f.byte_rows()
     assert len(sums) == len(prods) == f.q

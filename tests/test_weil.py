@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import naive_curve_points, oracle_irreducible
+from helpers import naive_curve_points, oracle_irreducible, ref_eval
 from shadowcodes.errors import BadParameters, BudgetExceeded, FieldMismatch, ZeroArgument
 from shadowcodes.field import TABLE_LIMIT, field_create, field_of_order
 from shadowcodes.poly import Poly, chi_row, enumerate_monic_irreducibles, is_irreducible, x_minus
@@ -243,6 +243,31 @@ def test_root_free_is_irreducible_for_degree_two_and_three(q):
             assert ("2" not in chi_row(f, range(q))) == is_irreducible(f), f
 
 
+@pytest.mark.parametrize("q", [9, 121, 131, 243, 251])
+def test_chi_row_is_chi_of_each_value(q):
+    """chi_row over byte-row fields on one-byte lanes (GF(9), GF(121))
+    and two-byte lanes (GF(131), GF(3^5), GF(251)) equals chi read at
+    each value one by one, and the join chi_row made of horner's values:
+    drawn cubics; a cubic, a quartic and a non-monic quintic with roots
+    among the points; non-monic polynomials of degree 1 to 4; over the
+    whole field, a prefix, and sorted scattered subsets with and
+    without 0."""
+    field = field_of_order(q)
+    chi, rng = field.chi, random.Random(q)
+    scattered = sorted(rng.sample(range(1, q), q // 3))
+    a, b = scattered[0], scattered[-1]
+    roots = x_minus(field, a) * x_minus(field, b)
+    polys = [Poly(field, [rng.randrange(q) for _ in range(3)] + [1]) for _ in range(3)]
+    polys += [roots * x_minus(field, 0), roots * roots, roots * Poly(field, (1, 1, 0, 2))]
+    polys += [Poly(field, [rng.randrange(q) for _ in range(d)] + [rng.randrange(2, q)])
+              for d in (1, 2, 3, 4)]
+    for f in polys:
+        for points in (range(q), range(q // 2), [0, *scattered], scattered):
+            row = chi_row(f, points)
+            assert row == "".join([chi[ref_eval(f, x)] for x in points]), (f, points)
+            assert row == "".join([chi[v] for v in field.horner(f.coeffs, points)])
+
+
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 121])
 def test_discriminant_decides_every_monic_quadratic(q):
     """is_irreducible's discriminant test, against a root-free chi row
@@ -256,6 +281,23 @@ def test_discriminant_decides_every_monic_quadratic(q):
         assert by_disc == ("2" not in chi_row(f, range(q))) == oracle_irreducible(f), f
         irreducible += by_disc
     assert irreducible == (q * q - q) // 2
+
+
+@pytest.mark.parametrize("q", [257, 729])
+def test_discriminant_past_the_byte_rows_on_seeded_quadratics(q):
+    """The same test past the byte rows, a prime and an extension field,
+    on seeded quadratics, half of them non-monic so that a slip in a, c
+    or the constant -4 shows: against the root-free chi row and the
+    root-scan oracle."""
+    field, rng = field_of_order(q), random.Random(q)
+    decided = set()
+    for i in range(60):
+        lead = 1 if i % 2 else rng.randrange(2, q)
+        f = Poly(field, (rng.randrange(q), rng.randrange(q), lead))
+        by_disc = is_irreducible(f)
+        assert by_disc == ("2" not in chi_row(f, range(q))) == oracle_irreducible(f), f
+        decided.add(by_disc)
+    assert decided == {False, True}
 
 
 def test_verify_weil_rows_each_factor_once_per_call(monkeypatch):
