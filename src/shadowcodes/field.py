@@ -21,11 +21,11 @@ base-p digits.  neg is mul by -1, the index p - 1 in every field, and
 a difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
-Up to q = 256 a field keeps byte rows of its sums and products, which
+Up to q = 128 a field keeps byte rows of its sums and products, which
 Poly * reads too.  horner, the package's one Horner evaluation, steps
 every point at once there: the logs of acc and of the points add as
-lanes of one int, a 256-byte exp table reads the products back, and
-the byte row of the next coefficient's sums adds it; horner_chi
+one-byte lanes of one int, a 256-byte exp table reads the products
+back, and the byte row of the next coefficient's sums adds it; horner_chi
 composes chi into the last step's row, so a chi row takes no pass of
 its own.  Past the byte rows horner works mod p in a prime field, else
 by mul and add, one point at a time.
@@ -59,9 +59,11 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 16
-# fields up to this order keep byte rows of their sums and products
-BYTE_ROWS_LIMIT = 256
-# a bulk Horner step's zero test: 0 goes to 255, the spare log
+# fields up to this order keep byte rows of their sums and products; two
+# logs in 0..q - 1 sum to at most 2q - 2 <= 254, so a bulk Horner lane of
+# one byte never carries and 255 stays free as the zero mark
+BYTE_ROWS_LIMIT = 128
+# a bulk Horner step's zero test: 0 goes to 255, the zero mark
 _ZERO_LANES = b"\xff" + bytes(255)
 _IDENTITY = bytes(range(256))
 # trial division stops here, a few hundredths of a second in: every
@@ -231,11 +233,12 @@ class Field:
     def byte_rows(self) -> tuple[list[bytes], list[bytes]] | None:
         """(sums, prods), q rows of q bytes with sums[a][b] = a + b and
         prods[a][b] = a * b, built on the first call; None past
-        BYTE_ROWS_LIMIT.  Each row is one or two bytes.translate calls:
-        the product row of a != 0 maps log b (0 takes the spare log
-        q - 1) to g^(log a + log b), g the least primitive element, and
-        the sum row of a != 0 is a(1 + b/a), the product row of 1/a =
-        g^(-log a) read through the row of 1 + b, then that of a."""
+        BYTE_ROWS_LIMIT, q = 128.  Each row is one or two
+        bytes.translate calls: the product row of a != 0 maps log b
+        (0 takes the spare log q - 1) to g^(log a + log b), g the least
+        primitive element, and the sum row of a != 0 is a(1 + b/a), the
+        product row of 1/a = g^(-log a) read through the row of 1 + b,
+        then that of a."""
         if self._rows is None and self.q <= BYTE_ROWS_LIMIT:
             q, p, g = self.q, self.p, self.primitive_element()
             powers = [self.pow(g, t) for t in range(q - 1)]
@@ -247,18 +250,18 @@ class Field:
             sums = [bytes(range(q))] + [prods[powers[-t]].translate(one_up).translate(prods[a] + pad)
                                         for a, t in enumerate(logs[1:], 1)]
             self._rows = sums, prods
-            # _bulk_horner's tables: log a with log 0 = 0, and g^(t mod q - 1)
-            # for t < 255 with the spare log 255 sent to 0
-            self._log_exp = (b"\0" + logs[1:] + pad,
-                             (cycle * (128 // (q - 1) + 1))[:255] + b"\0")
+            # _bulk_horner's tables: the same logs, and g^(t mod q - 1) for
+            # t < 2q - 2 with 255, the zero mark, sent to 0
+            self._log_exp = logs + pad, cycle.ljust(256, b"\0")
         return self._rows
 
     def horner(self, coeffs, points) -> list[int]:
         """The polynomial with coefficients coeffs (low degree first) at
         every point, by Horner's rule from the leading coefficient; a
-        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT every
-        point steps at once (_bulk_horner), past it (acc * x + c) % p
-        in a prime field and add(mul(acc, x), c) in an extension field."""
+        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT,
+        q = 128, every point steps at once on one-byte lanes
+        (_bulk_horner), past it (acc * x + c) % p in a prime field and
+        add(mul(acc, x), c) in an extension field, one point at a time."""
         if self.byte_rows() is not None:
             return list(self._bulk_horner(coeffs, points, _IDENTITY))
         q = self.q
@@ -276,8 +279,8 @@ class Field:
 
     def horner_chi(self, coeffs, points) -> str:
         """chi of the polynomial at every point, odd q only: up to
-        BYTE_ROWS_LIMIT chi is composed into the last bulk step, past it
-        each horner value is read in chi."""
+        BYTE_ROWS_LIMIT, q = 128, chi is composed into the last bulk
+        step, past it each horner value is read in chi."""
         chi = self.chi
         if self.byte_rows() is None:
             return "".join([chi[v] for v in self.horner(coeffs, points)])
@@ -288,14 +291,13 @@ class Field:
         """last[f(x)] for every point x, one byte each, by Horner's rule
         over all points at once on the byte rows.
 
-        acc * x adds the logs of acc and of the points (packed once) as
-        lanes of one int, ORs the spare log 255 into each lane where acc
-        or x is 0, and reads the lanes through exp, which sends 255 to
-        0; + c then reads the byte row sums[c], which the last step
-        reads through last.  A lane is one byte while the largest log
-        sum 2q - 4 stays below 255 (q <= 129), else two, interleaved by
-        a slice assignment, from each of which q - 1 is taken once where
-        the sum reaches it."""
+        acc * x adds the logs of acc and of the points (packed once, from
+        the log table byte_rows builds, where 0 takes the spare q - 1) as
+        one-byte lanes of one int, ORs 255 into each lane where acc or x
+        is 0, and reads the lanes through exp, which sends 255 to 0;
+        + c then reads the byte row sums[c], which the last step reads
+        through last.  A lane sum is at most 2q - 2 <= 254, so no lane
+        carries (BYTE_ROWS_LIMIT)."""
         q, n = self.q, len(points)
         try:
             xs = bytes(points)
@@ -310,27 +312,12 @@ class Field:
             return acc.translate(last)
         rows = [sums[c] + pad for c in coeffs[-2:0:-1]]
         rows.append(sums[coeffs[0]].translate(last) + pad)
-        x_logs, x_zeros = xs.translate(log), xs.translate(_ZERO_LANES)
-        if 2 * q - 4 < 255:
-            x_logs, x_zeros = int.from_bytes(x_logs, "little"), int.from_bytes(x_zeros, "little")
-            for row in rows:
-                s = int.from_bytes(acc.translate(log), "little") + x_logs
-                s |= int.from_bytes(acc.translate(_ZERO_LANES), "little") | x_zeros
-                acc = s.to_bytes(n, "little").translate(exp).translate(row)
-            return acc
-        logs, zeros = bytearray(2 * n), bytearray(2 * n)
-        logs[::2], zeros[::2] = x_logs, x_zeros
-        x_logs, x_zeros = int.from_bytes(logs, "little"), int.from_bytes(zeros, "little")
-        ones = int.from_bytes(b"\1\0" * n, "little")
-        # bit 15 of a lane is set by this add exactly where the sum is
-        # at least q - 1; no lane carries into the next
-        below = ones * (0x8000 - (q - 1))
+        x_logs = int.from_bytes(xs.translate(log), "little")
+        x_zeros = int.from_bytes(xs.translate(_ZERO_LANES), "little")
         for row in rows:
-            logs[::2], zeros[::2] = acc.translate(log), acc.translate(_ZERO_LANES)
-            s = int.from_bytes(logs, "little") + x_logs
-            s -= ((s + below) >> 15 & ones) * (q - 1)
-            s |= int.from_bytes(zeros, "little") | x_zeros
-            acc = s.to_bytes(2 * n, "little")[::2].translate(exp).translate(row)
+            s = int.from_bytes(acc.translate(log), "little") + x_logs
+            s |= int.from_bytes(acc.translate(_ZERO_LANES), "little") | x_zeros
+            acc = s.to_bytes(n, "little").translate(exp).translate(row)
         return acc
 
     def inv(self, a: int) -> int:

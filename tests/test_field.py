@@ -606,10 +606,10 @@ def _ref_horner(f, coeffs, x):
     return acc
 
 
-# a prime field, byte-row fields of degree 2 and 5, GF(2^8) at the edge
-# of the byte rows, GF(3^6) just past it with exp and log tables, and the
-# untabled GF(5^7)
-HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (3, 5), (2, 8), (3, 6), (5, 7)]
+# a prime field, byte-row fields of degree 2, GF(2^7) at the edge
+# of the byte rows, GF(3^5) and GF(2^8) just past it, GF(3^6) with exp
+# and log tables, and the untabled GF(5^7)
+HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (2, 7), (3, 5), (2, 8), (3, 6), (5, 7)]
 HORNER_IDS = [f"GF({p}^{m})" for p, m in HORNER_FIELDS]
 
 
@@ -660,9 +660,10 @@ def test_horner_refuses_a_point_outside_the_field(p, m, bad):
     assert f.horner((1, 2, 1), [0, f.q - 1]) == [Poly(f, (1, 2, 1))(x) for x in (0, f.q - 1)]
 
 
-# byte-row fields on one-byte lanes (2q - 4 < 255), GF(11^2) and GF(2^7),
-# and on two-byte lanes, GF(131), GF(3^5) and GF(2^8)
-LANE_FIELDS = [(11, 2), (2, 7), (131, 1), (3, 5), (2, 8)]
+# byte-row fields whose largest lane sum 2q - 2 nears 255: GF(11^2),
+# GF(5^3), GF(127) and GF(2^7) at 240, 248, 252 and 254; and GF(131),
+# GF(3^5) and GF(2^8), just past the byte rows on the per-point loop
+LANE_FIELDS = [(11, 2), (5, 3), (127, 1), (2, 7), (131, 1), (3, 5), (2, 8)]
 
 
 @pytest.mark.parametrize("p, m", LANE_FIELDS, ids=[f"GF({p}^{m})" for p, m in LANE_FIELDS])
@@ -706,7 +707,7 @@ def test_byte_rows_match_the_references_on_every_pair(p, m):
     _check_byte_rows(f, [(a, b) for a in range(f.q) for b in range(f.q)])
 
 
-@pytest.mark.parametrize("q", [81, 121, 243, 256])
+@pytest.mark.parametrize("q", [81, 121, 125, 127, 128])
 def test_byte_rows_match_the_references_on_drawn_pairs(q):
     """Every row and every column is read at least 5 times, at 1 among
     them."""
@@ -716,13 +717,13 @@ def test_byte_rows_match_the_references_on_drawn_pairs(q):
     _check_byte_rows(f, pairs + [(b, a) for a, b in pairs])
 
 
-def test_byte_rows_are_built_on_first_use_up_to_256():
+def test_byte_rows_are_built_on_first_use_up_to_the_limit():
     """A new field, prime or not, holds no rows until asked, then keeps
-    the ones it built; past 256 there are none."""
-    for q in (2, 13, 49, 251, 256):
+    the ones it built; past 128 there are none."""
+    for q in (2, 13, 49, 127, 128):
         pm = prime_power(q)
         f = Field(*pm, None if pm[1] == 1 else field_of_order(q).modulus)
         assert f._rows is None
         assert f.byte_rows() is f.byte_rows() is not None
-    for q in (257, 729, 1031, 5**7):
+    for q in (131, 243, 256, 257, 729, 5**7):
         assert field_of_order(q).byte_rows() is None

@@ -243,15 +243,15 @@ def test_root_free_is_irreducible_for_degree_two_and_three(q):
             assert ("2" not in chi_row(f, range(q))) == is_irreducible(f), f
 
 
-@pytest.mark.parametrize("q", [9, 121, 131, 243, 251])
+@pytest.mark.parametrize("q", [9, 121, 125, 127, 131, 243, 251])
 def test_chi_row_is_chi_of_each_value(q):
-    """chi_row over byte-row fields on one-byte lanes (GF(9), GF(121))
-    and two-byte lanes (GF(131), GF(3^5), GF(251)) equals chi read at
-    each value one by one, and the join chi_row made of horner's values:
-    drawn cubics; a cubic, a quartic and a non-monic quintic with roots
-    among the points; non-monic polynomials of degree 1 to 4; over the
-    whole field, a prefix, and sorted scattered subsets with and
-    without 0."""
+    """chi_row over byte-row fields (GF(9), GF(121), and GF(5^3) and
+    GF(127), whose lane sums reach 248 and 252) and just past them
+    (GF(131), GF(3^5), GF(251)) equals chi read at each value one by
+    one, and the join chi_row made of horner's values: drawn cubics;
+    a cubic, a quartic and a non-monic quintic with roots among the
+    points; non-monic polynomials of degree 1 to 4; over the whole
+    field, a prefix, and sorted scattered subsets with and without 0."""
     field = field_of_order(q)
     chi, rng = field.chi, random.Random(q)
     scattered = sorted(rng.sample(range(1, q), q // 3))
