@@ -11,7 +11,10 @@ block's lanes are packed into 2^(b - p) ints of 2^p lanes each, a piece
 filling PIECE_BYTES bytes or the whole block: the top b - p butterfly
 stages pair whole pieces and need no shift.  Piece i holds lanes
 i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order are the block
-as one int.
+as one int.  Each butterfly inside a piece is one add, a + b on its low
+lane and a + ~b = a - b - 1 on its high one; the -1s leave a fixed
+skew, which the top stages gather on piece 0 and one subtract per block
+takes back.
 
 Lanes count modulo 2^(bits - 1), below a guard bit, and a lane reads
 exactly below that.  The scan never reads the zero message's lane, and
@@ -140,19 +143,49 @@ def _column_bits(row: int, n: int) -> bytes:
     return format(row, f"0{n}b").encode()[::-1].translate(_BITS)
 
 
-def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int]]:
-    """(shift, mask) of each butterfly stage s < b of 2^b packed lanes of
-    the given width, s ascending: stage s pairs lane i with lane i + 2^s,
-    shifting by 2^s lanes, and its mask holds the value bits of the lanes
-    i.  The top stage's mask is the low half, and each stage's mask XOR
-    itself shifted by half its run of lanes gives the stage's below it."""
+def _stage_masks(bits: int, b: int, values: int) -> list[tuple[int, int, int]]:
+    """(shift, mask, upper) of each butterfly stage s < b of 2^b packed
+    lanes of the given width, s ascending: stage s pairs lane i with lane
+    i + 2^s, shifting by 2^s lanes; its mask holds the value bits of the
+    lanes i, and upper = mask << shift those of the lanes i + 2^s.  The
+    top stage's mask is the low half, and each stage's mask XOR itself
+    shifted by half its run of lanes gives the stage's below it."""
     stages = []
     mask = (1 << (bits << b >> 1)) - 1
     for s in reversed(range(b)):
         shift = bits << s
-        stages.append((shift, mask & values))
+        low = mask & values
+        stages.append((shift, low, low << shift))
         mask ^= mask << (shift >> 1)
     return stages[::-1]
+
+
+def _butterflies(v: int, stages: list[tuple[int, int, int]]) -> int:
+    """The stages of _stage_masks on one packed piece v, one add each:
+    lane i takes a + b and lane i + 2^s takes a + ~b, ~b being b's value
+    bits flipped, which is a - b - 1 modulo 2^(bits - 1).  Both addends
+    have clear guard bits, so no carry leaves a lane, and each stage's
+    masks drop the junk guard bits the stage before left."""
+    for shift, mask, upper in stages:
+        x = v & mask
+        y = v & upper
+        v = (x | x << shift) + (y >> shift | y ^ upper)
+    return v
+
+
+def _skew(stages: list[tuple[int, int, int]], values: int, top_stages: int) -> int:
+    """What the -1s of _butterflies leave on piece 0 of a block after
+    its in-piece stages and its top stages, lane-wise modulo
+    2^(bits - 1): the stages run on a zero piece, and each top stage
+    doubles it.  The -1s do not depend on the data, so lane u != 0 of
+    every piece is off by -2^(p - 1 - hb(u)) after the p in-piece
+    stages, hb(u) the top set bit of u, and lane 0 by 0; the top stages
+    add that onto piece 0 and cancel it on every other piece, leaving
+    -2^(b - 1 - hb(u)) on piece 0 alone."""
+    skew = _butterflies(0, stages) & values
+    for _ in range(top_stages):
+        skew = skew << 1 & values
+    return skew
 
 
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
@@ -168,9 +201,12 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     the columns j whose low-row pattern is t, c being the high codeword,
     plus n at t = 0: lane u of the transform is then n + sum_j
     (-1)^(c_j + u.t_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
-    so each butterfly is one add and one subtract over all lanes; the
-    guard bit absorbs the add's carry and the subtract's borrow, and
-    masking it off leaves 2(n - w) modulo 2^(bits - 1).
+    so each butterfly inside a piece is one add over all lanes
+    (_butterflies): a + b on the low lane and a + ~b = a - b - 1 on the
+    high one.  The guard bit absorbs the carry, and masking it off
+    leaves the lane modulo 2^(bits - 1).  The -1s do not depend on the
+    data, and the top stages gather them on piece 0 as one fixed skew
+    (_skew), which a subtract per block takes back.
 
     Every lane of the histogram starts at 2^(bits - 1) + count(t), its
     guard bit set, and each column of c takes 2 off its pattern's lane,
@@ -181,9 +217,10 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     128 + 63 + 64 = 255, one byte.  The p low stages run inside each
     piece, their masks holding value bits only, so a stage reads
     guard-free halves and leaves its junk guard bits to the next stage's
-    mask; each piece is cleared once after them.  The b - p top stages
-    pair whole pieces, lane for lane with no shift, and clear the guard
-    bits of each sum and difference."""
+    masks; each piece is cleared once after them.  The b - p top stages
+    pair whole pieces, lane for lane with no shift, in an exact add and
+    subtract, and clear the guard bits of each sum and difference; piece
+    0 then takes back the skew."""
     code, bits, ones, b, p = _lane_format(n, len(rows))
     low, high = rows[:b], rows[b:]
     wrap = 1 << (bits - 1)
@@ -207,6 +244,7 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
         base[pat] += count
     base[0] += n
     stages = _stage_masks(bits, p, values)
+    skew = _skew(stages, values, b - p)
     step = bits << p >> 3  # bytes per piece
     # top stage s pairs piece i with piece i + 2^s, s ascending like the low stages
     tops = [(i, i | 1 << s) for s in range(b - p) for i in range(1 << (b - p)) if not i >> s & 1]
@@ -225,17 +263,14 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
         if sys.byteorder == "big":
             lanes.byteswap()
         raw = lanes.tobytes()
-        vs = []
-        for at in range(0, len(raw), step):
-            v = int.from_bytes(raw[at : at + step], "little")
-            for shift, mask in stages:
-                x = v & mask
-                y = (v >> shift) & mask
-                v = (x + y) | (((x | guards) - y) << shift)
-            vs.append(v & values)
+        vs = [
+            _butterflies(int.from_bytes(raw[at : at + step], "little"), stages) & values
+            for at in range(0, len(raw), step)
+        ]
         for i, j in tops:
             x, y = vs[i], vs[j]
             vs[i], vs[j] = (x + y) & values, ((x | guards) - y) & values
+        vs[0] = ((vs[0] | guards) - skew) & values
         yield vs
 
 

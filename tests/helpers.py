@@ -38,6 +38,19 @@ def naive_min_distance(rows, n: int) -> int:
     return best
 
 
+def popcount_min_distance(rows) -> int:
+    """Minimum nonzero-codeword weight by a Gray walk of every message,
+    one XOR and one popcount a codeword: for rows too long for the
+    per-message encoding and bit strings of naive_min_distance."""
+    best, cw = None, 0
+    for h in range(1, 1 << len(rows)):
+        cw ^= rows[(h & -h).bit_length() - 1]
+        w = cw.bit_count()
+        if best is None or w < best:
+            best = w
+    return best
+
+
 def naive_weight_hist(rows, n: int) -> list[int]:
     hist = [0] * (n + 1)
     k = len(rows)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import naive_min_distance, naive_span, naive_weight_hist
+from helpers import naive_min_distance, naive_span, naive_weight_hist, popcount_min_distance
 from shadowcodes import binary
 from shadowcodes.binary import (
     LOW_ROWS,
@@ -17,6 +17,8 @@ from shadowcodes.binary import (
     _lane_format,
     _min_weight,
     _reverse,
+    _skew,
+    _stage_masks,
     _unpack,
     _walk_parts,
     _walsh_blocks,
@@ -504,6 +506,40 @@ def test_pieces_join_to_the_one_int_block(monkeypatch):
     for piece in range(4):
         monkeypatch.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert _joined_blocks(code.rows, code.n) == whole
+
+
+@pytest.mark.parametrize("n, lane", [(64, "B"), (65, "H"), ((1 << 14) + 1, "I")])
+def test_skew_is_the_closed_form(n, lane):
+    """The a + ~b rule leaves -2^(b - 1 - hb(u)) modulo 2^(bits - 1) on
+    lane u != 0 of piece 0, hb(u) the top set bit of u, and 0 on lane
+    0: at each lane width, for blocks of 2^1 .. 2^5 lanes in pieces of
+    every size, 0 to b top stages, and at the module's own constants,
+    where 2^(b - 1 - hb(u)) passes the 8-bit lanes' 2^7."""
+    shapes = [(width, piece) for width in range(1, 6) for piece in range(width + 1)]
+    for width, piece in shapes + [(LOW_ROWS, None)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binary, "LOW_ROWS", width)
+            if piece is not None:
+                mp.setattr(binary, "PIECE_BYTES", _piece_bytes(n, piece))
+            code, bits, ones, b, p = _lane_format(n, width)
+        assert code == lane and b == width
+        values = (ones << (bits - 1)) - ones
+        skew = _skew(_stage_masks(bits, p, values), values, b - p)
+        want = [-(1 << (b - u.bit_length())) % (1 << (bits - 1)) for u in range(1, 1 << p)]
+        assert list(_unpack(skew, code, p)) == [0] + want, (width, piece)
+
+
+def test_scan_on_32_bit_lanes_at_the_module_constants():
+    """The deg1 (16397, 15) code over GF(16411) folds to 14 rows on
+    32-bit lanes: one block of 16 pieces of 2^10 lanes, joined by 4 top
+    stages, the most doublings of the skew any lane width takes at the
+    module's constants.  Its distance matches a popcount walk."""
+    code = construct_deg1_nk(16397, 15).generator()
+    n, rows = code.n, _quotient_rows(code)
+    lane, _, _, b, p = _lane_format(n, len(rows))
+    assert (lane, len(rows), b, p) == ("I", LOW_ROWS, LOW_ROWS, 10)
+    assert [len(pieces) for pieces in _walsh_blocks(rows, n, 0, 1)] == [16]
+    assert exact_min_distance(code) == popcount_min_distance(code.rows) == 7959
 
 
 def test_lightest_word_on_lane_0_of_a_later_piece():
