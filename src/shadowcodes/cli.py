@@ -8,8 +8,8 @@ another leaf is an argparse error. Leaves take no flag prefixes, or
 `--n` would pass for `--n-max`. One table per command drives both its
 parser leaves and its handler.
 
-This is the one module that turns results into text: every JSON output
-goes through `_emit`, and figure CSV through `rows_to_csv`.
+The one module that turns results into text: JSON through `_emit`, each
+top-level list of scalars from the C encoder; figure CSV through `rows_to_csv`.
 
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure, 2 for unusable parameters (argparse errors included).
@@ -120,38 +120,36 @@ _HELP = {"q": "field order", "e_size": "evaluation set size", "n": "code length"
          "k": "dimension", "a": "dimension exponent", "sample": "trials for a sampled upper bound"}
 
 
-# stands in for a top-level int list in the indented dump, as "\u0000"
-_PLACEHOLDER = "\0"
-_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+_INDENTED = json.JSONEncoder(indent=2, default=str).encode
+_FLAT = json.JSONEncoder(separators=(",\n    ", ": "), default=str).encode
 
 
 def _json_pieces(obj) -> list[str]:
     """The text of json.dumps(obj, indent=2, default=str) + "\\n", in
     pieces that are written one after another and never joined.
 
-    An indent selects the pure-Python encoder, so each non-empty
-    top-level list of exact ints (a descriptor's E) is dumped by the C
-    encoder, one item per line, and spliced in where a placeholder stood
-    in the indented dump of the rest.  A placeholder is found by its
-    key's line, a newline, two spaces and the key: in an indented dump
-    only a top-level key's line starts so, and no string holds a raw
-    newline.  A dict with a key other than a str keeps the plain dump,
-    since the key 1 and the key "1" print alike."""
-    if not isinstance(obj, dict) or set(map(type, obj)) - {str}:
-        return [json.dumps(obj, indent=2, default=str), "\n"]
-    # an empty list keeps the plain "[]"
-    ints = {key: value for key, value in obj.items()
-            if type(value) is list and set(map(type, value)) == {int}}
-    text = json.dumps({key: _PLACEHOLDER if key in ints else value
-                       for key, value in obj.items()}, indent=2, default=str)
-    pieces, pos = [], 0
-    for key, value in ints.items():
-        line = f"\n  {json.dumps(key)}: {_PLACEHOLDER_JSON}"
-        end = text.index(line, pos) + len(line)
-        items = json.dumps(value, separators=(",\n    ", ": "))
-        pieces += (text[pos:end - len(_PLACEHOLDER_JSON)], "[\n    ", items[1:-1], "\n  ]")
-        pos = end
-    pieces += (text[pos:], "\n")
+    A str-keyed dict is written one key at a time, each value dumped
+    first by the C encoder, since an indent selects the slow Python one.
+    A dump with no bracket or brace (a scalar's) is written as it is, and
+    a non-empty top-level list whose dump holds one "[" and no "{" (a
+    descriptor's E) from that dump, one item per line.  Every other value
+    is its own indented dump, shifted one level in: no string holds a raw
+    newline.  Any other object, or a dict with a key other than a str
+    (the keys 1 and "1" print alike), keeps the plain dump."""
+    if not isinstance(obj, dict) or not all(type(key) is str for key in obj):
+        return [_INDENTED(obj), "\n"]
+    pieces, sep = ["{"], "\n  "
+    for key, value in obj.items():
+        pieces.append(f"{sep}{_INDENTED(key)}: ")
+        sep = ",\n  "
+        flat = _FLAT(value)
+        if "[" not in flat and "{" not in flat:
+            pieces.append(flat)
+        elif type(value) is list and value and flat.count("[") == 1 and "{" not in flat:
+            pieces += ("[\n    ", flat[1:-1], "\n  ]")
+        else:
+            pieces.append(_INDENTED(value).replace("\n", "\n  "))
+    pieces.append("\n}\n" if obj else "}\n")
     return pieces
 
 

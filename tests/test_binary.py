@@ -200,12 +200,24 @@ def test_wide_code_takes_32_bit_lanes():
 
 @settings(max_examples=2, deadline=None)
 @given(n=st.integers(18, 40), seed=st.integers(0, 2**32))
-def test_16_block_walk_matches_naive_oracle(n, seed):
+def test_16_block_walk_matches_popcount_oracle(n, seed):
     """The module's own LOW_ROWS, not a narrow test width, with 18 rows
-    walked in 16 blocks."""
+    walked in 16 blocks.  The popcount oracle weighs 2^18 messages in
+    about 0.03 s, under hypothesis's line tracer too, which keeps a red
+    run short."""
     assert 1 << (18 - LOW_ROWS) == 16
     code = random_linear_code(n, 18, seed)
-    assert exact_min_distance(code) == naive_min_distance(code.rows, n)
+    assert exact_min_distance(code) == popcount_min_distance(code.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 10), extra=st.integers(0, 30), seed=st.integers(0, 2**32))
+@example(k=1, extra=0, seed=0)
+def test_popcount_oracle_matches_naive_oracle(k, extra, seed):
+    """The two oracles stay independent: the Gray-walk popcount oracle
+    against per-message encoding, on codes small enough for the latter."""
+    code = random_linear_code(k + extra, k, seed)
+    assert popcount_min_distance(code.rows) == naive_min_distance(code.rows, code.n)
 
 
 def _ones_code(n: int, k: int, seed: int, ones: str) -> BinaryCode:

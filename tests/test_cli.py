@@ -17,14 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from shadowcodes import __version__
 from shadowcodes.bounds import FIG_FIELDNAMES, BoundPoint, fig1_rows, fig4_rows
-from shadowcodes.cli import (
-    _PLACEHOLDER,
-    _PLACEHOLDER_JSON,
-    _json_pieces,
-    build_parser,
-    main,
-    rows_to_csv,
-)
+from shadowcodes.cli import _json_pieces, build_parser, main, rows_to_csv
 
 
 def run_cli(capsys, *argv):
@@ -482,11 +475,12 @@ def test_bounds_missing_arguments(capsys):
     assert "--k" in capsys.readouterr().err
 
 
-# strings that an indented dump escapes, or that spell the placeholder
+# strings that an indented dump escapes, that would trip a writer which
+# splices lists back in for a "\0" stand-in, or that hold a bracket or brace
 TRICKY_TEXT = st.one_of(
     st.text(max_size=6),
-    st.sampled_from(["\0", '"', "\\", "a\0b", _PLACEHOLDER, _PLACEHOLDER_JSON,
-                     f'\n  "E": {_PLACEHOLDER_JSON}', "E"]),
+    st.sampled_from(["\0", '"', "\\", "a\0b", '"\\u0000"', '\n  "E": "\\u0000"', "E",
+                     "[", "]", "{", "}", "a[1]", "{}", "[]"]),
 )
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), TRICKY_TEXT,
@@ -496,6 +490,9 @@ TOP_VALUES = st.one_of(
     st.lists(st.integers(-(2**70), 2**70), max_size=4),  # empty, one item, signs, > 2^64
     st.lists(st.booleans(), max_size=3),
     st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+    st.lists(TRICKY_TEXT, max_size=4),
+    st.lists(st.one_of(st.floats(allow_nan=False), st.fractions()), max_size=4),  # default=str
+    st.lists(st.one_of(JSON_LEAVES, st.just([]), st.just({})), max_size=4),
     st.recursive(JSON_LEAVES, lambda inner: st.one_of(
         st.lists(inner, max_size=3), st.dictionaries(TRICKY_TEXT, inner, max_size=3)),
         max_leaves=6),
@@ -513,14 +510,38 @@ def test_json_pieces_join_to_the_indented_dump(obj):
 
 
 def test_json_pieces_splice_past_an_equal_string_value():
-    """A string equal to the placeholder comes first, at the top level and
-    nested, and E's items are one piece from the C encoder: a writer that
-    never splices would pass the property above."""
-    obj = {"a": _PLACEHOLDER, "E": [3, -1, 2**70], "b": {"E": _PLACEHOLDER}, "F": [7],
+    """A "\\0" string, a splicing writer's stand-in, comes first, at the top
+    level and nested, and E's items are one piece from the C encoder: a
+    writer that dumps E with the indent would pass the property above."""
+    obj = {"a": "\0", "E": [3, -1, 2**70], "b": {"E": "\0"}, "F": [7],
            "c": [], "d": Fraction(1, 3)}
     pieces = _json_pieces(obj)
     assert "".join(pieces) == json.dumps(obj, indent=2, default=str) + "\n"
     assert "3,\n    -1,\n    1180591620717411303424" in pieces  # E, from the C encoder
+
+
+@pytest.mark.parametrize(
+    "value, items",
+    [
+        ([3, -1, 2**70], "3,\n    -1,\n    1180591620717411303424"),
+        (["0f", "a1"], '"0f",\n    "a1"'),
+        ([Fraction(1, 3), Fraction(-2)], '"1/3",\n    "-2"'),
+        ([1, {"a": 2}], None),
+        ([1, []], None),
+        (["a[1]", 2], None),
+        ("a[1]", None),
+    ],
+)
+def test_json_pieces_write_flat_lists_from_the_c_encoder(value, items):
+    """A top-level list of scalars is one piece from the C encoder; a list
+    that holds a dict, a list or a string with "[", and such a string
+    itself, are their indented dumps."""
+    obj = {"config": {"k": 1}, "E": value, "n": 5}
+    pieces = _json_pieces(obj)
+    assert "".join(pieces) == json.dumps(obj, indent=2, default=str) + "\n"
+    flat = items in pieces
+    assert flat == (items is not None)
+    assert ("[\n    " in pieces) == flat
 
 
 @pytest.mark.parametrize(
