@@ -21,14 +21,15 @@ base-p digits.  neg is mul by -1, the index p - 1 in every field, and
 a difference a - b is add(a, neg b).
 Primitivity is one power per prime factor of q - 1.
 
-Up to q = 128 a field keeps byte rows of its sums and products, which
-Poly * reads too.  horner, the package's one Horner evaluation, steps
-every point at once there: the logs of acc and of the points add as
-one-byte lanes of one int, a 256-byte exp table reads the products
-back, and the byte row of the next coefficient's sums adds it; horner_chi
-composes chi into the last step's row, so a chi row takes no pass of
-its own.  Past the byte rows horner works mod p in a prime field, else
-by mul and add, one point at a time.
+horner evaluates a polynomial by Horner's rule one point at a time in
+every field: mod p in a prime field, else by mul and add.  Up to q = 128
+a field keeps byte rows of its sums and products, which Poly * reads
+too, and there horner_chi, chi of a polynomial at many points, steps
+every point at once: the logs of acc and of the points add as one-byte
+lanes of one int, a 256-byte exp table reads the products back, and the
+byte row of the next coefficient's sums adds it, with chi composed into
+the last step's row, so a chi row takes no pass of its own.  Past the
+byte rows horner_chi reads each horner value in chi.
 
 Every odd field has one quadratic character chi, which the shadow rows
 are read off: chi[a] is '0' for a nonzero square, '1' for a non-square
@@ -65,7 +66,6 @@ TABLE_LIMIT = 1 << 16
 BYTE_ROWS_LIMIT = 128
 # a bulk Horner step's zero test: 0 goes to 255, the zero mark
 _ZERO_LANES = b"\xff" + bytes(255)
-_IDENTITY = bytes(range(256))
 # trial division stops here, a few hundredths of a second in: every
 # integer up to its square, 10^12, is factored, and a larger one with
 # no factor below it is refused
@@ -250,20 +250,18 @@ class Field:
             sums = [bytes(range(q))] + [prods[powers[-t]].translate(one_up).translate(prods[a] + pad)
                                         for a, t in enumerate(logs[1:], 1)]
             self._rows = sums, prods
-            # _bulk_horner's tables: the same logs, and g^(t mod q - 1) for
+            # horner_chi's tables: the same logs, with 255 past q - 1 to
+            # mark a point outside the field, and g^(t mod q - 1) for
             # t < 2q - 2 with 255, the zero mark, sent to 0
-            self._log_exp = logs + pad, cycle.ljust(256, b"\0")
+            self._log_exp = logs.ljust(256, b"\xff"), cycle.ljust(256, b"\0")
         return self._rows
 
     def horner(self, coeffs, points) -> list[int]:
         """The polynomial with coefficients coeffs (low degree first) at
-        every point, by Horner's rule from the leading coefficient; a
-        point outside 0 .. q - 1 is refused.  Up to BYTE_ROWS_LIMIT,
-        q = 128, every point steps at once on one-byte lanes
-        (_bulk_horner), past it (acc * x + c) % p in a prime field and
-        add(mul(acc, x), c) in an extension field, one point at a time."""
-        if self.byte_rows() is not None:
-            return list(self._bulk_horner(coeffs, points, _IDENTITY))
+        every point, by Horner's rule from the leading coefficient, one
+        point at a time: (acc * x + c) % p in a prime field and
+        add(mul(acc, x), c) in an extension field; a point outside
+        0 .. q - 1 is refused."""
         q = self.q
         if points and not (0 <= min(points) and max(points) < q):
             raise BadParameters(_outside(q))
@@ -278,47 +276,41 @@ class Field:
         return out
 
     def horner_chi(self, coeffs, points) -> str:
-        """chi of the polynomial at every point, odd q only: up to
-        BYTE_ROWS_LIMIT, q = 128, chi is composed into the last bulk
-        step, past it each horner value is read in chi."""
-        chi = self.chi
-        if self.byte_rows() is None:
-            return "".join([chi[v] for v in self.horner(coeffs, points)])
-        table = chi.encode("latin-1").ljust(256, b"\0")
-        return self._bulk_horner(coeffs, points, table).decode("latin-1")
-
-    def _bulk_horner(self, coeffs, points, last: bytes) -> bytes:
-        """last[f(x)] for every point x, one byte each, by Horner's rule
-        over all points at once on the byte rows.
-
+        """chi of the polynomial at every point, odd q only; a point
+        outside 0 .. q - 1 is refused.  Past BYTE_ROWS_LIMIT, q = 128,
+        each horner value is read in chi.  Up to it Horner's rule steps
+        every point at once on the byte rows:
         acc * x adds the logs of acc and of the points (packed once, from
         the log table byte_rows builds, where 0 takes the spare q - 1) as
         one-byte lanes of one int, ORs 255 into each lane where acc or x
         is 0, and reads the lanes through exp, which sends 255 to 0;
-        + c then reads the byte row sums[c], which the last step reads
-        through last.  A lane sum is at most 2q - 2 <= 254, so no lane
-        carries (BYTE_ROWS_LIMIT)."""
+        + c then reads the byte row sums[c], and the last step's row is
+        read through chi, so the row takes no pass of its own.  A lane
+        sum is at most 2q - 2 <= 254, so no lane carries."""
+        chi = self.chi
+        if self.byte_rows() is None:
+            return "".join([chi[v] for v in self.horner(coeffs, points)])
         q, n = self.q, len(points)
+        sums, (log, exp) = self._rows[0], self._log_exp
         try:
             xs = bytes(points)
         except ValueError:  # a point outside 0..255
             xs = None
-        if xs is None or xs.translate(None, _IDENTITY[:q]):
+        if xs is None or 255 in xs.translate(log):
             raise BadParameters(_outside(q))
-        sums, (log, exp) = self._rows[0], self._log_exp
-        pad = bytes(256 - q)
-        acc = bytes([coeffs[-1] if coeffs else 0]) * n
         if len(coeffs) < 2:
-            return acc.translate(last)
+            return chi[coeffs[-1] if coeffs else 0] * n
+        pad = bytes(256 - q)
+        acc = bytes([coeffs[-1]]) * n
         rows = [sums[c] + pad for c in coeffs[-2:0:-1]]
-        rows.append(sums[coeffs[0]].translate(last) + pad)
+        rows.append(sums[coeffs[0]].translate(chi.encode("latin-1") + pad) + pad)
         x_logs = int.from_bytes(xs.translate(log), "little")
         x_zeros = int.from_bytes(xs.translate(_ZERO_LANES), "little")
         for row in rows:
             s = int.from_bytes(acc.translate(log), "little") + x_logs
             s |= int.from_bytes(acc.translate(_ZERO_LANES), "little") | x_zeros
             acc = s.to_bytes(n, "little").translate(exp).translate(row)
-        return acc
+        return acc.decode("latin-1")
 
     def inv(self, a: int) -> int:
         return self.pow(a, -1)

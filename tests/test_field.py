@@ -606,11 +606,22 @@ def _ref_horner(f, coeffs, x):
     return acc
 
 
+def _ref_chi_horner(f, coeffs, x):
+    """chi of _ref_horner by Euler's criterion on ref_ext_pow."""
+    v = _ref_horner(f, coeffs, x)
+    return "2" if v == 0 else "01"[ref_ext_pow(f.p, f.m, f.modulus, v, (f.q - 1) // 2) != 1]
+
+
 # a prime field, byte-row fields of degree 2, GF(2^7) at the edge
 # of the byte rows, GF(3^5) and GF(2^8) just past it, GF(3^6) with exp
 # and log tables, and the untabled GF(5^7)
 HORNER_FIELDS = [(7, 1), (3, 2), (7, 2), (2, 7), (3, 5), (2, 8), (3, 6), (5, 7)]
 HORNER_IDS = [f"GF({p}^{m})" for p, m in HORNER_FIELDS]
+# the odd byte-row fields, where horner_chi steps every point at once:
+# three of HORNER_FIELDS, and GF(11^2), GF(5^3) and GF(127) at the edge
+# of the one-byte lanes
+CHI_FIELDS = [(7, 1), (3, 2), (7, 2), (11, 2), (5, 3), (127, 1)]
+CHI_IDS = [f"GF({p}^{m})" for p, m in CHI_FIELDS]
 
 
 @settings(max_examples=200, deadline=None)
@@ -623,6 +634,17 @@ def test_horner_against_reference(pm, data):
     coeffs = tuple(data.draw(st.lists(elem, max_size=8), label="coeffs"))
     points = data.draw(st.lists(st.one_of(st.just(0), elem), max_size=6), label="points")
     assert f.horner(coeffs, points) == [_ref_horner(f, coeffs, x) for x in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm=st.sampled_from(CHI_FIELDS), data=st.data())
+def test_horner_chi_against_reference(pm, data):
+    """Field.horner_chi on the bulk step, drawn as for horner."""
+    f = field_create(*pm)
+    elem = st.integers(0, f.q - 1)
+    coeffs = tuple(data.draw(st.lists(elem, max_size=8), label="coeffs"))
+    points = data.draw(st.lists(st.one_of(st.just(0), elem), max_size=6), label="points")
+    assert f.horner_chi(coeffs, points) == "".join([_ref_chi_horner(f, coeffs, x) for x in points])
 
 
 @pytest.mark.parametrize("p, m", HORNER_FIELDS, ids=HORNER_IDS)
@@ -639,6 +661,24 @@ def test_horner_edge_cases(p, m):
         cs = (5, f.neg(a), 1)
         assert f.horner(cs, [0, a]) == [5, _ref_horner(f, cs, a)] == [5, 5]
     assert f.horner((3, 2, 0, 1), [0]) == [3]
+
+
+@pytest.mark.parametrize("p, m", CHI_FIELDS, ids=CHI_IDS)
+def test_horner_chi_edge_cases(p, m):
+    """horner_chi's bulk step on the cases of test_horner_edge_cases,
+    and on no points at all."""
+    f = field_create(p, m)
+    points, chi_5 = [0, 1, 2, f.q - 1], _ref_chi_horner(f, (5,), 0)
+    assert f.horner_chi((), points) == "2222"
+    for c in (1, 2, f.q - 1):
+        assert f.horner_chi((c,), points) == _ref_chi_horner(f, (c,), 0) * 4
+    for a in (1, 2, f.q - 1):
+        assert f.horner_chi((f.neg(a), 1), [a]) == "2"
+        cs = (5, f.neg(a), 1)
+        assert f.horner_chi(cs, [0, a]) == chi_5 + _ref_chi_horner(f, cs, a) == chi_5 * 2
+    assert f.horner_chi((3, 2, 0, 1), [0]) == _ref_chi_horner(f, (3,), 0)
+    for coeffs in ((), (4,), (1, 2, 1)):
+        assert f.horner_chi(coeffs, []) == ""
 
 
 @pytest.mark.parametrize(
@@ -660,36 +700,80 @@ def test_horner_refuses_a_point_outside_the_field(p, m, bad):
     assert f.horner((1, 2, 1), [0, f.q - 1]) == [Poly(f, (1, 2, 1))(x) for x in (0, f.q - 1)]
 
 
-# byte-row fields whose largest lane sum 2q - 2 nears 255: GF(11^2),
-# GF(5^3), GF(127) and GF(2^7) at 240, 248, 252 and 254; and GF(131),
-# GF(3^5) and GF(2^8), just past the byte rows on the per-point loop
-LANE_FIELDS = [(11, 2), (5, 3), (127, 1), (2, 7), (131, 1), (3, 5), (2, 8)]
-
-
-@pytest.mark.parametrize("p, m", LANE_FIELDS, ids=[f"GF({p}^{m})" for p, m in LANE_FIELDS])
-def test_horner_on_whole_and_partial_point_sets(p, m):
-    """Every point of the field, a prefix, and sorted scattered subsets
-    with and without 0.  Besides drawn polynomials, (x - a) x^k + r(x)
-    with r's top two coefficients 0 makes the partial sum at x = a zero
-    after two steps and keep it zero for two more, and (x - a)(x - b)
-    with a, b among the points ends at zero."""
+@pytest.mark.parametrize(
+    "p, m, bad",
+    [(3, 2, 9), (3, 2, -1), (3, 2, 256), (127, 1, 127), (127, 1, -1), (127, 1, 256)],
+    ids=["above", "below", "past_a_byte", "lane_edge_above", "lane_edge_below",
+         "lane_edge_past_a_byte"],
+)
+def test_horner_chi_refuses_a_point_outside_the_field(p, m, bad):
+    """horner_chi's bulk step refuses a point outside 0..q - 1, one that
+    is no byte included, for the zero polynomial and constants too."""
     f = field_create(p, m)
+    for coeffs in ((1, 2, 1), (4,), ()):
+        with pytest.raises(BadParameters):
+            f.horner_chi(coeffs, [0, bad, 1])
+    assert f.horner_chi((1, 2, 1), [0, f.q - 1]) == "".join(
+        [_ref_chi_horner(f, (1, 2, 1), x) for x in (0, f.q - 1)]
+    )
+
+
+# byte-row fields whose largest lane sum 2q - 2 nears 255 in
+# horner_chi's bulk step: GF(11^2), GF(5^3) and GF(127) at 240, 248 and
+# 252; GF(2^7), whose 254 the bulk step no longer reaches, since only odd
+# fields have chi; and GF(131), GF(3^5) and GF(2^8), just past the byte
+# rows
+LANE_FIELDS = [(11, 2), (5, 3), (127, 1), (2, 7), (131, 1), (3, 5), (2, 8)]
+ODD_LANE_FIELDS = [(11, 2), (5, 3), (127, 1)]
+
+
+def _whole_and_partial_cases(f):
+    """Point sets (every point of f, a prefix, and sorted scattered
+    subsets with and without 0) and polynomials: drawn ones,
+    (x - a) x^k + r(x) with r's top two coefficients 0, whose partial sum
+    at x = a is zero after two steps and stays zero for two more, and
+    (x - a)(x - b) with a, b among the points, which ends at zero there;
+    the last come as (coeffs, (a, b))."""
     q, rng = f.q, random.Random(f.q)
     scattered = sorted(rng.sample(range(1, q), q // 3))
     point_sets = [range(q), range(q // 2 + 1), [0, *scattered], scattered]
-    drawn = [tuple(rng.randrange(q) for _ in range(d)) for d in (2, 4, 4, 9)]
-    drawn.append((rng.randrange(1, q),) * 3)  # non-monic, no zero coefficient
-    vanishing = []
+    polys = [tuple(rng.randrange(q) for _ in range(d)) for d in (2, 4, 4, 9)]
+    polys.append((rng.randrange(1, q),) * 3)  # non-monic, no zero coefficient
+    roots = []
     for a in (scattered[0], scattered[-1], 1):
         lead, b = rng.randrange(1, q), scattered[1]
         top = (f.neg(f.mul(lead, a)), lead)  # lead (x - a): zero at a
         assert _ref_horner(f, top, a) == 0
-        vanishing.append((rng.randrange(q), rng.randrange(1, q), 0, 0) + top)
-        vanishing.append((f.mul(a, b), f.neg(f.add(a, b)), 1))
-    for coeffs in drawn + vanishing:
-        want = [_ref_horner(f, coeffs, x) for x in range(q)]
+        polys.append((rng.randrange(q), rng.randrange(1, q), 0, 0) + top)
+        roots.append(((f.mul(a, b), f.neg(f.add(a, b)), 1), (a, b)))
+    return point_sets, polys, roots
+
+
+@pytest.mark.parametrize("p, m", LANE_FIELDS, ids=[f"GF({p}^{m})" for p, m in LANE_FIELDS])
+def test_horner_on_whole_and_partial_point_sets(p, m):
+    """horner on _whole_and_partial_cases."""
+    f = field_create(p, m)
+    point_sets, polys, roots = _whole_and_partial_cases(f)
+    for coeffs in polys + [cs for cs, _ in roots]:
+        want = [_ref_horner(f, coeffs, x) for x in range(f.q)]
         for points in point_sets:
             assert f.horner(coeffs, points) == [want[x] for x in points], (coeffs, points)
+
+
+@pytest.mark.parametrize("p, m", ODD_LANE_FIELDS, ids=[f"GF({p}^{m})" for p, m in ODD_LANE_FIELDS])
+def test_horner_chi_on_whole_and_partial_point_sets(p, m):
+    """horner_chi's bulk step on _whole_and_partial_cases; the zeros of
+    (x - a)(x - b) read '2'."""
+    f = field_create(p, m)
+    point_sets, polys, roots = _whole_and_partial_cases(f)
+    for coeffs in polys + [cs for cs, _ in roots]:
+        want = [_ref_chi_horner(f, coeffs, x) for x in range(f.q)]
+        for points in point_sets:
+            got = f.horner_chi(coeffs, points)
+            assert got == "".join([want[x] for x in points]), (coeffs, points)
+    for coeffs, (a, b) in roots:
+        row = f.horner_chi(coeffs, range(f.q))
+        assert row[a] == row[b] == "2", coeffs
 
 
 def _check_byte_rows(f, pairs):
