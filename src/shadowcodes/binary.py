@@ -2,19 +2,19 @@
 
 A length-n vector is an int with bit j holding coordinate j; a code is
 the row span of a tuple of such ints.  The exact minimum-distance scan
-steps the high rows in Gray-code order, one block per step, and weighs
-all 2^b messages of the low b rows at once with a Walsh transform
-(MacWilliams & Sloane, ch. 5): the columns are histogrammed by their
-low-row pattern, signed by the block's high codeword, and the 2^b
-transform lanes give 2(n - w) for every codeword of the block.  A
-block's lanes are packed into 2^(b - p) ints of 2^p lanes each, a piece
-filling PIECE_BYTES bytes or the whole block: the top b - p butterfly
-stages pair whole pieces and need no shift.  Piece i holds lanes
-i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order are the block
-as one int.  Each butterfly inside a piece is one add, a + b on its low
-lane and a + ~b = a - b - 1 on its high one; the -1s leave a fixed
-skew, which the top stages gather on piece 0 and one subtract per block
-takes back.
+walks blocks of 2^b messages: block h adds the high rows that the bits
+of h select to every message of the low b rows, and a Walsh transform
+(MacWilliams & Sloane, ch. 5) weighs the block at once: the columns are
+histogrammed by their low-row pattern, signed by the block's high
+codeword, and the 2^b transform lanes give 2(n - w) for every codeword
+of the block.  A block's lanes are packed into 2^(b - p) ints of 2^p
+lanes each, a piece filling PIECE_BYTES bytes or the whole block: the
+top b - p butterfly stages pair whole pieces and need no shift.  Piece
+i holds lanes i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order
+are the block as one int.  Each butterfly inside a piece is one add,
+a + b on its low lane and a + ~b = a - b - 1 on its high one; the -1s
+leave a fixed skew, which the top stages gather on piece 0 and one
+subtract per block takes back.
 
 Lanes count modulo 2^(bits - 1), below a guard bit, and a lane reads
 exactly below that.  The scan never reads the zero message's lane, and
@@ -189,13 +189,14 @@ def _skew(stages: list[tuple[int, int, int]], values: int, top_stages: int) -> i
 
 
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
-    """The pieces of each block, one list per Gray index h in [lo, hi) of
-    the high rows, laid out as _lane_format(n, k) for the low
-    b = min(LOW_ROWS, k) rows, some of them nonzero: 2^(b - p) ints of
-    2^p lanes, piece i holding lanes i 2^p .. (i + 1) 2^p - 1.  Lane u
-    of block h holds 2(n - w) modulo 2^(bits - 1) for the codeword of
-    low message u plus the high rows that gray(h) selects, exact for
-    every lane but lane 0 of piece 0 of block 0, the zero message's.
+    """The pieces of each block h in [lo, hi), one list a block, laid out
+    as _lane_format(n, k) for the low b = min(LOW_ROWS, k) rows, some of
+    them nonzero: 2^(b - p) ints of 2^p lanes, piece i holding lanes
+    i 2^p .. (i + 1) 2^p - 1.  Lane u of block h holds 2(n - w) modulo
+    2^(bits - 1) for the codeword of low message u plus the high rows
+    that the bits of h select, exact for every lane but lane 0 of piece
+    0 of block 0, the zero message's.  Each block builds its own high
+    codeword, so any span of blocks can be walked on its own.
 
     Block h transforms the signed histogram f(t) = sum (-1)^(c_j) over
     the columns j whose low-row pattern is t, c being the high codeword,
@@ -226,17 +227,15 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
     values = guards - ones
-    # pats[j] is column j's low-row pattern, laid down as byte planes of 8
-    # rows; its two planes hold at most 16
+    # pats[j] is column j's low-row pattern, one 16-bit lane per column,
+    # which holds at most 16 rows
     if b > 16:
-        raise AssertionError(f"LOW_ROWS = {LOW_ROWS} passes the 16 low rows of two byte planes")
-    planes = bytearray(2 * n)
-    for plane in range(2):
-        packed = 0
-        for i, row in enumerate(low[8 * plane : 8 * plane + 8]):
-            packed |= int.from_bytes(_column_bits(row, n), "little") << i
-        planes[plane::2] = packed.to_bytes(n, "little")
-    pats = array("H", planes)
+        raise AssertionError(f"LOW_ROWS = {LOW_ROWS} passes the 16 low rows of a 16-bit lane")
+    spread, packed = bytearray(2 * n), 0
+    for i, row in enumerate(low):
+        spread[::2] = _column_bits(row, n)
+        packed |= int.from_bytes(spread, "little") << i
+    pats = array("H", packed.to_bytes(2 * n, "little"))
     if sys.byteorder == "big":
         pats.byteswap()
     base = array(code, [wrap]) * (1 << b)
@@ -248,14 +247,10 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     step = bits << p >> 3  # bytes per piece
     # top stage s pairs piece i with piece i + 2^s, s ascending like the low stages
     tops = [(i, i | 1 << s) for s in range(b - p) for i in range(1 << (b - p)) if not i >> s & 1]
-    g = lo ^ (lo >> 1)
-    cw = 0
-    for j, row in enumerate(high):
-        if (g >> j) & 1:
-            cw ^= row
     for h in range(lo, hi):
-        if h > lo:
-            cw ^= high[(h & -h).bit_length() - 1]
+        cw = 0
+        for row in compress(high, _column_bits(h, len(high))):
+            cw ^= row
         lanes = base[:]
         hist = memoryview(lanes)
         for pat in compress(pats, _column_bits(cw, n)):
@@ -336,7 +331,8 @@ def _walk_parts(rows: tuple[int, ...], n: int, fold: bool) -> list[tuple[tuple[i
     {x, Mx} of an x whose highest e is e_j holds one member free of f_j.
     Part 0 walks span(f, g, e_1..e_j0) whole, within LOW_ROWS rows; part
     j > j0 walks the rows (f but f_j, g, e_1..e_j) with e_j the last high
-    row, over the Gray blocks that select it.  With no high row, the part
+    row, over the blocks [2^(L - 1), 2^L) whose index selects it, L
+    being the part's count of high rows.  With no high row, the part
     walks its one block, meeting some orbits twice."""
     blocks = 1 << max(len(rows) - LOW_ROWS, 0)
     plain = [(rows, 0, blocks)]

@@ -149,8 +149,8 @@ def _check_kernel(code: BinaryCode, width: int, piece: int) -> None:
         mp.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert exact_min_distance(code) == naive_min_distance(code.rows, code.n)
         # the whole walk [0, blocks) at cut = 0, and two spans [0, cut)
-        # and [cut, blocks), cut at any high Gray index, cover each
-        # message once, as the orbit parts' ranges must
+        # and [cut, blocks), cut at any block, cover each message once,
+        # as the orbit parts' ranges must
         blocks = 1 << max(code.k - width, 0)
         for cut in range(blocks):
             counts = _block_weights(code.rows, code.n, 0, cut)
@@ -255,8 +255,8 @@ def test_quotient_walk_matches_naive_oracle(width, piece, k, extra, seed, ones):
         mp.setattr(binary, "LOW_ROWS", width)
         mp.setattr(binary, "PIECE_BYTES", _piece_bytes(n, piece))
         assert exact_min_distance(code) == d
-        # two folded spans [0, cut) and [cut, blocks), cut at any high
-        # Gray index, give the same minimum
+        # two folded spans [0, cut) and [cut, blocks), cut at any block,
+        # give the same minimum
         if holds and k > 1:
             rows = tuple(_independent_rows((ones_word,) + code.rows)[1:])
             blocks = 1 << max(k - 1 - width, 0)
@@ -323,19 +323,15 @@ def _quotient_rows(code: BinaryCode) -> tuple[int, ...]:
 def _covers_every_orbit(rows, n, parts) -> bool:
     """Each walked message is a nonzero coset of the quotient spanned by
     rows, and each nonzero coset is walked or is the reversal of one
-    that is.  Block h of a part adds the high rows gray(h) selects to
-    each low message; the zero message of block 0 is not walked."""
+    that is.  Block h of a part adds the high rows that the bits of h
+    select to each low message; the zero message of block 0 is not
+    walked."""
     walked = set()
     for part, lo, hi in parts:
         b = min(binary.LOW_ROWS, len(part))
-        low = naive_span(part[:b])
+        low, high = naive_span(part[:b]), naive_span(part[b:])
         for h in range(lo, hi):
-            g = h ^ (h >> 1)
-            high = 0
-            for j, row in enumerate(part[b:]):
-                if g >> j & 1:
-                    high ^= row
-            walked.update(_canon(high ^ word, n) for word in low[h == 0 :])
+            walked.update(_canon(high[h] ^ word, n) for word in low[h == 0 :])
     cosets = {_canon(word, n) for word in naive_span(rows)} - {0}
     return walked <= cosets and all(c in walked or _canon(_reverse(c, n), n) in walked for c in cosets)
 
@@ -440,8 +436,8 @@ def test_walk_parts_unpack_pairs_and_kernel_rows():
 def test_orbit_parts_cover_the_quotient_and_each_is_needed(monkeypatch):
     """On the codes of _rank_roster the parts meet every orbit and walk
     fewer blocks than the plain walk, or are the plain walk, and each of
-    r = 0 to 4 occurs.  Dropping any part, or walking the Gray half of a
-    part without its last high row, misses an orbit."""
+    r = 0 to 4 occurs.  Dropping any part, or walking the half of a
+    part's blocks without its last high row, misses an orbit."""
     monkeypatch.setattr(binary, "LOW_ROWS", 2)
     ranks, taken, no_high = set(), set(), 0
     for code in _rank_roster():
@@ -492,10 +488,11 @@ def test_lane_format_lays_out_the_low_rows_of_a_block():
             assert ones.bit_count() == 1 << p and bits << p <= 8 * PIECE_BYTES
 
 
-def _joined_blocks(rows, n: int) -> list[int]:
-    """Each block of _walsh_blocks as one int: its pieces joined in order."""
+def _joined_blocks(rows, n: int, lo: int = 0, hi: int | None = None) -> list[int]:
+    """Each block of _walsh_blocks(rows, n, lo, hi) as one int: its pieces
+    joined in order.  hi defaults to the end of the walk."""
     _, bits, _, b, p = _lane_format(n, len(rows))
-    blocks = _walsh_blocks(rows, n, 0, 1 << (len(rows) - b))
+    blocks = _walsh_blocks(rows, n, lo, 1 << (len(rows) - b) if hi is None else hi)
     return [sum(v << (i * bits << p) for i, v in enumerate(pieces)) for pieces in blocks]
 
 
@@ -518,6 +515,67 @@ def test_pieces_join_to_the_one_int_block(monkeypatch):
     for piece in range(4):
         monkeypatch.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
         assert _joined_blocks(code.rows, code.n) == whole
+
+
+def _check_block_lanes(rows, n: int, lo: int, hi: int) -> None:
+    """Lane u of each block h in [lo, hi), its pieces joined, holds
+    2(n - w) modulo 2^(bits - 1), w the weight of low message u plus the
+    high rows that the bits of h select, for every lane but the zero
+    message's.  Both spans are subset sums, word u selecting by bit."""
+    code, bits, _, b, _ = _lane_format(n, len(rows))
+    low, high = naive_span(rows[:b]), naive_span(rows[b:])
+    blocks = _joined_blocks(rows, n, lo, hi)
+    assert len(blocks) == hi - lo
+    for h, block in enumerate(blocks, lo):
+        want = [2 * (n - (word ^ high[h]).bit_count()) % (1 << (bits - 1)) for word in low]
+        assert _unpack(block, code, b).tolist()[h == 0 :] == want[h == 0 :], h
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    piece=st.integers(0, 4),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 63),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_each_block_holds_the_high_rows_its_index_selects(width, piece, k, extra, seed, data):
+    """Block h adds the high rows that the bits of h select, walked from
+    any lo: a span [lo, hi) of the blocks, lo > 0 whenever there are two,
+    at narrow low-row widths and pieces of 1 to 2^width lanes.  The
+    kernel tests weigh the union of two spans [0, cut) and
+    [cut, blocks), which any order of the blocks keeps, so they cannot
+    see which block holds which high codeword."""
+    code = random_linear_code(k + extra, k, seed)
+    blocks = 1 << max(k - width, 0)
+    lo = data.draw(st.integers(min(1, blocks - 1), blocks - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, blocks), label="hi")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "LOW_ROWS", width)
+        mp.setattr(binary, "PIECE_BYTES", _piece_bytes(code.n, piece))
+        _check_block_lanes(code.rows, code.n, lo, hi)
+
+
+def test_blocks_hold_their_high_rows_at_every_piece_size():
+    """The same without draws, on 8- and 16-bit lanes: blocks 1 to 7 of 8
+    at every narrow width and piece size, and at the module's LOW_ROWS
+    and PIECE_BYTES blocks 3 to 6 of 8, whose indices select two high
+    rows or one, and the whole walk of a code with one high row."""
+    for n, lane in [(40, "B"), (70, "H")]:
+        for width in range(1, 5):
+            code = random_linear_code(n, width + 3, width)
+            for piece in range(width + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(binary, "LOW_ROWS", width)
+                    mp.setattr(binary, "PIECE_BYTES", _piece_bytes(n, piece))
+                    assert _lane_format(n, code.k)[0] == lane
+                    _check_block_lanes(code.rows, n, 1, 8)
+    for n, lane in [(64, "B"), (90, "H")]:
+        code = random_linear_code(n, LOW_ROWS + 3, n)
+        assert _lane_format(n, code.k)[0] == lane
+        _check_block_lanes(code.rows, n, 3, 7)
+        _check_block_lanes(code.rows[:-2], n, 0, 2)
 
 
 @pytest.mark.parametrize("n, lane", [(64, "B"), (65, "H"), ((1 << 14) + 1, "I")])
@@ -762,7 +820,7 @@ def test_hex_round_trip():
 # the scan workload's deg1 codes at the module's own LOW_ROWS and
 # PIECE_BYTES, with their distance, orbit parts and walked blocks:
 # 16-bit lanes in several pieces a block, and 6 to 8 parts, each past
-# the first two walking the Gray half of its blocks that selects its
+# the first two walking the half of its blocks whose index selects its
 # top high row
 SCALE_CODES = [(482, 22, 181, 8, 65), (1000, 20, 421, 6, 17), (2048, 22, 906, 8, 65)]
 
@@ -805,7 +863,7 @@ def test_scan_at_workload_scale_keeps_its_distance(n, k, d, parts, blocks):
 
 
 def test_more_than_16_low_rows_are_refused(monkeypatch):
-    """Two byte planes hold the patterns of 16 low rows; a seventeenth
+    """A 16-bit lane holds the pattern of 16 low rows; a seventeenth
     would be dropped and the scan would read a wrong distance."""
     monkeypatch.setattr(binary, "LOW_ROWS", 17)
     with pytest.raises(AssertionError, match="16 low rows"):
