@@ -199,7 +199,7 @@ def _cmd_dmin(args) -> int:
     with open(args.descriptor) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad text, over-long ints, deep nesting
             raise BadDescriptor(f"{args.descriptor} is not a JSON descriptor: {exc}") from exc
     code = from_descriptor(obj)
     gen = code.generator()

@@ -14,10 +14,6 @@ class NotPrime(ShadowcodesError, ValueError):
     """A field characteristic was not a prime number."""
 
 
-class ReducibleModulus(ShadowcodesError, ValueError):
-    """A supplied field modulus factors over the base field."""
-
-
 class DegreeMismatch(ShadowcodesError, ValueError):
     """A polynomial had the wrong degree for the requested role."""
 

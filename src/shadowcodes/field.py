@@ -3,12 +3,12 @@
 Element k of GF(p^m) (0 <= k < q = p^m) stands for the polynomial over
 GF(p) whose coefficients are the base-p digits of k, least significant
 digit first, so index 0 is the additive identity and index 1 the
-multiplicative identity.  For m > 1 arithmetic is done modulo a monic
-irreducible polynomial of degree m.  When no modulus is supplied the
-lexicographically least monic irreducible is selected (coefficient
-tuples (c0, .., c_{m-1}) compared left to right), so a given (p, m)
-always produces the same field, the same element order, and therefore
-byte-identical downstream artifacts.
+multiplicative identity.  For m > 1 arithmetic is done modulo the
+canonical modulus, the lexicographically least monic irreducible of
+degree m (coefficient tuples (c0, .., c_{m-1}) compared left to right);
+no other modulus is taken, so a given (p, m) always produces the same
+field, the same element order, and therefore byte-identical downstream
+artifacts.
 
 Extension fields (m > 1) with q <= 2**16 precompute exp/log tables
 over the least primitive element g.  Prime fields need none, since they
@@ -55,7 +55,6 @@ from .errors import (
     DivisionByZero,
     EvenCharacteristic,
     NotPrime,
-    ReducibleModulus,
     ZeroArgument,
 )
 
@@ -448,20 +447,6 @@ class _EulerCharacter:
         return "2" if a == 0 else "01"[self.pow(a, self.half) != 1]
 
 
-def _validate_modulus(p: int, m: int, modulus: tuple[int, ...]) -> None:
-    from . import poly as _poly
-
-    if len(modulus) != m + 1 or modulus[-1] != 1:
-        raise DegreeMismatch(
-            f"modulus must be monic of degree {m}, got coefficients {list(modulus)}"
-        )
-    if any(not 0 <= c < p for c in modulus):
-        raise DegreeMismatch(f"modulus coefficients must lie in 0..{p - 1}")
-    base = _field_cached(p, 1, None)
-    if not _poly.is_irreducible(_poly.Poly(base, modulus)):
-        raise ReducibleModulus(f"{list(modulus)} factors over GF({p})")
-
-
 @functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     from . import poly as _poly
@@ -476,8 +461,8 @@ def _field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
     return Field(p, m, modulus)
 
 
-def field_create(p: int, m: int = 1, modulus=None) -> Field:
-    """Build GF(p^m), selecting the canonical modulus when none is given."""
+def field_create(p: int, m: int = 1) -> Field:
+    """GF(p^m) over its canonical modulus, the one instance per (p, m)."""
     if prime_power(p) != (p, 1):
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:
@@ -489,16 +474,7 @@ def field_create(p: int, m: int = 1, modulus=None) -> Field:
     if m >= top.bit_length() or p**m > top:
         raise BudgetExceeded(f"GF({p}^{m}) has more than {top} elements, past which trial"
                              " division cannot factor q - 1")
-    if m == 1:
-        if modulus is not None:
-            raise DegreeMismatch("prime fields take no modulus")
-        return _field_cached(p, 1, None)
-    if modulus is None:
-        modulus = _default_modulus(p, m)
-    else:
-        modulus = tuple(int(c) for c in modulus)
-        _validate_modulus(p, m, modulus)
-    return _field_cached(p, m, modulus)
+    return _field_cached(p, m, _default_modulus(p, m) if m > 1 else None)
 
 
 def field_of_order(q: int) -> Field:
@@ -510,6 +486,8 @@ def field_of_order(q: int) -> Field:
 
 
 def field_from_json(obj: dict) -> Field:
+    """The field a descriptor names: ints p and m, and a modulus, when
+    present, equal to the canonical one; a prime field takes none."""
     p, m = obj["p"], obj["m"]
     if type(p) is not int or type(m) is not int:
         raise BadParameters(f"field p and m must be ints, got {p!r} and {m!r}")
@@ -518,4 +496,8 @@ def field_from_json(obj: dict) -> Field:
         type(modulus) is list and len(modulus) == m + 1 and all(type(c) is int for c in modulus)
     ):
         raise BadParameters(f"field modulus must be a list of {m + 1} ints, got {modulus!r}")
-    return field_create(p, m, modulus)
+    field = field_create(p, m)
+    if modulus is not None and tuple(modulus) != field.modulus:
+        want = f"only its canonical modulus {list(field.modulus)}" if m > 1 else "no modulus"
+        raise BadParameters(f"{field} takes {want}, got {modulus}")
+    return field

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import csv
+import functools
+import hashlib
 import io
 import itertools
 import json
@@ -18,6 +20,15 @@ from hypothesis import given, settings, strategies as st
 from shadowcodes import __version__
 from shadowcodes.bounds import FIG_FIELDNAMES, BoundPoint, fig1_rows, fig4_rows
 from shadowcodes.cli import _json_pieces, build_parser, main, rows_to_csv
+from shadowcodes.field import _field_cached, field_of_order
+from shadowcodes.poly import enumerate_monic_irreducibles
+from shadowcodes.shadow import (
+    basic_set,
+    construct,
+    construct_deg1,
+    full_evaluation_set,
+    to_descriptor,
+)
 
 
 def run_cli(capsys, *argv):
@@ -68,14 +79,17 @@ def test_dmin_descriptor_faults_exit_two(tmp_path, capsys):
     desc = json.loads(good.read_text())
     tampered = dict(desc, G=[format(int(desc["G"][0], 16) ^ 1, "06x")] + desc["G"][1:])
     missing = {k: v for k, v in desc.items() if k != "E"}
+    # an int past Python's 4300-digit limit on text-to-int conversion, and
+    # nesting past the recursion limit, which json.load cannot read
+    long_int = json.dumps(desc).replace('"E": [', '"E": [' + "9" * 5000 + ", ", 1)
     faults = {"tampered.json": json.dumps(tampered), "missing.json": json.dumps(missing),
-              "text.json": "not json {"}
+              "text.json": "not json {", "long_int.json": long_int, "deep.json": "[" * 100000}
     for name, text in faults.items():
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run_cli(capsys, "dmin", str(path))
         assert (code, out) == (2, ""), name
-        assert err.startswith("error:"), name
+        assert err.startswith("error:") and "Traceback" not in err, name
 
 
 @pytest.mark.parametrize(
@@ -123,6 +137,64 @@ def test_dmin_descriptor_with_mistyped_field_or_kind_exits_two(
     code, out, err = run_cli(capsys, "dmin", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dmin_descriptor_over_a_non_canonical_modulus_exits_two(tmp_path, capsys):
+    """A deg1 code over GF(9) built modulo the irreducible x^2 + 2x + 2
+    agrees with its own field, E and B, but GF(9) is read over its
+    canonical modulus x^2 + 1 only, so dmin refuses the descriptor."""
+    desc = to_descriptor(construct_deg1(_field_cached(3, 2, (2, 2, 1)), 7))
+    assert desc["field"] == {"p": 3, "m": 2, "modulus": [2, 2, 1]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(capsys, "dmin", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "[2, 2, 1]" in err and "Traceback" not in err
+
+
+def _write_two_cubic_descriptor(q: int, path: Path) -> None:
+    """The custom code of GF(q)'s first two monic irreducible cubics over
+    the whole field, written as CI writes it."""
+    f = field_of_order(q)
+    code = construct(full_evaluation_set(f), basic_set(enumerate_monic_irreducibles(f, 3, 2)),
+                     "custom")
+    path.write_text(json.dumps(to_descriptor(code)))
+
+
+def _construct_out(*argv):
+    return lambda path: main(["construct", *argv, "--out", str(path)])
+
+
+# sha256 of the descriptor bytes of each code over an extension field;
+# every field is read back through field_from_json's canonical modulus
+DESCRIPTOR_DIGESTS = {
+    "deg1-q9": (_construct_out("deg1", "--q", "9", "--e-size", "7"),
+                "779ad4593b081740b937c2d592d4a549d5b37b44b2094ce62841882141769aa5"),
+    "deg2-q49": (_construct_out("deg2", "--q", "49", "--k", "3"),
+                 "d5f5f53b3b4a3389218ee515364feb5b52fcb041d1843a3d743e53532b96bfd6"),
+    "deg2-q729": (_construct_out("deg2", "--q", "729", "--k", "10"),
+                  "a299ec6dd226ce04bcd5bf9383aa7aae260144293c565732447b01ad4ea6b774"),
+    "deg1-q3125": (_construct_out("deg1", "--q", "3125", "--e-size", "3060"),
+                   "71a07d5cb13f55062657439245c7b7a87658a23934460a3da514d97d67d7eff5"),
+    "custom-q243": (functools.partial(_write_two_cubic_descriptor, 243),
+                    "f393fc3119062e08d7f0377db1148ed1b0c3bb9875f0715767c9b168e8ba9006"),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCRIPTOR_DIGESTS))
+def test_extension_field_descriptor_bytes_are_pinned(tmp_path, capsys, name):
+    """The bench's golden digests are checked only by a bench run, and
+    none of them is of a custom code: each descriptor here is pinned in
+    tier-1, and dmin reads each back, by sampling past the enumeration
+    budget (k = 66 at q = 3125)."""
+    write, digest = DESCRIPTOR_DIGESTS[name]
+    path = tmp_path / "code.json"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    sample = ("--sample", "100") if json.loads(path.read_text())["k"] > 20 else ()
+    code, out, err = run_cli(capsys, "dmin", str(path), *sample)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == ("sample" if sample else "exact")
 
 
 @pytest.mark.parametrize(

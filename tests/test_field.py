@@ -15,7 +15,6 @@ from shadowcodes.errors import (
     DivisionByZero,
     EvenCharacteristic,
     NotPrime,
-    ReducibleModulus,
     ZeroArgument,
 )
 from shadowcodes.field import (
@@ -92,17 +91,29 @@ def test_canonical_modulus_is_lex_least_by_scan():
     assert found == field_create(3, 2).modulus
 
 
-def test_supplied_modulus():
-    f = field_create(3, 2, [2, 2, 1])  # x^2 + 2x + 2, irreducible
-    assert f.modulus == (2, 2, 1)
-    with pytest.raises(ReducibleModulus):
-        field_create(3, 2, [2, 0, 1])  # x^2 + 2 = (x-1)(x+1)
-    with pytest.raises(DegreeMismatch):
-        field_create(3, 2, [1, 1])  # degree 1, not 2
-    with pytest.raises(DegreeMismatch):
-        field_create(3, 2, [1, 1, 2])  # not monic
-    with pytest.raises(DegreeMismatch):
-        field_create(7, 1, [1, 1])  # prime field takes none
+# every extension field of order <= 125, then GF(3^6), GF(3^7) and GF(5^5),
+# the largest tabled fields the bench builds, and GF(5^7), past the tables
+EXTENSION_ORDERS = [q for q in range(4, 126) if (pm := prime_power(q)) and pm[1] > 1] + [
+    729, 2187, 3125, 5**7]
+
+
+def test_descriptor_modulus_must_be_the_canonical_one():
+    """A field has one modulus, the canonical one: field_from_json refuses
+    any other, irreducible or not, and any modulus of a prime field, and
+    takes the canonical one to the cached field."""
+    refused = [
+        {"p": 3, "m": 2, "modulus": [2, 2, 1]},  # x^2 + 2x + 2, irreducible
+        {"p": 3, "m": 2, "modulus": [2, 0, 1]},  # x^2 + 2 = (x - 1)(x + 1)
+        {"p": 3, "m": 2, "modulus": [1, 1, 2]},  # not monic
+        *({"p": p, "m": 1, "modulus": mod} for p in (3, 7) for mod in ([1, 1], [0, 1])),
+    ]
+    for obj in refused:
+        with pytest.raises(BadParameters):
+            field_from_json(obj)
+    assert len(EXTENSION_ORDERS) == 16
+    for q in EXTENSION_ORDERS:
+        f = field_of_order(q)
+        assert field_from_json({"p": f.p, "m": f.m, "modulus": list(f.modulus)}) is f
     with pytest.raises(DegreeMismatch):
         field_create(3, 0)
 
@@ -509,7 +520,6 @@ def test_large_extension_field_direct_arithmetic():
 
 def test_field_cache_identity():
     assert field_create(3, 2) is field_create(3, 2)
-    assert field_create(3, 2, [2, 2, 1]) is not field_create(3, 2)
 
 
 SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 6) if p**m <= 49]
