@@ -3,27 +3,30 @@
 A length-n vector is an int with bit j holding coordinate j; a code is
 the row span of a tuple of such ints.  The exact minimum-distance scan
 walks blocks of 2^b messages: block h adds the high rows that the bits
-of h select to every message of the low b rows, and a Walsh transform
-(MacWilliams & Sloane, ch. 5) weighs the block at once: the columns are
-histogrammed by their low-row pattern, signed by the block's high
-codeword, and the 2^b transform lanes give 2(n - w) for every codeword
-of the block.  A block's lanes are packed into 2^(b - p) ints of 2^p
-lanes each, a piece filling PIECE_BYTES bytes or the whole block: the
-top b - p butterfly stages pair whole pieces and need no shift.  Piece
+of h select to every message of the low b rows.  A Walsh transform
+(MacWilliams & Sloane, ch. 5) weighs a group of 2^w consecutive blocks
+at once: the columns are histogrammed by their pattern in the b + w
+rows made of the low rows and the w lowest high rows, b + w <= 16,
+signed by the group's codeword of the high rows above those, and the
+2^(b + w) transform lanes give 2(n - |x|) for every codeword x of the
+group.  A group's lanes are packed into 2^(b + w - p) ints of 2^p lanes
+each, a piece filling PIECE_BYTES bytes or the whole block: the top
+b + w - p butterfly stages pair whole pieces and need no shift.  Piece
 i holds lanes i 2^p .. (i + 1) 2^p - 1, so the pieces joined in order
-are the block as one int.  Each butterfly inside a piece is one add,
-a + b on its low lane and a + ~b = a - b - 1 on its high one; the -1s
-leave a fixed skew, which the top stages gather on piece 0 and one
-subtract per block takes back.
+are the group as one int, and each run of 2^(b - p) of them is one
+block.  Each butterfly inside a piece is one add, a + b on its low lane
+and a + ~b = a - b - 1 on its high one; the -1s leave a fixed skew,
+which the top stages gather on piece 0 of the group and one subtract
+per group takes back.
 
 Lanes count modulo 2^(bits - 1), below a guard bit, and a lane reads
 exactly below that.  The scan never reads the zero message's lane, and
-every other lane is 2(n - w) with w >= 1, at most 2n - 2, so the lanes
+every other lane is 2(n - |x|) with |x| >= 1, at most 2n - 2, so the lanes
 are the narrowest of 8, 16, 32 and 64 bits whose value bits hold 2n - 2:
 8 bits up to n = 64 and 16 bits up to n = 16384.
 
-When the all-ones word 1 lies in the code, c and c + 1 weigh w and
-n - w, so the exact minimum-distance scan walks only the 2^(k-1)
+When the all-ones word 1 lies in the code, c and c + 1 weigh |c| and
+n - |c|, so the exact minimum-distance scan walks only the 2^(k-1)
 messages of a complement of {0, 1} and reads both weights off each.
 When the code also holds the reversal of each of its words, which the
 reversed rows adding no rank decides exactly, reversing the coordinates
@@ -38,7 +41,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from collections import Counter
 from itertools import compress
 
 from .errors import BadParameters, DimensionTooLarge, LengthMismatch
@@ -188,26 +190,45 @@ def _skew(stages: list[tuple[int, int, int]], values: int, top_stages: int) -> i
     return skew
 
 
+def _signed_histogram(base: array, pats: array, cw: int, n: int) -> array:
+    """base less 2 on the pattern lane of each column j with bit j of
+    the codeword cw set: the signed histogram of one group."""
+    lanes = base[:]
+    hist = memoryview(lanes)
+    for pat in compress(pats, _column_bits(cw, n)):
+        hist[pat] -= 2
+    return lanes
+
+
 def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     """The pieces of each block h in [lo, hi), one list a block, laid out
     as _lane_format(n, k) for the low b = min(LOW_ROWS, k) rows, some of
     them nonzero: 2^(b - p) ints of 2^p lanes, piece i holding lanes
-    i 2^p .. (i + 1) 2^p - 1.  Lane u of block h holds 2(n - w) modulo
-    2^(bits - 1) for the codeword of low message u plus the high rows
-    that the bits of h select, exact for every lane but lane 0 of piece
-    0 of block 0, the zero message's.  Each block builds its own high
-    codeword, so any span of blocks can be walked on its own.
+    i 2^p .. (i + 1) 2^p - 1.  Lane u of block h holds 2(n - |x|)
+    modulo 2^(bits - 1) for the codeword x of low message u plus the
+    high rows that the bits of h select, exact for every lane but lane 0
+    of piece 0 of block 0, the zero message's.  Each group of blocks
+    builds its own high codeword, so any span of blocks can be walked on
+    its own, and a block's pieces do not depend on the span.
 
-    Block h transforms the signed histogram f(t) = sum (-1)^(c_j) over
-    the columns j whose low-row pattern is t, c being the high codeword,
-    plus n at t = 0: lane u of the transform is then n + sum_j
-    (-1)^(c_j + u.t_j) = 2(n - w).  The lanes count modulo 2^(bits - 1),
-    so each butterfly inside a piece is one add over all lanes
-    (_butterflies): a + b on the low lane and a + ~b = a - b - 1 on the
-    high one.  The guard bit absorbs the carry, and masking it off
-    leaves the lane modulo 2^(bits - 1).  The -1s do not depend on the
-    data, and the top stages gather them on piece 0 as one fixed skew
-    (_skew), which a subtract per block takes back.
+    The blocks are transformed in groups of 2^w, w the largest with
+    b + w <= 16, the rows a 16-bit pattern lane holds, w at most the
+    count of high rows, and 2^w dividing lo and hi, so that the groups
+    tile the span.  Group g folds the w lowest high rows into its
+    transform: it transforms the signed histogram f(t) = sum (-1)^(c_j)
+    over the columns j whose pattern in the b + w low and folded rows is
+    t, c being the codeword of the high rows above the folded ones that
+    the bits of g select, plus n at t = 0.  Lane U of the transform is
+    then n + sum_j (-1)^(c_j + U.t_j) = 2(n - |x|), x the codeword of
+    message U of the b + w rows plus c, so block h = g 2^w + v is lanes
+    v 2^b .. (v + 1) 2^b - 1 of group g.  The lanes count modulo
+    2^(bits - 1), so each butterfly inside a piece is one add over all
+    lanes (_butterflies): a + b on the low lane and a + ~b = a - b - 1
+    on the high one.  The guard bit absorbs the carry, and masking it
+    off leaves the lane modulo 2^(bits - 1).  The -1s do not depend on
+    the data, and the b + w - p top stages gather them on piece 0 of the
+    group as one fixed skew (_skew), which a subtract per group takes
+    back.
 
     Every lane of the histogram starts at 2^(bits - 1) + count(t), its
     guard bit set, and each column of c takes 2 off its pattern's lane,
@@ -218,55 +239,57 @@ def _walsh_blocks(rows: tuple[int, ...], n: int, lo: int, hi: int):
     128 + 63 + 64 = 255, one byte.  The p low stages run inside each
     piece, their masks holding value bits only, so a stage reads
     guard-free halves and leaves its junk guard bits to the next stage's
-    masks; each piece is cleared once after them.  The b - p top stages
-    pair whole pieces, lane for lane with no shift, in an exact add and
+    masks; each piece is cleared once after them.  The top stages pair
+    whole pieces, lane for lane with no shift, in an exact add and
     subtract, and clear the guard bits of each sum and difference; piece
-    0 then takes back the skew."""
+    0 of the group then takes back the skew."""
     code, bits, ones, b, p = _lane_format(n, len(rows))
-    low, high = rows[:b], rows[b:]
+    # pats[j] is column j's pattern in the b + w low and folded rows, one
+    # 16-bit lane per column, which holds at most 16 rows
+    if b > 16:
+        raise AssertionError(f"LOW_ROWS = {LOW_ROWS} passes the 16 low rows of a 16-bit lane")
+    w = 0
+    while b + w < 16 and w < len(rows) - b and not (lo | hi) >> w & 1:
+        w += 1
+    folded, high = rows[: b + w], rows[b + w :]
     wrap = 1 << (bits - 1)
     guards = ones << (bits - 1)
     values = guards - ones
-    # pats[j] is column j's low-row pattern, one 16-bit lane per column,
-    # which holds at most 16 rows
-    if b > 16:
-        raise AssertionError(f"LOW_ROWS = {LOW_ROWS} passes the 16 low rows of a 16-bit lane")
     spread, packed = bytearray(2 * n), 0
-    for i, row in enumerate(low):
+    for i, row in enumerate(folded):
         spread[::2] = _column_bits(row, n)
         packed |= int.from_bytes(spread, "little") << i
     pats = array("H", packed.to_bytes(2 * n, "little"))
     if sys.byteorder == "big":
         pats.byteswap()
-    base = array(code, [wrap]) * (1 << b)
-    for pat, count in Counter(pats).items():
-        base[pat] += count
+    base = array(code, [wrap]) * (1 << (b + w))
+    for pat in pats:
+        base[pat] += 1
     base[0] += n
     stages = _stage_masks(bits, p, values)
-    skew = _skew(stages, values, b - p)
-    step = bits << p >> 3  # bytes per piece
+    skew = _skew(stages, values, b + w - p)
+    size, per = 1 << p, 1 << (b - p)  # lanes a piece, pieces a block
     # top stage s pairs piece i with piece i + 2^s, s ascending like the low stages
-    tops = [(i, i | 1 << s) for s in range(b - p) for i in range(1 << (b - p)) if not i >> s & 1]
-    for h in range(lo, hi):
+    pieces = 1 << (b + w - p)
+    tops = [(i, i | 1 << s) for s in range(b + w - p) for i in range(pieces) if not i >> s & 1]
+    for g in range(lo >> w, hi >> w):
         cw = 0
-        for row in compress(high, _column_bits(h, len(high))):
+        for row in compress(high, _column_bits(g, len(high))):
             cw ^= row
-        lanes = base[:]
-        hist = memoryview(lanes)
-        for pat in compress(pats, _column_bits(cw, n)):
-            hist[pat] -= 2
+        lanes = _signed_histogram(base, pats, cw, n)
         if sys.byteorder == "big":
             lanes.byteswap()
-        raw = lanes.tobytes()
+        view = memoryview(lanes)
         vs = [
-            _butterflies(int.from_bytes(raw[at : at + step], "little"), stages) & values
-            for at in range(0, len(raw), step)
+            _butterflies(int.from_bytes(view[at : at + size], "little"), stages) & values
+            for at in range(0, len(lanes), size)
         ]
         for i, j in tops:
             x, y = vs[i], vs[j]
             vs[i], vs[j] = (x + y) & values, ((x | guards) - y) & values
         vs[0] = ((vs[0] | guards) - skew) & values
-        yield vs
+        for at in range(0, pieces, per):
+            yield vs[at : at + per]
 
 
 def _min_weight(

@@ -117,6 +117,53 @@ def _block_weights(rows, n, lo, hi):
     return counts
 
 
+def _spy_histograms(monkeypatch) -> list[int]:
+    """The lane count of each signed histogram _walsh_blocks builds, one
+    per group, in order."""
+    built, signed = [], binary._signed_histogram
+
+    def spy(base, pats, cw, n):
+        built.append(len(base))
+        return signed(base, pats, cw, n)
+
+    monkeypatch.setattr(binary, "_signed_histogram", spy)
+    return built
+
+
+def test_grouped_blocks_match_one_block_walks(monkeypatch):
+    """The last orbit part of the scan workload's (1000, 20) code, 18
+    rows at the module's LOW_ROWS and PIECE_BYTES, walks blocks [8, 16)
+    in two groups of four: each folds the two lowest of the 4 high rows,
+    b + w = 16, and takes the skew off its own piece 0.  Block by block,
+    its pieces are those of the one-block walks [h, h + 1), which no
+    group spans, each transforming a histogram of its own."""
+    n = 1000
+    part, lo, hi = _walk_parts(_quotient_rows(construct_deg1_nk(n, 20).generator()), n, True)[-1]
+    assert (len(part), lo, hi) == (18, 8, 16)
+    built = _spy_histograms(monkeypatch)
+    grouped = list(_walsh_blocks(part, n, lo, hi))
+    assert built == [1 << 16] * 2
+    built.clear()
+    alone = [pieces for h in range(lo, hi) for pieces in _walsh_blocks(part, n, h, h + 1)]
+    assert built == [1 << LOW_ROWS] * 8
+    assert [len(pieces) for pieces in grouped] == [8] * 8
+    assert grouped == alone
+
+
+@pytest.mark.parametrize("width, fold", [(15, 1), (16, 0)])
+def test_groups_fold_high_rows_up_to_the_16_row_lane(monkeypatch, width, fold):
+    """An unfolded walk of 18 rows at LOW_ROWS = 15 folds one of its 3
+    high rows into each group, and at 16 none of its 2, though the span
+    [0, 2^(18 - b)) would align more: b + w <= 16, each group 2^16
+    lanes.  The distance matches a popcount walk."""
+    code = random_linear_code(100, 18, 5)
+    assert len(_independent_rows(((1 << 100) - 1,) + code.rows)) > code.k  # 1 is not in it
+    monkeypatch.setattr(binary, "LOW_ROWS", width)
+    built = _spy_histograms(monkeypatch)
+    assert exact_min_distance(code) == popcount_min_distance(code.rows)
+    assert built == [1 << 16] * (1 << (18 - width - fold))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     width=st.integers(1, 4),
@@ -863,8 +910,10 @@ def test_scan_at_workload_scale_keeps_its_distance(n, k, d, parts, blocks):
 
 
 def test_more_than_16_low_rows_are_refused(monkeypatch):
-    """A 16-bit lane holds the pattern of 16 low rows; a seventeenth
-    would be dropped and the scan would read a wrong distance."""
+    """A 16-bit lane holds a column's pattern in the b + w low and
+    folded rows of a group only while b + w <= 16; 17 low rows alone
+    pass that bound, and a seventeenth row would be dropped and the scan
+    would read a wrong distance."""
     monkeypatch.setattr(binary, "LOW_ROWS", 17)
     with pytest.raises(AssertionError, match="16 low rows"):
         exact_min_distance(construct_deg1_nk(1000, 20).generator())
